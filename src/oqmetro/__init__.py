@@ -8,7 +8,6 @@ from .errors import (
     FlatLikelihood,
     NegativeCounts,
     NegativeOq,
-    NonRealValue,
     NotHermitian,
     NotNormalized,
     NotPsd,
@@ -31,7 +30,7 @@ from .estimation import (
     run_trials,
     sample_counts,
 )
-from .fisher import FisherResult, advantage, cri_bound, fisher_discrete, oqfi, qfi_pure
+from .fisher import advantage, cri_bound, fisher_discrete, oqfi, qfi_pure
 from .linalg import hermitian_eigensystem, is_hermitian, is_psd, psd_sqrt
 from .measurement import (
     Hovm,
@@ -46,7 +45,7 @@ from .measurement import (
     sequential_povm,
     sharpness_threshold,
 )
-from .oq import OqDistribution, evaluate_oq, is_positive, oq_derivatives
-from .probe import ProbeParams, ProbeState, Target, bloch_vector, make_state
+from .oq import is_positive, negativity, oq_slopes, oq_values
+from .probe import ProbeParams, Target, amplitude_slopes, amplitudes, check_angles
 
 __version__ = "0.1.0"

@@ -5,24 +5,30 @@ Subcommands: ``fi-sweep`` (information vs sharpness), ``advantage-map``
 comparison), ``compat`` (compatibility certificate for a Bloch pair).
 Output is data only; plotting is left to external tools.
 
+Numeric arguments accept ``pi`` arithmetic (numbers, ``pi``, unary signs
+and ``+ - * /``), parsed without ``eval``.  ``fi-sweep`` and
+``advantage-map`` evaluate whole batches of probe points per kernel call:
+``fi-sweep`` one call per sharpness value, ``advantage-map`` one call per
+theta row.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
-failure.  ``OQMETRO_THREADS`` caps internal parallelism.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
 import math
-import os
+import operator
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import AllTrialsOmitted, NegativeOq, OqMetroError
+from .errors import AllTrialsOmitted, OqMetroError
 from .estimation import CSV_FIELDS, TrialConfig, run_trials, summary_csv_rows
 from .fisher import advantage, oqfi, qfi_pure
 from .measurement import (
@@ -34,10 +40,27 @@ from .measurement import (
     sequential_povm,
     sharpness_threshold,
 )
-from .oq import POSITIVITY_TOL, evaluate_oq
-from .probe import ProbeParams, Target, make_state
+from .oq import POSITIVITY_TOL, negativity, oq_values
+from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 SCHEMA_VERSION = "oqmetro-csv v1"
+
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _eval_node(node):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_eval_node(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_eval_node(node.left),
+                                      _eval_node(node.right))
+    raise ValueError
 
 
 def _eval_number(token: str) -> float:
@@ -45,7 +68,13 @@ def _eval_number(token: str) -> float:
     try:
         return float(token)
     except ValueError:
-        return float(eval(token, {"__builtins__": {}}, {"pi": math.pi}))
+        pass
+    try:
+        return float(_eval_node(ast.parse(token.strip(), mode="eval").body))
+    # the parser reports input nested too deeply as MemoryError
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError,
+            MemoryError):
+        raise ValueError(f"not a number: {token!r}") from None
 
 
 def parse_values(spec: str) -> list:
@@ -61,21 +90,6 @@ def parse_values(spec: str) -> list:
 
 def _target(name: str) -> Target:
     return Target.POLAR if name == "theta" else Target.AZIMUTHAL
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("OQMETRO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _threads()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x) -> str:
@@ -124,28 +138,24 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
 def cmd_fi_sweep(args) -> int:
     target = _target(args.target)
     lams = parse_values(args.lam)
-    thetas = parse_values(args.theta)
-    phis = parse_values(args.phi)
-    tol = POSITIVITY_TOL
+    grid = np.meshgrid(parse_values(args.theta), parse_values(args.phi),
+                       indexing="ij")
+    theta, phi = (g.ravel() for g in grid)
+    check_angles(theta, phi)
+    psi = amplitudes(theta, phi)
+    dpsi = amplitude_slopes(theta, phi, target)
+    qfi = qfi_pure(psi, dpsi).tolist()
+    points = list(zip(theta.tolist(), phi.tolist(), qfi))
     rows = []
     for lam in lams:
         a, b = mutually_unbiased_pair(lam)
         w = build_hovm(a, b, sequential_povm(a, b))
-        for theta in thetas:
-            for phi in phis:
-                params = ProbeParams(theta, phi, target)
-                dist = evaluate_oq(make_state(params), w)
-                q = qfi_pure(params)
-                positive = dist.negativity <= tol
-                if positive:
-                    f = oqfi(params, w)
-                    f_out = math.inf if f.diverged else f.value
-                else:
-                    f_out = None
-                rows.append(
-                    [lam, theta, phi, args.target, f_out, q,
-                     dist.negativity, positive]
-                )
+        neg = negativity(oq_values(w, psi))
+        positive = neg <= POSITIVITY_TOL
+        info = iter(oqfi(w, psi[positive], dpsi[positive]).tolist())
+        for (t, p, q), n, pos in zip(points, neg.tolist(), positive.tolist()):
+            rows.append([lam, t, p, args.target, next(info) if pos else None,
+                         q, n, pos])
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
                   "negativity", "positive"], rows)
@@ -157,28 +167,30 @@ def cmd_advantage_map(args) -> int:
     lam = _eval_number(args.lam)
     thetas = parse_values(args.theta)
     phis = parse_values(args.phi)
+    check_angles(thetas, phis)
     a, b = mutually_unbiased_pair(lam)
     w = build_hovm(a, b, sequential_povm(a, b))
-    tol = POSITIVITY_TOL
+    phi = np.array(phis, dtype=float)
     rows = []
+    # one theta row per kernel call keeps the working set small
     for theta in thetas:
-        for phi in phis:
-            params = ProbeParams(theta, phi, target)
-            dist = evaluate_oq(make_state(params), w)
-            if dist.negativity > tol:
-                adv = None
-            else:
-                try:
-                    adv = advantage(params, w)
-                except NegativeOq:
-                    adv = None
-            rows.append([theta, phi, adv, dist.negativity])
+        psi = amplitudes(theta, phi)
+        dpsi = amplitude_slopes(theta, phi, target)
+        neg = negativity(oq_values(w, psi))
+        # the advantage is undefined at negative points and where the
+        # quantum information vanishes: those cells stay empty
+        defined = (neg <= POSITIVITY_TOL) & (qfi_pure(psi, dpsi) > 0)
+        adv = iter(advantage(w, psi[defined], dpsi[defined]).tolist())
+        for p, n, ok in zip(phis, neg.tolist(), defined.tolist()):
+            rows.append([theta, p, next(adv) if ok else None, n])
     _write_table(args.out, args.format, "advantage-map",
                  ["theta", "phi", "advantage", "negativity"], rows)
     return 0
 
 
 def _segment_points(thetas: list, phis: list) -> list:
+    if not thetas or not phis:
+        raise ValueError("theta and phi ranges must not be empty")
     if len(thetas) > 1 and len(phis) > 1:
         if len(thetas) != len(phis):
             raise ValueError(
@@ -203,26 +215,18 @@ def cmd_estimate(args) -> int:
     point_seeds = np.random.SeedSequence(args.seed).generate_state(
         len(points), np.uint64
     )
-
-    def one(point_and_seed):
-        (theta0, phi0), seed = point_and_seed
+    rows = []
+    failed = False
+    for (theta0, phi0), seed in zip(points, point_seeds):
         config = TrialConfig(
             theta0=theta0, phi0=phi0, target=target, sharpness=lam,
             n=args.n, trials=args.trials, seed=int(seed), domain=domain,
             inject_expected=args.inject_expected,
         )
         try:
-            return run_trials(config)
+            result = run_trials(config)
         except AllTrialsOmitted as exc:
-            return exc
-
-    results = _map_ordered(one, list(zip(points, point_seeds)))
-    rows = []
-    failed = False
-    for (theta0, phi0), result in zip(points, results):
-        if isinstance(result, AllTrialsOmitted):
-            print(f"point theta={theta0} phi={phi0}: {result}",
-                  file=sys.stderr)
+            print(f"point theta={theta0} phi={phi0}: {exc}", file=sys.stderr)
             failed = True
             continue
         for row in summary_csv_rows(result):
@@ -238,7 +242,8 @@ def cmd_compat(args) -> int:
     busch = bool(busch_compatible(mu, nu))
     a, b = bloch_povm(mu), bloch_povm(nu)
     povm = bool(hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)), 1e-10))
-    assert busch == povm, "compatibility predicates disagree"
+    if busch != povm:
+        raise OqMetroError("compatibility predicates disagree")
     boundary = None
     if np.linalg.norm(mu) > 0 and np.linalg.norm(nu) > 0:
         boundary = sharpness_threshold(mu, nu)

@@ -29,10 +29,6 @@ class ParamOutOfRange(OqMetroError):
     pass
 
 
-class NonRealValue(OqMetroError):
-    pass
-
-
 class NotNormalized(OqMetroError):
     pass
 

@@ -28,8 +28,8 @@ from .errors import (
 )
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
-from .oq import evaluate_oq, oq_derivatives
-from .probe import ProbeParams, Target, make_state
+from .oq import oq_slopes, oq_values
+from .probe import ProbeParams, Target, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
 GRID_STEP = 1e-3
@@ -89,8 +89,7 @@ def assemble_w_counts(counts_b: np.ndarray, counts_seq: np.ndarray) -> np.ndarra
     return counts_seq + (counts_b[None, :] - counts_seq.sum(axis=0)[None, :]) / 2
 
 
-def _outcome_probs(state, povm: Povm) -> np.ndarray:
-    psi = state.amplitudes
+def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
     p = np.array([np.real(psi.conj() @ e @ psi) for e in povm.effects])
     p = np.clip(p, 0.0, None)
     return p / p.sum()
@@ -107,9 +106,9 @@ def sample_counts(params: ProbeParams, a: Povm, b: Povm, n: int, seed) -> CountT
         raise ValueError("n must be positive")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     ss_b, ss_seq = ss.spawn(2)
-    state = make_state(params)
-    p_b = _outcome_probs(state, b)
-    p_seq = _outcome_probs(state, sequential_povm(a, b))
+    psi = amplitudes(params.theta, params.phi)
+    p_b = _outcome_probs(psi, b)
+    p_seq = _outcome_probs(psi, sequential_povm(a, b))
     counts_b = np.random.default_rng(ss_b).multinomial(n, p_b)
     counts_seq = np.random.default_rng(ss_seq).multinomial(n, p_seq).reshape(2, 2)
     counts_w = assemble_w_counts(counts_b, counts_seq)
@@ -118,26 +117,20 @@ def sample_counts(params: ProbeParams, a: Povm, b: Povm, n: int, seed) -> CountT
 
 def expected_counts(params: ProbeParams, a: Povm, b: Povm, n: int) -> CountTable:
     """Noise-free table with counts equal to n times the exact probabilities."""
-    state = make_state(params)
-    p_b = _outcome_probs(state, b)
-    p_seq = _outcome_probs(state, sequential_povm(a, b)).reshape(2, 2)
+    psi = amplitudes(params.theta, params.phi)
+    p_b = _outcome_probs(psi, b)
+    p_seq = _outcome_probs(psi, sequential_povm(a, b)).reshape(2, 2)
     counts_b = n * p_b
     counts_seq = n * p_seq
     return CountTable(n, counts_b, counts_seq,
                       assemble_w_counts(counts_b, counts_seq))
 
 
-def model_values(gs, fixed_other: float, target: Target, w: Hovm) -> np.ndarray:
-    """Quasiprobability cells over a grid of target-angle values, shape (N,2,2)."""
+def _angles(gs, fixed_other: float, target: Target) -> tuple:
+    """(theta, phi) arrays, shape (N,), over target-angle values gs."""
     gs = np.atleast_1d(np.asarray(gs, dtype=float))
-    if target is Target.POLAR:
-        theta, phi = gs, np.full_like(gs, fixed_other)
-    else:
-        theta, phi = np.full_like(gs, fixed_other), gs
-    psi = np.stack(
-        [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1
-    )
-    return np.real(np.einsum("ni,abij,nj->nab", psi.conj(), w.elements, psi))
+    other = np.full_like(gs, fixed_other)
+    return (gs, other) if target is Target.POLAR else (other, gs)
 
 
 def log_likelihood(counts: CountTable, g: float, fixed_other: float,
@@ -145,7 +138,7 @@ def log_likelihood(counts: CountTable, g: float, fixed_other: float,
     """(1/n) sum c(a,b|W) log W(a,b) with the model clamped at 1e-12."""
     if counts.has_negative:
         raise NegativeCounts("W-counts went negative; trial must be omitted")
-    vals = model_values(g, fixed_other, target, w)[0]
+    vals = oq_values(w, amplitudes(*_angles(g, fixed_other, target)))[0]
     return float(
         (counts.counts_w * np.log(np.clip(vals, PROB_CLAMP, None))).sum()
         / counts.n
@@ -191,7 +184,7 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
     if counts.has_negative:
         raise NegativeCounts("W-counts went negative; trial must be omitted")
     gs = _grid(domain, grid_step)
-    vals = model_values(gs, fixed_other, target, w)
+    vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
     ll = (
         counts.counts_w[None, :, :] * np.log(np.clip(vals, PROB_CLAMP, None))
     ).sum(axis=(1, 2)) / counts.n
@@ -230,35 +223,30 @@ def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
         raise NegativeCounts("W-counts went negative; trial must be omitted")
     obs = parity_mean(counts)
     gs = _grid(domain, grid_step)
-    means = (_PARITY[None, :, :] * model_values(gs, fixed_other, target, w)).sum(
-        axis=(1, 2)
-    )
+    vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
+    means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
     sq = (means - obs) ** 2
     i = int(np.argmin(sq))
 
     def f(g):
-        m = (_PARITY * model_values(g, fixed_other, target, w)[0]).sum()
+        psi = amplitudes(*_angles(g, fixed_other, target))
+        m = (_PARITY * oq_values(w, psi)[0]).sum()
         return -((m - obs) ** 2)
 
     lo = gs[max(i - 1, 0)]
     hi = gs[min(i + 1, len(gs) - 1)]
     est = golden_section_maximize(f, lo, hi, refine_tol) if hi > lo else float(gs[i])
 
-    params = _params_at(est, fixed_other, target)
-    state = make_state(params)
-    mean_at = float((_PARITY * evaluate_oq(state, w).values).sum())
-    slope = float((_PARITY * oq_derivatives(state, w)).sum())
+    theta, phi = _angles(est, fixed_other, target)
+    psi = amplitudes(theta, phi)
+    dpsi = amplitude_slopes(theta, phi, target)
+    mean_at = float((_PARITY * oq_values(w, psi)[0]).sum())
+    slope = float((_PARITY * oq_slopes(w, psi, dpsi)[0]).sum())
     if abs(slope) <= SLOPE_FLOOR:
         raise ZeroSlope("parity mean has no sensitivity to the parameter here")
     variance = (1.0 - mean_at**2) / (counts.n * slope**2)
     # the parity observable has eigenvalue labels +-1, so <O^2> = 1
     return TrialResult(float(est), float("nan"), float(variance))
-
-
-def _params_at(g: float, fixed_other: float, target: Target) -> ProbeParams:
-    if target is Target.POLAR:
-        return ProbeParams(g, fixed_other, target)
-    return ProbeParams(fixed_other, g % (2 * math.pi), target)
 
 
 @dataclass(frozen=True)
@@ -347,9 +335,14 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     params0 = ProbeParams(config.theta0, config.phi0, config.target)
     fixed_other = config.phi0 if config.target is Target.POLAR else config.theta0
     domain = config.domain or (0.0, math.pi)
+    if config.target is Target.POLAR:
+        # phi is periodic, so only a polar domain can leave the probe sphere
+        check_angles(domain, config.phi0)
 
-    adv = advantage(params0, w)
-    quantum_var = 1.0 / (config.n * qfi_pure(params0))
+    psi0 = amplitudes(config.theta0, config.phi0)
+    dpsi0 = amplitude_slopes(config.theta0, config.phi0, config.target)
+    adv = advantage(w, psi0, dpsi0)
+    quantum_var = 1.0 / (config.n * qfi_pure(psi0, dpsi0))
 
     mle_results: list = []
     lep_results: list = []

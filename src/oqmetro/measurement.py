@@ -10,7 +10,6 @@ compatibility of the pair (for qubits, equivalently the Busch criterion).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,58 +236,3 @@ def sharpness_threshold(mu_dir, nu_dir, tol: float = 1e-9) -> float | None:
             hi = mid
     return (lo + hi) / 2
 
-
-# --- JSON wire format -------------------------------------------------------
-# Matrices are row-major lists of [re, im] pairs.
-
-
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(m).ravel()]
-
-
-def _matrix_from_json(data: list, dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in data])
-    return flat.reshape(dim, dim)
-
-
-def povm_to_json(p: Povm) -> str:
-    return json.dumps(
-        {
-            "d": p.outcomes,
-            "dim": p.dim,
-            "effects": [_matrix_to_json(e) for e in p.effects],
-        }
-    )
-
-
-def povm_from_json(text: str) -> Povm:
-    data = json.loads(text)
-    dim = int(data["dim"])
-    effects = tuple(_matrix_from_json(e, dim) for e in data["effects"])
-    if len(effects) != int(data["d"]):
-        raise OutcomeCountMismatch("declared outcome count disagrees with effects")
-    return Povm(effects)
-
-
-def hovm_to_json(w: Hovm) -> str:
-    return json.dumps(
-        {
-            "d": w.d,
-            "dim": w.dim,
-            "elements": [
-                _matrix_to_json(w.elements[i, j])
-                for i in range(w.d)
-                for j in range(w.d)
-            ],
-        }
-    )
-
-
-def hovm_from_json(text: str) -> Hovm:
-    data = json.loads(text)
-    d, dim = int(data["d"]), int(data["dim"])
-    flat = [_matrix_from_json(e, dim) for e in data["elements"]]
-    if len(flat) != d * d:
-        raise OutcomeCountMismatch("declared grid size disagrees with elements")
-    grid = np.array([[flat[i * d + j] for j in range(d)] for i in range(d)])
-    return Hovm(grid)

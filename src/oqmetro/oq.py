@@ -1,70 +1,45 @@
-"""Operational quasiprobability of a probe state under a HOVM.
+"""Operational quasiprobability of probe states under a HOVM.
 
-The table W(a,b) = <psi|W_ab|psi> is real up to float noise (the elements
-are Hermitian) but may be negative; negativity sum|W| - 1 quantifies by
-how much it fails to be a probability distribution.
+The table W(a,b) = <psi|W_ab|psi> is real (the elements are Hermitian) but
+may be negative; negativity sum|W| - 1 quantifies by how much it fails to
+be a probability distribution.  This module is the only place that
+evaluates HOVM cells: every function works on whole arrays of amplitudes
+of shape (..., 2) and returns cells of shape (..., d, d).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, NonRealValue
+from .errors import DimensionMismatch
 from .measurement import Hovm
-from .probe import ProbeState
 
 POSITIVITY_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
+
+_CELLS = "...i,abij,...j->...ab"
 
 
-@dataclass(frozen=True)
-class OqDistribution:
-    d: int
-    values: np.ndarray
-    negativity: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "OqDistribution":
-        values = np.asarray(values, dtype=float)
-        values.setflags(write=False)
-        negativity = float(np.sum(np.abs(values)) - 1.0)
-        return cls(values.shape[0], values, negativity)
-
-
-def evaluate_oq(state: ProbeState, w: Hovm) -> OqDistribution:
-    """W(a,b) = Re <psi|W_ab|psi>, with the imaginary residue asserted small."""
+def _check_qubit(w: Hovm) -> None:
     if w.dim != 2:
         raise DimensionMismatch("probe states are qubits; HOVM dim must be 2")
-    psi = state.amplitudes
-    raw = np.einsum("i,abij,j->ab", psi.conj(), w.elements, psi)
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue > IMAG_RESIDUE_TOL:
-        raise NonRealValue(f"imaginary residue {residue:.3e} exceeds tolerance")
-    return OqDistribution.from_values(raw.real)
 
 
-def oq_derivatives(state: ProbeState, w: Hovm) -> np.ndarray:
+def oq_values(w: Hovm, psi: np.ndarray) -> np.ndarray:
+    """Cells W(a,b) = Re <psi|W_ab|psi>."""
+    _check_qubit(w)
+    return np.real(np.einsum(_CELLS, psi.conj(), w.elements, psi))
+
+
+def oq_slopes(w: Hovm, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Cell derivatives d W(a,b) / dg = 2 Re <d_g psi|W_ab|psi>."""
-    if w.dim != 2:
-        raise DimensionMismatch("probe states are qubits; HOVM dim must be 2")
-    return 2 * np.real(
-        np.einsum("i,abij,j->ab", state.derivative.conj(), w.elements,
-                  state.amplitudes)
-    )
+    _check_qubit(w)
+    return 2 * np.real(np.einsum(_CELLS, dpsi.conj(), w.elements, psi))
 
 
-def is_positive(dist: OqDistribution, tol: float = POSITIVITY_TOL) -> bool:
-    return dist.negativity <= tol
+def negativity(values: np.ndarray) -> np.ndarray:
+    """sum |W(a,b)| - 1 over the last two axes."""
+    return np.sum(np.abs(values), axis=(-2, -1)) - 1.0
 
 
-def oq_to_json(dist: OqDistribution) -> str:
-    return json.dumps(
-        {
-            "d": dist.d,
-            "values": dist.values.tolist(),
-            "negativity": dist.negativity,
-        }
-    )
+def is_positive(values: np.ndarray, tol: float = POSITIVITY_TOL):
+    return negativity(values) <= tol

@@ -1,9 +1,13 @@
-"""Parameterized pure qubit probe states with analytic derivatives.
+"""Pure qubit probe states and their analytic derivatives, over whole grids.
 
 The probe is cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.  Exactly one of
-the two angles is the estimation target; the state carries the analytic
-derivative with respect to it so Fisher-information divergences stay well
-characterized (no finite-difference noise on the hot path).
+the two angles is the estimation target; ``amplitude_slopes`` gives the
+analytic derivative with respect to it so Fisher-information divergences
+stay well characterized (no finite-difference noise on the hot path).
+
+Both functions broadcast over arrays of angles and return amplitudes of
+shape ``broadcast(theta, phi).shape + (2,)``.  This module is the only
+place that turns angles into amplitudes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,18 @@ class Target(enum.Enum):
     AZIMUTHAL = "phi"
 
 
+def check_angles(theta, phi) -> None:
+    """Raise ParamOutOfRange unless theta in [0, pi] and phi in [0, 2*pi)."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    bad = ~((0.0 <= theta) & (theta <= math.pi))
+    if bad.any():
+        raise ParamOutOfRange(f"theta={float(theta[bad][0])} outside [0, pi]")
+    bad = ~((0.0 <= phi) & (phi < 2 * math.pi))
+    if bad.any():
+        raise ParamOutOfRange(f"phi={float(phi[bad][0])} outside [0, 2*pi)")
+
+
 @dataclass(frozen=True)
 class ProbeParams:
     theta: float
@@ -29,57 +45,34 @@ class ProbeParams:
     target: Target
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ParamOutOfRange(f"theta={self.theta} outside [0, pi]")
-        if not 0.0 <= self.phi < 2 * math.pi:
-            raise ParamOutOfRange(f"phi={self.phi} outside [0, 2*pi)")
+        check_angles(self.theta, self.phi)
         if not isinstance(self.target, Target):
             raise ParamOutOfRange("target must be a Target enum member")
 
-    def with_target_value(self, g: float) -> "ProbeParams":
-        """Same point with the target angle replaced by g."""
-        if self.target is Target.POLAR:
-            return ProbeParams(g, self.phi, self.target)
-        return ProbeParams(self.theta, g % (2 * math.pi), self.target)
+
+def _empty(theta, phi) -> np.ndarray:
+    return np.empty(np.broadcast_shapes(np.shape(theta), np.shape(phi)) + (2,),
+                    dtype=complex)
 
 
-@dataclass(frozen=True)
-class ProbeState:
-    """Amplitudes and their derivative with respect to the target angle."""
-
-    amplitudes: np.ndarray
-    derivative: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        der = np.asarray(self.derivative, dtype=complex)
-        if amps.shape != (2,) or der.shape != (2,):
-            raise ValueError("amplitudes and derivative must be 2-vectors")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ValueError("state is not normalized")
-        if abs(np.real(np.vdot(amps, der))) > 1e-12:
-            raise ValueError("derivative violates norm preservation")
-        amps.setflags(write=False)
-        der.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "derivative", der)
+def amplitudes(theta, phi) -> np.ndarray:
+    """Probe amplitudes (cos(theta/2), e^{i phi} sin(theta/2))."""
+    half = np.asarray(theta, dtype=float) / 2
+    psi = _empty(theta, phi)
+    psi[..., 0] = np.cos(half)
+    psi[..., 1] = np.exp(1j * np.asarray(phi, dtype=float)) * np.sin(half)
+    return psi
 
 
-def make_state(p: ProbeParams) -> ProbeState:
-    half = p.theta / 2
-    phase = np.exp(1j * p.phi)
-    amps = np.array([math.cos(half), phase * math.sin(half)])
-    if p.target is Target.POLAR:
-        der = np.array([-math.sin(half) / 2, phase * math.cos(half) / 2])
+def amplitude_slopes(theta, phi, target: Target) -> np.ndarray:
+    """Derivative of the amplitudes with respect to the target angle."""
+    half = np.asarray(theta, dtype=float) / 2
+    phase = np.exp(1j * np.asarray(phi, dtype=float))
+    dpsi = _empty(theta, phi)
+    if target is Target.POLAR:
+        dpsi[..., 0] = -np.sin(half) / 2
+        dpsi[..., 1] = phase * np.cos(half) / 2
     else:
-        der = np.array([0.0, 1j * phase * math.sin(half)])
-    return ProbeState(amps, der)
-
-
-def bloch_vector(s: ProbeState) -> np.ndarray:
-    """Expectation of the Pauli vector, (sin t cos p, sin t sin p, cos t)."""
-    a0, a1 = s.amplitudes
-    cross = np.conj(a0) * a1
-    return np.array(
-        [2 * cross.real, 2 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2]
-    )
+        dpsi[..., 0] = 0.0
+        dpsi[..., 1] = 1j * phase * np.sin(half)
+    return dpsi

@@ -8,12 +8,18 @@ from oqmetro.measurement import (
     mutually_unbiased_pair,
     sequential_povm,
 )
+from oqmetro.probe import Target, amplitude_slopes, amplitudes
 
 
 def mub_hovm(lam):
     """Mutually unbiased z/x pair at the given sharpness plus its HOVM."""
     a, b = mutually_unbiased_pair(lam)
     return a, b, build_hovm(a, b, sequential_povm(a, b))
+
+
+def probe(theta, phi, target=Target.POLAR):
+    """Amplitudes and target-angle slopes, the (psi, dpsi) the kernel takes."""
+    return amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
 
 
 def random_bloch(rng, max_norm=1.0):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mub_hovm, random_conjunction, random_qubit_povm
+from conftest import mub_hovm, probe, random_conjunction, random_qubit_povm
 from oqmetro.cli import main
 from oqmetro.estimation import TrialConfig, expected_counts, mle_estimate, run_trials
 from oqmetro.fisher import advantage, oqfi, qfi_pure
@@ -24,8 +24,8 @@ from oqmetro.measurement import (
     sequential_povm,
     sharpness_threshold,
 )
-from oqmetro.oq import evaluate_oq, oq_derivatives
-from oqmetro.probe import ProbeParams, Target, make_state
+from oqmetro.oq import negativity, oq_slopes, oq_values
+from oqmetro.probe import ProbeParams, Target, amplitudes
 
 
 def _passed(label):
@@ -37,12 +37,12 @@ def test_01_qfi_constancy():
     thetas = np.linspace(0, math.pi, 100)
     phis = np.linspace(0, 2 * math.pi, 100, endpoint=False)
     worst = max(
-        abs(qfi_pure(ProbeParams(t, p, Target.POLAR)) - 1.0)
+        abs(qfi_pure(*probe(t, p)) - 1.0)
         for t in thetas
         for p in phis
     )
     assert worst <= 1e-12
-    q = qfi_pure(ProbeParams(7 * math.pi / 10, 0.3, Target.AZIMUTHAL))
+    q = qfi_pure(*probe(7 * math.pi / 10, 0.3, Target.AZIMUTHAL))
     assert abs(q - math.sin(7 * math.pi / 10) ** 2) <= 1e-9
     assert q == pytest.approx(0.654, abs=1e-3)
     assert time.perf_counter() - start < 1.0
@@ -79,19 +79,19 @@ def test_02_incompatibility_threshold():
 
 
 def test_03_closed_form_information():
-    p = ProbeParams(math.pi / 2, 0.0, Target.POLAR)
+    p = probe(math.pi / 2, 0.0)
     for lam in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]:
         _, _, w = mub_hovm(lam)
-        assert oqfi(p, w).value == pytest.approx(
+        assert oqfi(w, *p) == pytest.approx(
             lam**2 / (1 - lam**2), abs=1e-9
         )
     _, _, w = mub_hovm(1 / math.sqrt(2))
-    assert oqfi(p, w).value == pytest.approx(qfi_pure(p), abs=1e-12)
+    assert oqfi(w, *p) == pytest.approx(qfi_pure(*p), abs=1e-12)
     for lam in (0.82, 0.9, 0.99):
         _, _, w = mub_hovm(lam)
-        assert advantage(p, w) > 0
+        assert advantage(w, *p) > 0
     _, _, w = mub_hovm(math.sqrt(2 / 3))
-    assert advantage(p, w) == pytest.approx(0.0, abs=1e-12)
+    assert advantage(w, *p) == pytest.approx(0.0, abs=1e-12)
     _passed("3 closed-form quasiprobability information lam^2/(1-lam^2)")
 
 
@@ -107,10 +107,10 @@ def test_04_never_beats_quantum_limit():
         _, _, w = mub_hovm(lam)
         for target in (Target.POLAR, Target.AZIMUTHAL):
             for theta, phi in points:
-                p = ProbeParams(theta, phi, target)
-                if evaluate_oq(make_state(p), w).negativity > 1e-10:
+                p = probe(theta, phi, target)
+                if negativity(oq_values(w, p[0])) > 1e-10:
                     continue
-                if oqfi(p, w).value > qfi_pure(p) + 1e-9:
+                if oqfi(w, *p) > qfi_pure(*p) + 1e-9:
                     violations += 1
     assert violations == 0
     assert time.perf_counter() - start < 10.0
@@ -124,18 +124,17 @@ def test_05_marginality_and_normalization():
         b = random_qubit_povm(rng)
         w = build_hovm(a, b, random_conjunction(rng))
         assert marginality_defect(w, a, b) <= 1e-12
-        p = ProbeParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-                        Target.POLAR)
-        total = evaluate_oq(make_state(p), w).values.sum()
+        psi = amplitudes(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        total = oq_values(w, psi).sum()
         assert abs(total - 1.0) <= 1e-10
     _passed("5 marginality defect <= 1e-12 and unit normalization")
 
 
 def test_06_negativity_point():
     _, _, w = mub_hovm(1.0)
-    dist = evaluate_oq(make_state(ProbeParams(math.pi / 4, 0.0, Target.POLAR)), w)
-    assert dist.negativity == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-9)
-    assert dist.negativity == pytest.approx(0.20711, abs=1e-5)
+    neg = negativity(oq_values(w, amplitudes(math.pi / 4, 0.0)))
+    assert neg == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-9)
+    assert neg == pytest.approx(0.20711, abs=1e-5)
     _passed("6 negativity point value (sqrt(2)-1)/2")
 
 
@@ -165,11 +164,13 @@ def test_08_derivative_hygiene():
         phi = rng.uniform(0.05, 2 * math.pi - 0.05)
         target = Target.POLAR if rng.random() < 0.5 else Target.AZIMUTHAL
         _, _, w = mub_hovm(lam)
-        p = ProbeParams(theta, phi, target)
-        g = theta if target is Target.POLAR else phi
-        analytic = oq_derivatives(make_state(p), w)
-        plus = evaluate_oq(make_state(p.with_target_value(g + h)), w).values
-        minus = evaluate_oq(make_state(p.with_target_value(g - h)), w).values
+        analytic = oq_slopes(w, *probe(theta, phi, target))
+        if target is Target.POLAR:
+            plus = oq_values(w, amplitudes(theta + h, phi))
+            minus = oq_values(w, amplitudes(theta - h, phi))
+        else:
+            plus = oq_values(w, amplitudes(theta, phi + h))
+            minus = oq_values(w, amplitudes(theta, phi - h))
         fd = (plus - minus) / (2 * h)
         scale = max(np.max(np.abs(analytic)), 1e-3)
         assert np.max(np.abs(analytic - fd)) / scale <= 1e-7
@@ -179,7 +180,8 @@ def test_08_derivative_hygiene():
     p = ProbeParams(math.pi / 2, 0.0, Target.POLAR)
     table = expected_counts(p, a, b, 10_000)
     r = mle_estimate(table, Target.POLAR, 0.0, w, (1.0, 2.0))
-    assert r.observed_fi == pytest.approx(oqfi(p, w).value, rel=1e-3)
+    assert r.observed_fi == pytest.approx(oqfi(w, *probe(math.pi / 2, 0.0)),
+                                          rel=1e-3)
     _passed("8 analytic derivatives and likelihood curvature verified")
 
 

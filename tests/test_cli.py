@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oqmetro.cli
 from oqmetro.cli import main, parse_values
 
 
@@ -21,6 +24,7 @@ class TestParsing:
 
     def test_pi_arithmetic(self):
         assert parse_values("pi/2") == [math.pi / 2]
+        assert parse_values("-pi/4,+2*pi-1") == [-math.pi / 4, 2 * math.pi - 1]
 
     def test_comma_list(self):
         assert parse_values("0,pi/6,pi/4") == [0.0, math.pi / 6, math.pi / 4]
@@ -28,6 +32,28 @@ class TestParsing:
     def test_range(self):
         vals = parse_values("0:1:0.25")
         np.testing.assert_allclose(vals, [0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("spec", [
+        "().__class__", "__import__('os')", "2**3", "1j", "True", "pi()",
+        "1/0", "x", "", "1 if 1 else 0", "[1]",
+        pytest.param("-" * 10_000 + "1", id="nested-too-deep"),
+    ])
+    def test_rejects_anything_but_arithmetic(self, spec):
+        with pytest.raises(ValueError):
+            parse_values(spec)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123456789.+-*/()pie_ jx,", max_size=20))
+    def test_any_text_parses_or_raises_value_error(self, spec):
+        try:
+            vals = parse_values(spec)
+        except ValueError:
+            return
+        assert all(isinstance(v, float) for v in vals)
+
+    def test_non_arithmetic_argument_exits_2(self, capsys):
+        assert main(["advantage-map", "--lambda", "().__class__"]) == 2
+        assert "not a number" in capsys.readouterr().err
 
 
 class TestFiSweep:
@@ -113,6 +139,20 @@ class TestAdvantageMap:
         # blue (negative-advantage) cells are still written
         assert any(r["advantage"] and float(r["advantage"]) < 0 for r in rows)
 
+    def test_zero_qfi_cells_stay_empty(self, tmp_path):
+        # the azimuthal quantum information vanishes at the pole theta=0
+        out = tmp_path / "map.csv"
+        assert main(["advantage-map", "--target", "phi", "--theta", "0,0.5",
+                     "--phi", "0.3", "--lambda", "0.5",
+                     "--out", str(out)]) == 0
+        pole, other = read_csv(out)
+        assert pole["advantage"] == "" and float(pole["negativity"]) <= 1e-10
+        assert float(other["advantage"]) < 0
+
+    def test_out_of_range_angle_exits_2(self, capsys):
+        assert main(["advantage-map", "--theta", "0.5,4", "--phi", "0"]) == 2
+        assert "theta=4.0 outside [0, pi]" in capsys.readouterr().err
+
 
 class TestEstimate:
     ARGS = [
@@ -135,17 +175,26 @@ class TestEstimate:
         main(self.ARGS + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = [
-            "estimate", "--lambda", "0.85", "--theta", "1.0:1.4:0.2",
-            "--phi", "1.0", "--n", "1000", "--trials", "3", "--seed", "5",
-            "--domain", "0.8:1.6",
-        ]
-        main(args + ["--out", str(out1)])
-        monkeypatch.setenv("OQMETRO_THREADS", "4")
-        main(args + ["--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_polar_domain_off_the_sphere_exits_2(self, capsys):
+        code = main([
+            "estimate", "--theta", "0.05", "--phi", "0.5", "--n", "2000",
+            "--trials", "4", "--domain=-0.5:1.5",
+        ])
+        assert code == 2
+        assert "theta=-0.5 outside [0, pi]" in capsys.readouterr().err
+
+    def test_azimuthal_domain_may_cross_zero(self, tmp_path):
+        out = tmp_path / "est.csv"
+        assert main([
+            "estimate", "--target", "phi", "--lambda", "0.6", "--theta", "1.2",
+            "--phi", "0.2", "--n", "5000", "--trials", "6", "--seed", "5",
+            "--domain=-0.5:0.5", "--out", str(out),
+        ]) == 0
+        assert [r["estimator"] for r in read_csv(out)] == ["mle", "lep"]
+
+    def test_empty_range_exits_2(self):
+        assert main(["estimate", "--theta", "1:0:0.1", "--phi", "0",
+                     "--n", "100", "--trials", "2"]) == 2
 
     def test_single_trial_is_config_error(self, tmp_path):
         code = main([
@@ -203,3 +252,9 @@ class TestCompat:
 
     def test_norm_violation_exits_2(self):
         assert main(["compat", "--mu", "1.2,0,0", "--nu", "0,0,0.5"]) == 2
+
+    def test_disagreeing_predicates_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(oqmetro.cli, "busch_compatible",
+                            lambda mu, nu: True)
+        assert main(["compat", "--mu", "0,0,0.9", "--nu", "0.9,0,0"]) == 2
+        assert "predicates disagree" in capsys.readouterr().err

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mub_hovm
+from conftest import mub_hovm, probe
+from oqmetro import estimation
 from oqmetro.errors import (
     AllTrialsOmitted,
     FlatLikelihood,
     NegativeCounts,
+    ParamOutOfRange,
     ZeroSlope,
 )
 from oqmetro.estimation import (
@@ -25,7 +27,8 @@ from oqmetro.estimation import (
     summary_csv_rows,
 )
 from oqmetro.fisher import oqfi
-from oqmetro.probe import ProbeParams, Target
+from oqmetro.oq import oq_values
+from oqmetro.probe import ProbeParams, Target, amplitudes
 
 EQUATOR = ProbeParams(math.pi / 2, 0.0, Target.POLAR)
 
@@ -71,10 +74,7 @@ class TestSampling:
         lam = 0.8
         a, b, w = mub_hovm(lam)
         params = ProbeParams(1.9, 0.6, Target.POLAR)
-        from oqmetro.oq import evaluate_oq
-        from oqmetro.probe import make_state
-
-        truth = evaluate_oq(make_state(params), w).values
+        truth = oq_values(w, amplitudes(params.theta, params.phi))
         n, trials = 200, 10_000
         children = np.random.SeedSequence(2718).spawn(trials)
         acc = np.zeros((trials, 2, 2))
@@ -130,7 +130,7 @@ class TestMle:
         g0 = math.pi / 2
         table = expected_counts(ProbeParams(g0, 0.0, Target.POLAR), a, b, 10_000)
         r = mle_estimate(table, Target.POLAR, 0.0, w, (1.0, 2.0))
-        truth = oqfi(ProbeParams(g0, 0.0, Target.POLAR), w).value
+        truth = oqfi(w, *probe(g0, 0.0))
         assert r.observed_fi == pytest.approx(truth, rel=1e-3)
 
     def test_flat_likelihood_raises(self):
@@ -225,6 +225,16 @@ class TestRunTrials:
     def test_trials_floor(self):
         cfg = TrialConfig(1.2, 0.5, Target.POLAR, 0.85, 100, 1, 0)
         with pytest.raises(ValueError):
+            run_trials(cfg)
+
+    def test_polar_domain_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the domain was checked")
+
+        monkeypatch.setattr(estimation, "sample_counts", no_sampling)
+        cfg = TrialConfig(0.05, 0.5, Target.POLAR, 0.9, 2000, 4, 0,
+                          domain=(-0.5, 1.5))
+        with pytest.raises(ParamOutOfRange, match="theta=-0.5"):
             run_trials(cfg)
 
     def test_csv_rows_schema(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mub_hovm
+from conftest import mub_hovm, probe
 from oqmetro.errors import (
     DerivativeNotTraceless,
     NegativeOq,
@@ -12,31 +12,30 @@ from oqmetro.errors import (
     ZeroQfi,
 )
 from oqmetro.fisher import (
-    FisherResult,
     advantage,
     cri_bound,
     fisher_discrete,
     oqfi,
     qfi_pure,
 )
-from oqmetro.oq import evaluate_oq, oq_derivatives
-from oqmetro.probe import ProbeParams, Target, make_state
+from oqmetro.oq import negativity, oq_slopes, oq_values
+from oqmetro.probe import Target, amplitudes
 
 
 class TestFisherDiscrete:
     def test_two_outcome_formula(self):
         for c in (0.1, 0.25, 0.4):
             r = fisher_discrete([0.5, 0.5], [c, -c])
-            assert r.value == pytest.approx(4 * c * c)
-            assert not r.diverged
+            assert r == pytest.approx(4 * c * c)
+            assert not math.isinf(r)
 
     def test_zero_probability_with_zero_slope(self):
         r = fisher_discrete([1.0, 0.0], [0.0, 0.0])
-        assert r.value == 0.0 and not r.diverged
+        assert r == 0.0
 
     def test_zero_probability_with_slope_diverges(self):
         r = fisher_discrete([1.0, 0.0], [0.1, -0.1])
-        assert r.diverged and math.isinf(r.value)
+        assert math.isinf(r) and r > 0
 
     def test_normalization_guard(self):
         with pytest.raises(NotNormalized):
@@ -46,84 +45,106 @@ class TestFisherDiscrete:
         with pytest.raises(DerivativeNotTraceless):
             fisher_discrete([0.5, 0.5], [0.1, 0.1])
 
+    def test_models_along_last_axis(self):
+        probs = [[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]
+        derivs = [[0.1, -0.1], [0.1, -0.1], [0.0, 0.0]]
+        stacked = [fisher_discrete(p, d) for p, d in zip(probs, derivs)]
+        assert stacked[1:] == [math.inf, 0.0]
+        np.testing.assert_array_equal(fisher_discrete(probs, derivs), stacked)
+
+    def test_guards_checked_per_model(self):
+        with pytest.raises(NotNormalized):
+            fisher_discrete([[0.5, 0.5], [0.5, 0.4]], [[0.1, -0.1]] * 2)
+        with pytest.raises(DerivativeNotTraceless):
+            fisher_discrete([[0.5, 0.5]] * 2, [[0.1, -0.1], [0.1, 0.1]])
+
 
 class TestOqfi:
     def test_closed_form_over_sharpness(self):
         # hand evaluation at theta=pi/2, phi=0: cells (1 +- lam)/4,
         # derivatives -(-1)^a lam / 4, so the information is lam^2/(1-lam^2)
-        p = ProbeParams(math.pi / 2, 0.0, Target.POLAR)
+        p = probe(math.pi / 2, 0.0)
         for lam in np.linspace(0.0, 0.99, 34):
             _, _, w = mub_hovm(lam)
-            r = oqfi(p, w)
-            assert r.value == pytest.approx(lam**2 / (1 - lam**2), abs=1e-9)
+            r = oqfi(w, *p)
+            assert r == pytest.approx(lam**2 / (1 - lam**2), abs=1e-9)
 
     def test_crosses_qfi_at_boundary_sharpness(self):
-        p = ProbeParams(math.pi / 2, 0.0, Target.POLAR)
+        p = probe(math.pi / 2, 0.0)
         _, _, w = mub_hovm(1 / math.sqrt(2))
-        assert oqfi(p, w).value == pytest.approx(qfi_pure(p), abs=1e-12)
+        assert oqfi(w, *p) == pytest.approx(qfi_pure(*p), abs=1e-12)
 
     def test_zero_sharpness_gives_zero(self):
         _, _, w = mub_hovm(0.0)
-        r = oqfi(ProbeParams(1.2, 0.3, Target.POLAR), w)
-        assert r.value == pytest.approx(0.0, abs=1e-30)
+        r = oqfi(w, *probe(1.2, 0.3))
+        assert r == pytest.approx(0.0, abs=1e-30)
 
     def test_refused_on_negative_oq(self):
         _, _, w = mub_hovm(1.0)
         with pytest.raises(NegativeOq):
-            oqfi(ProbeParams(math.pi / 4, 0.0, Target.POLAR), w)
+            oqfi(w, *probe(math.pi / 4, 0.0))
+
+    def test_refused_if_any_grid_point_is_negative(self):
+        _, _, w = mub_hovm(1.0)
+        with pytest.raises(NegativeOq):
+            oqfi(w, *probe(np.array([math.pi / 2, math.pi / 4]), 0.0))
 
 
 class TestQfiPure:
     def test_polar_is_one_everywhere(self):
         for theta in np.linspace(0, math.pi, 25):
             for phi in np.linspace(0, 2 * math.pi, 25, endpoint=False):
-                q = qfi_pure(ProbeParams(theta, phi, Target.POLAR))
+                q = qfi_pure(*probe(theta, phi))
                 assert abs(q - 1.0) <= 1e-12
 
     def test_azimuthal_is_sin_squared(self):
         for theta in np.linspace(0, math.pi, 25):
-            q = qfi_pure(ProbeParams(theta, 0.7, Target.AZIMUTHAL))
+            q = qfi_pure(*probe(theta, 0.7, Target.AZIMUTHAL))
             assert abs(q - math.sin(theta) ** 2) <= 1e-12
 
     def test_reference_value(self):
-        q = qfi_pure(ProbeParams(7 * math.pi / 10, 0.0, Target.AZIMUTHAL))
+        q = qfi_pure(*probe(7 * math.pi / 10, 0.0, Target.AZIMUTHAL))
         assert q == pytest.approx(0.654, abs=1e-3)
 
     def test_pole_azimuthal_vanishes(self):
-        assert qfi_pure(ProbeParams(0.0, 0.0, Target.AZIMUTHAL)) == pytest.approx(0.0)
+        assert qfi_pure(*probe(0.0, 0.0, Target.AZIMUTHAL)) == pytest.approx(0.0)
 
 
 class TestAdvantage:
     def test_zero_at_break_even_sharpness(self):
         lam = math.sqrt(2 / 3)
         _, _, w = mub_hovm(lam)
-        a = advantage(ProbeParams(math.pi / 2, 0.0, Target.POLAR), w)
+        a = advantage(w, *probe(math.pi / 2, 0.0))
         assert a == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_sharpness_value(self):
         _, _, w = mub_hovm(1 / math.sqrt(2))
-        a = advantage(ProbeParams(math.pi / 2, 0.0, Target.POLAR), w)
+        a = advantage(w, *probe(math.pi / 2, 0.0))
         assert a == pytest.approx(math.log10(0.5), abs=1e-12)
 
     def test_divergence_at_full_sharpness(self):
         _, _, w = mub_hovm(1.0)
-        a = advantage(ProbeParams(math.pi / 2, 0.0, Target.POLAR), w)
+        a = advantage(w, *probe(math.pi / 2, 0.0))
         assert math.isinf(a) and a > 0
 
     def test_zero_qfi_guard(self):
         _, _, w = mub_hovm(0.5)
         with pytest.raises(ZeroQfi):
-            advantage(ProbeParams(0.0, 0.0, Target.AZIMUTHAL), w)
+            advantage(w, *probe(0.0, 0.0, Target.AZIMUTHAL))
+
+    def test_zero_information_gives_minus_inf(self):
+        _, _, w = mub_hovm(0.0)
+        assert advantage(w, *probe(math.pi / 2, 0.0)) == -math.inf
 
     def test_advantage_region_exists_at_high_sharpness(self):
         _, _, w = mub_hovm(0.99)
         found = False
         for theta in np.linspace(0.1, math.pi - 0.1, 40):
             for phi in np.linspace(0.1, math.pi - 0.1, 40):
-                p = ProbeParams(theta, phi, Target.POLAR)
-                if evaluate_oq(make_state(p), w).negativity > 1e-10:
+                p = probe(theta, phi)
+                if negativity(oq_values(w, p[0])) > 1e-10:
                     continue
-                if advantage(p, w) > 0:
+                if advantage(w, *p) > 0:
                     found = True
                     break
             if found:
@@ -133,22 +154,22 @@ class TestAdvantage:
 
 class TestCriBound:
     def test_simple_values(self):
-        assert cri_bound(FisherResult(1.0), 10**5) == pytest.approx(1e-5)
-        assert cri_bound(FisherResult(2.0), 10**5) == pytest.approx(5e-6)
+        assert cri_bound(1.0, 10**5) == pytest.approx(1e-5)
+        assert cri_bound(2.0, 10**5) == pytest.approx(5e-6)
 
     def test_closed_form_point(self):
         lam = 0.9
-        fi = FisherResult(lam**2 / (1 - lam**2))
+        fi = lam**2 / (1 - lam**2)
         assert cri_bound(fi, 10**5) == pytest.approx(
             (1 - 0.81) / (0.81 * 1e5), rel=1e-12
         )
 
     def test_diverged_gives_zero(self):
-        assert cri_bound(FisherResult(math.inf, diverged=True), 10) == 0.0
+        assert cri_bound(math.inf, 10) == 0.0
 
     def test_zero_information_guard(self):
         with pytest.raises(ZeroInformation):
-            cri_bound(FisherResult(0.0), 10)
+            cri_bound(0.0, 10)
 
 
 def test_theorem2_compatible_sharpness_never_beats_qfi():
@@ -161,13 +182,12 @@ def test_theorem2_compatible_sharpness_never_beats_qfi():
         _, _, w = mub_hovm(lam)
         for target in (Target.POLAR, Target.AZIMUTHAL):
             for theta, phi in points:
-                p = ProbeParams(theta, phi, target)
-                dist = evaluate_oq(make_state(p), w)
-                if dist.negativity > 1e-10:
+                p = probe(theta, phi, target)
+                if negativity(oq_values(w, p[0])) > 1e-10:
                     continue
-                r = oqfi(p, w)
-                assert not r.diverged
-                assert r.value <= qfi_pure(p) + 1e-9
+                r = oqfi(w, *p)
+                assert not math.isinf(r)
+                assert r <= qfi_pure(*p) + 1e-9
 
 
 def test_oq_cell_derivatives_match_finite_differences():
@@ -179,12 +199,13 @@ def test_oq_cell_derivatives_match_finite_differences():
         phi = rng.uniform(0.05, 2 * math.pi - 0.05)
         target = Target.POLAR if rng.random() < 0.5 else Target.AZIMUTHAL
         _, _, w = mub_hovm(lam)
-        p = ProbeParams(theta, phi, target)
-        analytic = oq_derivatives(make_state(p), w)
-        plus = evaluate_oq(make_state(p.with_target_value(
-            (theta if target is Target.POLAR else phi) + h)), w).values
-        minus = evaluate_oq(make_state(p.with_target_value(
-            (theta if target is Target.POLAR else phi) - h)), w).values
+        analytic = oq_slopes(w, *probe(theta, phi, target))
+        if target is Target.POLAR:
+            plus = oq_values(w, amplitudes(theta + h, phi))
+            minus = oq_values(w, amplitudes(theta - h, phi))
+        else:
+            plus = oq_values(w, amplitudes(theta, phi + h))
+            minus = oq_values(w, amplitudes(theta, phi - h))
         fd = (plus - minus) / (2 * h)
         scale = max(np.max(np.abs(analytic)), 1e-3)
         assert np.max(np.abs(analytic - fd)) / scale <= 1e-7

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,13 +14,9 @@ from oqmetro.measurement import (
     build_hovm,
     busch_compatible,
     busch_equiv_hovm_check,
-    hovm_from_json,
     hovm_is_povm,
-    hovm_to_json,
     marginality_defect,
     mutually_unbiased_pair,
-    povm_from_json,
-    povm_to_json,
     sequential_povm,
     sharpness_threshold,
 )
@@ -187,28 +182,6 @@ class TestCompatibility:
 
     def test_sharpness_threshold_none_for_parallel(self):
         assert sharpness_threshold((0, 0, 1), (0, 0, 1)) is None
-
-
-class TestJson:
-    def test_povm_roundtrip(self, rng):
-        p = random_qubit_povm(rng)
-        q = povm_from_json(povm_to_json(p))
-        for e1, e2 in zip(p.effects, q.effects):
-            np.testing.assert_allclose(e1, e2, atol=1e-15)
-        payload = json.loads(povm_to_json(p))
-        assert set(payload) == {"d", "dim", "effects"}
-
-    def test_hovm_roundtrip(self):
-        _, _, w = mub_hovm(0.6)
-        w2 = hovm_from_json(hovm_to_json(w))
-        np.testing.assert_allclose(w.elements, w2.elements, atol=1e-15)
-
-    def test_povm_outcome_mismatch_rejected(self, rng):
-        p = random_qubit_povm(rng)
-        payload = json.loads(povm_to_json(p))
-        payload["d"] = 3
-        with pytest.raises(OutcomeCountMismatch):
-            povm_from_json(json.dumps(payload))
 
 
 def test_hovm_allows_negative_elements():

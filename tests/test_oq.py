@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
-from oqmetro.measurement import build_hovm
-from oqmetro.oq import OqDistribution, evaluate_oq, is_positive, oq_to_json
-from oqmetro.probe import ProbeParams, Target, make_state
+from oqmetro.errors import DimensionMismatch
+from oqmetro.measurement import Hovm, build_hovm
+from oqmetro.oq import is_positive, negativity, oq_values
+from oqmetro.probe import amplitudes
 
 
 def closed_form(theta, phi, lam):
@@ -28,26 +29,25 @@ def test_matches_closed_form_random_points(rng):
         theta = rng.uniform(0, math.pi)
         phi = rng.uniform(0, 2 * math.pi)
         _, _, w = mub_hovm(lam)
-        dist = evaluate_oq(make_state(ProbeParams(theta, phi, Target.POLAR)), w)
-        np.testing.assert_allclose(dist.values, closed_form(theta, phi, lam),
-                                   atol=1e-12)
+        np.testing.assert_allclose(oq_values(w, amplitudes(theta, phi)),
+                                   closed_form(theta, phi, lam), atol=1e-12)
 
 
 def test_zero_sharpness_uniform():
     _, _, w = mub_hovm(0.0)
-    dist = evaluate_oq(make_state(ProbeParams(1.0, 2.0, Target.POLAR)), w)
-    np.testing.assert_allclose(dist.values, np.full((2, 2), 0.25), atol=1e-14)
-    assert dist.negativity == pytest.approx(0.0, abs=1e-12)
+    values = oq_values(w, amplitudes(1.0, 2.0))
+    np.testing.assert_allclose(values, np.full((2, 2), 0.25), atol=1e-14)
+    assert negativity(values) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_negativity_point_value():
     _, _, w = mub_hovm(1.0)
-    dist = evaluate_oq(make_state(ProbeParams(math.pi / 4, 0.0, Target.POLAR)), w)
+    values = oq_values(w, amplitudes(math.pi / 4, 0.0))
     expected = sorted(
         [(1 + math.sqrt(2)) / 4, 0.25, 0.25, (1 - math.sqrt(2)) / 4]
     )
-    np.testing.assert_allclose(sorted(dist.values.ravel()), expected, atol=1e-12)
-    assert dist.negativity == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-12)
+    np.testing.assert_allclose(sorted(values.ravel()), expected, atol=1e-12)
+    assert negativity(values) == pytest.approx((math.sqrt(2) - 1) / 2, abs=1e-12)
 
 
 def test_normalization_and_marginals(rng):
@@ -55,17 +55,14 @@ def test_normalization_and_marginals(rng):
         a = random_qubit_povm(rng)
         b = random_qubit_povm(rng)
         w = build_hovm(a, b, random_conjunction(rng))
-        params = ProbeParams(rng.uniform(0, math.pi),
-                             rng.uniform(0, 2 * math.pi), Target.POLAR)
-        state = make_state(params)
-        dist = evaluate_oq(state, w)
-        assert abs(dist.values.sum() - 1) <= 1e-10
-        psi = state.amplitudes
+        psi = amplitudes(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        values = oq_values(w, psi)
+        assert abs(values.sum() - 1) <= 1e-10
         for i in range(2):
             pa = np.real(psi.conj() @ a.effects[i] @ psi)
             pb = np.real(psi.conj() @ b.effects[i] @ psi)
-            assert abs(dist.values[i, :].sum() - pa) <= 1e-10
-            assert abs(dist.values[:, i].sum() - pb) <= 1e-10
+            assert abs(values[i, :].sum() - pa) <= 1e-10
+            assert abs(values[:, i].sum() - pb) <= 1e-10
 
 
 def test_positive_throughout_compatible_region():
@@ -73,39 +70,40 @@ def test_positive_throughout_compatible_region():
         _, _, w = mub_hovm(lam)
         for theta in np.linspace(0, math.pi, 50):
             for phi in np.linspace(0, math.pi, 50):
-                dist = evaluate_oq(
-                    make_state(ProbeParams(theta, phi, Target.POLAR)), w
-                )
-                assert dist.negativity <= 1e-10
+                assert negativity(oq_values(w, amplitudes(theta, phi))) <= 1e-10
 
 
 def test_sharp_equator_state_positive():
     _, _, w = mub_hovm(1.0)
-    dist = evaluate_oq(make_state(ProbeParams(math.pi / 2, 0.0, Target.POLAR)), w)
-    assert is_positive(dist, 1e-10)
-    np.testing.assert_allclose(sorted(dist.values.ravel()), [0, 0, 0.5, 0.5],
+    values = oq_values(w, amplitudes(math.pi / 2, 0.0))
+    assert is_positive(values, 1e-10)
+    np.testing.assert_allclose(sorted(values.ravel()), [0, 0, 0.5, 0.5],
                                atol=1e-12)
 
 
 def test_is_positive_monotone_in_tol():
     _, _, w = mub_hovm(1.0)
-    dist = evaluate_oq(make_state(ProbeParams(math.pi / 4, 0.0, Target.POLAR)), w)
-    verdicts = [is_positive(dist, tol) for tol in (1e-10, 1e-2, 0.1, 0.3)]
+    values = oq_values(w, amplitudes(math.pi / 4, 0.0))
+    verdicts = [is_positive(values, tol) for tol in (1e-10, 1e-2, 0.1, 0.3)]
     assert verdicts == sorted(verdicts)  # False before True, never back
 
 
 def test_negativity_floor():
     vals = np.array([[0.25, 0.25], [0.25, 0.25]])
-    dist = OqDistribution.from_values(vals)
-    assert dist.negativity >= -1e-12
+    assert negativity(vals) >= -1e-12
 
 
-def test_json_shape():
-    import json
+def test_grid_shapes():
+    _, _, w = mub_hovm(0.9)
+    thetas = np.linspace(0, math.pi, 6)[:, None]
+    phis = np.linspace(0, math.pi, 4)[None, :]
+    values = oq_values(w, amplitudes(thetas, phis))
+    assert values.shape == (6, 4, 2, 2)
+    assert negativity(values).shape == (6, 4)
+    assert is_positive(values).shape == (6, 4)
 
-    _, _, w = mub_hovm(0.5)
-    dist = evaluate_oq(make_state(ProbeParams(1.0, 0.5, Target.POLAR)), w)
-    payload = json.loads(oq_to_json(dist))
-    assert payload["d"] == 2
-    assert len(payload["values"]) == 2
-    assert payload["negativity"] == pytest.approx(dist.negativity)
+
+def test_qutrit_hovm_rejected():
+    w = Hovm(np.array([[np.eye(3)]], dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        oq_values(w, amplitudes(1.0, 0.0))

@@ -4,26 +4,42 @@ import numpy as np
 import pytest
 
 from oqmetro.errors import ParamOutOfRange
-from oqmetro.probe import ProbeParams, Target, bloch_vector, make_state
+from oqmetro.probe import (
+    ProbeParams,
+    Target,
+    amplitude_slopes,
+    amplitudes,
+    check_angles,
+)
+
+
+def _bloch(psi):
+    """Expectation of the Pauli vector, (sin t cos p, sin t sin p, cos t)."""
+    a0, a1 = psi
+    cross = np.conj(a0) * a1
+    return np.array(
+        [2 * cross.real, 2 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2]
+    )
 
 
 def test_north_pole_amplitudes():
     for phi in (0.0, 1.0, 3.0):
-        s = make_state(ProbeParams(0.0, phi, Target.POLAR))
-        np.testing.assert_allclose(s.amplitudes, [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(amplitudes(0.0, phi), [1.0, 0.0], atol=1e-15)
 
 
 def test_equator_polar_derivative():
-    s = make_state(ProbeParams(math.pi / 2, 0.0, Target.POLAR))
     r = 1 / math.sqrt(2)
-    np.testing.assert_allclose(s.amplitudes, [r, r], atol=1e-15)
-    np.testing.assert_allclose(s.derivative, [-r / 2, r / 2], atol=1e-15)
+    np.testing.assert_allclose(amplitudes(math.pi / 2, 0.0), [r, r], atol=1e-15)
+    np.testing.assert_allclose(
+        amplitude_slopes(math.pi / 2, 0.0, Target.POLAR), [-r / 2, r / 2],
+        atol=1e-15,
+    )
 
 
 def test_azimuthal_derivative_norm():
     theta = 7 * math.pi / 10
-    s = make_state(ProbeParams(theta, math.pi / 4, Target.AZIMUTHAL))
-    norm_sq = np.vdot(s.derivative, s.derivative).real
+    d = amplitude_slopes(theta, math.pi / 4, Target.AZIMUTHAL)
+    norm_sq = np.vdot(d, d).real
     assert norm_sq == pytest.approx(math.sin(theta / 2) ** 2, abs=1e-14)
 
 
@@ -36,27 +52,44 @@ def test_param_range_guards():
         ProbeParams(1.0, 2 * math.pi, Target.POLAR)
 
 
+def test_check_angles_on_grids():
+    check_angles([0.0, 1.0, math.pi], [0.0, 2 * math.pi - 1e-9, 3.0])
+    with pytest.raises(ParamOutOfRange, match="theta=-0.5"):
+        check_angles([0.1, -0.5, 4.0], 0.0)
+    with pytest.raises(ParamOutOfRange, match="phi="):
+        check_angles(1.0, [0.5, 2 * math.pi])
+    with pytest.raises(ParamOutOfRange):
+        check_angles(math.nan, 0.0)
+
+
 def test_bloch_vector_poles_and_equator():
-    np.testing.assert_allclose(
-        bloch_vector(make_state(ProbeParams(0.0, 0.0, Target.POLAR))),
-        [0, 0, 1], atol=1e-15,
-    )
-    np.testing.assert_allclose(
-        bloch_vector(make_state(ProbeParams(math.pi / 2, 0.0, Target.POLAR))),
-        [1, 0, 0], atol=1e-15,
-    )
+    np.testing.assert_allclose(_bloch(amplitudes(0.0, 0.0)), [0, 0, 1],
+                               atol=1e-15)
+    np.testing.assert_allclose(_bloch(amplitudes(math.pi / 2, 0.0)), [1, 0, 0],
+                               atol=1e-15)
     r = math.sqrt(2) / 2
-    np.testing.assert_allclose(
-        bloch_vector(make_state(ProbeParams(math.pi / 4, 0.0, Target.POLAR))),
-        [r, 0, r], atol=1e-15,
-    )
+    np.testing.assert_allclose(_bloch(amplitudes(math.pi / 4, 0.0)), [r, 0, r],
+                               atol=1e-15)
 
 
 def test_bloch_vector_unit_norm(rng):
     for _ in range(200):
-        p = ProbeParams(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi),
-                        Target.POLAR)
-        assert abs(np.linalg.norm(bloch_vector(make_state(p))) - 1) <= 1e-12
+        psi = amplitudes(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        assert abs(np.linalg.norm(_bloch(psi)) - 1) <= 1e-12
+
+
+def test_amplitudes_broadcast_over_grids():
+    thetas = np.linspace(0, math.pi, 7)
+    phis = np.linspace(0, 2 * math.pi, 5, endpoint=False)
+    grid = amplitudes(thetas[:, None], phis[None, :])
+    assert grid.shape == (7, 5, 2)
+    for target in Target:
+        slopes = amplitude_slopes(thetas[:, None], phis[None, :], target)
+        assert slopes.shape == (7, 5, 2)
+        for i, t in enumerate(thetas):
+            for j, p in enumerate(phis):
+                assert np.array_equal(grid[i, j], amplitudes(t, p))
+                assert np.array_equal(slopes[i, j], amplitude_slopes(t, p, target))
 
 
 def _amplitudes(theta, phi):
@@ -72,17 +105,9 @@ def test_analytic_derivative_matches_finite_difference(target):
     for _ in range(100):
         theta = rng.uniform(0.05, math.pi - 0.05)
         phi = rng.uniform(0.05, 2 * math.pi - 0.05)
-        s = make_state(ProbeParams(theta, phi, target))
+        d = amplitude_slopes(theta, phi, target)
         if target is Target.POLAR:
             fd = (_amplitudes(theta + h, phi) - _amplitudes(theta - h, phi)) / (2 * h)
         else:
             fd = (_amplitudes(theta, phi + h) - _amplitudes(theta, phi - h)) / (2 * h)
-        np.testing.assert_allclose(s.derivative, fd, atol=1e-8)
-
-
-def test_with_target_value_swaps_only_target():
-    p = ProbeParams(1.0, 2.0, Target.AZIMUTHAL)
-    q = p.with_target_value(0.5)
-    assert q.theta == 1.0 and q.phi == 0.5
-    r = ProbeParams(1.0, 2.0, Target.POLAR).with_target_value(0.5)
-    assert r.theta == 0.5 and r.phi == 2.0
+        np.testing.assert_allclose(d, fd, atol=1e-8)
