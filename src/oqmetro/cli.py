@@ -28,8 +28,14 @@ import sys
 
 import numpy as np
 
-from .errors import AllTrialsOmitted, OqMetroError
-from .estimation import CSV_FIELDS, TrialConfig, run_trials, summary_csv_rows
+from .errors import AllTrialsOmitted, NegativeOq, OqMetroError, ZeroQfi
+from .estimation import (
+    CSV_FIELDS,
+    TrialConfig,
+    failed_csv_rows,
+    run_trials,
+    summary_csv_rows,
+)
 from .fisher import advantage, oqfi, qfi_pure
 from .measurement import (
     build_hovm,
@@ -228,6 +234,13 @@ def cmd_estimate(args) -> int:
         except AllTrialsOmitted as exc:
             print(f"point theta={theta0} phi={phi0}: {exc}", file=sys.stderr)
             failed = True
+            continue
+        except (NegativeOq, ZeroQfi) as exc:
+            # the advantage is undefined here: keep the point's rows with
+            # empty result cells, as advantage-map does, and go on
+            print(f"point theta={theta0} phi={phi0}: {exc}", file=sys.stderr)
+            failed = True
+            rows.extend(row + [None] for row in failed_csv_rows(config))
             continue
         for row in summary_csv_rows(result):
             rows.append(row + [_fmt(result.advantage)])

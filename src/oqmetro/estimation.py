@@ -11,6 +11,11 @@ parity observable, error bar from the propagation formula).
 Randomness: a single master seed is split with ``numpy.random.SeedSequence``
 into per-trial and per-setting substreams, so every table is reproducible
 and trials are independent.
+
+Lockstep refinement: a run builds its measurements, outcome probabilities
+and grid tables once and stacks its trials' tables into one ``CountTable``.
+Each golden-section or curvature step is then one kernel call over all
+trials, with the per-table arithmetic of refining the tables one at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +50,12 @@ _INV_PHI = (math.sqrt(5) - 1) / 2
 
 @dataclass(frozen=True)
 class CountTable:
-    """Counts for the two sampled settings plus the assembled W-counts."""
+    """Counts for the two sampled settings plus the assembled W-counts.
+
+    One table holds ``counts_b`` of shape (2,) and ``counts_seq``,
+    ``counts_w`` of shape (2, 2); a stack of tables adds a leading trial
+    axis to all three, and indexing a stack selects tables.
+    """
 
     n: int
     counts_b: np.ndarray
@@ -56,12 +66,16 @@ class CountTable:
         counts_b = np.asarray(self.counts_b)
         counts_seq = np.asarray(self.counts_seq)
         counts_w = np.asarray(self.counts_w, dtype=float)
-        if counts_b.shape != (2,) or counts_seq.shape != (2, 2):
+        lead = counts_b.shape[:-1]
+        if (counts_b.shape != lead + (2,) or len(lead) > 1
+                or counts_seq.shape != lead + (2, 2)
+                or counts_w.shape != lead + (2, 2)):
             raise ValueError("expected 2 outcomes per local measurement")
         tol = 1e-9 * max(self.n, 1)
-        if abs(counts_b.sum() - self.n) > tol or abs(counts_seq.sum() - self.n) > tol:
+        if (np.abs(counts_b.sum(axis=-1) - self.n) > tol).any() or (
+                np.abs(counts_seq.sum(axis=(-2, -1)) - self.n) > tol).any():
             raise ValueError("setting counts must each sum to n")
-        if abs(counts_w.sum() - self.n) > 1e-9 * max(self.n, 1):
+        if (np.abs(counts_w.sum(axis=(-2, -1)) - self.n) > tol).any():
             raise ValueError("assembled W-counts must sum to n")
         for arr in (counts_b, counts_seq, counts_w):
             arr.setflags(write=False)
@@ -70,12 +84,29 @@ class CountTable:
         object.__setattr__(self, "counts_w", counts_w)
 
     @property
+    def stacked(self) -> bool:
+        return self.counts_b.ndim == 2
+
+    def __getitem__(self, index) -> "CountTable":
+        return CountTable(self.n, self.counts_b[index], self.counts_seq[index],
+                          self.counts_w[index])
+
+    @property
+    def negative(self):
+        """Whether each table has a negative W-count."""
+        return (self.counts_w < 0).any(axis=(-2, -1))
+
+    @property
     def has_negative(self) -> bool:
-        return bool((self.counts_w < 0).any())
+        return bool(self.negative.any())
 
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One estimate with its error bar; for a stack of tables each field
+    holds one entry per table and ``omitted`` marks the tables the
+    estimator refused (their other entries are meaningless)."""
+
     estimate: float
     observed_fi: float
     variance_estimate: float
@@ -83,10 +114,11 @@ class TrialResult:
 
 
 def assemble_w_counts(counts_b: np.ndarray, counts_seq: np.ndarray) -> np.ndarray:
-    """c(a,b|W) = c(a,b|S) + (c(b|B) - sum_a c(a,b|S)) / 2."""
+    """c(a,b|W) = c(a,b|S) + (c(b|B) - sum_a c(a,b|S)) / 2, per table."""
     counts_b = np.asarray(counts_b, dtype=float)
     counts_seq = np.asarray(counts_seq, dtype=float)
-    return counts_seq + (counts_b[None, :] - counts_seq.sum(axis=0)[None, :]) / 2
+    return counts_seq + (counts_b[..., None, :]
+                         - counts_seq.sum(axis=-2)[..., None, :]) / 2
 
 
 def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
@@ -95,35 +127,50 @@ def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_counts(params: ProbeParams, a: Povm, b: Povm, n: int, seed) -> CountTable:
-    """Draw one table of multinomial counts for both settings.
+def _setting_probs(params: ProbeParams, a: Povm, b: Povm) -> tuple:
+    psi = amplitudes(params.theta, params.phi)
+    return _outcome_probs(psi, b), _outcome_probs(psi, sequential_povm(a, b))
 
-    ``seed`` is an integer or a ``numpy.random.SeedSequence``; the two
-    settings consume independent substreams so the table is deterministic
-    given the seed.
+
+def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seeds) -> CountTable:
+    """Draw a stack of tables, one per ``SeedSequence`` in ``seeds``.
+
+    ``p_b`` and ``p_seq`` are the outcome probabilities of B and of the
+    sequential setting.  The two settings of a table consume independent
+    substreams of its seed, so each table is deterministic given its seed.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    counts_b = np.empty((len(seeds), 2), dtype=np.int64)
+    counts_seq = np.empty((len(seeds), 2, 2), dtype=np.int64)
+    for k, ss in enumerate(seeds):
+        ss_b, ss_seq = ss.spawn(2)
+        counts_b[k] = np.random.default_rng(ss_b).multinomial(n, p_b)
+        counts_seq[k] = np.random.default_rng(ss_seq).multinomial(
+            n, p_seq).reshape(2, 2)
+    return CountTable(n, counts_b, counts_seq,
+                      assemble_w_counts(counts_b, counts_seq))
+
+
+def sample_counts(params: ProbeParams, a: Povm, b: Povm, n: int, seed) -> CountTable:
+    """Draw one table of multinomial counts for both settings.
+
+    ``seed`` is an integer or a ``numpy.random.SeedSequence``.
+    """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ss_b, ss_seq = ss.spawn(2)
-    psi = amplitudes(params.theta, params.phi)
-    p_b = _outcome_probs(psi, b)
-    p_seq = _outcome_probs(psi, sequential_povm(a, b))
-    counts_b = np.random.default_rng(ss_b).multinomial(n, p_b)
-    counts_seq = np.random.default_rng(ss_seq).multinomial(n, p_seq).reshape(2, 2)
-    counts_w = assemble_w_counts(counts_b, counts_seq)
-    return CountTable(n, counts_b, counts_seq, counts_w)
+    return draw_counts(*_setting_probs(params, a, b), n, [ss])[0]
+
+
+def _expected_table(p_b: np.ndarray, p_seq: np.ndarray, n: int) -> CountTable:
+    counts_b = n * p_b
+    counts_seq = n * p_seq.reshape(2, 2)
+    return CountTable(n, counts_b, counts_seq,
+                      assemble_w_counts(counts_b, counts_seq))
 
 
 def expected_counts(params: ProbeParams, a: Povm, b: Povm, n: int) -> CountTable:
     """Noise-free table with counts equal to n times the exact probabilities."""
-    psi = amplitudes(params.theta, params.phi)
-    p_b = _outcome_probs(psi, b)
-    p_seq = _outcome_probs(psi, sequential_povm(a, b)).reshape(2, 2)
-    counts_b = n * p_b
-    counts_seq = n * p_seq
-    return CountTable(n, counts_b, counts_seq,
-                      assemble_w_counts(counts_b, counts_seq))
+    return _expected_table(*_setting_probs(params, a, b), n)
 
 
 def _angles(gs, fixed_other: float, target: Target) -> tuple:
@@ -133,33 +180,77 @@ def _angles(gs, fixed_other: float, target: Target) -> tuple:
     return (gs, other) if target is Target.POLAR else (other, gs)
 
 
-def log_likelihood(counts: CountTable, g: float, fixed_other: float,
-                   target: Target, w: Hovm) -> float:
-    """(1/n) sum c(a,b|W) log W(a,b) with the model clamped at 1e-12."""
+def _cell_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the 2x2 cells of each table, in the order ``.sum()`` takes
+    on one contiguous 2x2 array, so a stack sums each table bit for bit as
+    a single table would."""
+    return ((x[..., 0, 0] + x[..., 0, 1]) + x[..., 1, 0]) + x[..., 1, 1]
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """x**2 through libm ``pow`` like a scalar ``x ** 2``; an array ``** 2``
+    is x*x, which differs in the last digit on about 0.1% of inputs."""
+    return np.float_power(x, 2)
+
+
+def _stack(counts: CountTable) -> CountTable:
     if counts.has_negative:
         raise NegativeCounts("W-counts went negative; trial must be omitted")
-    vals = oq_values(w, amplitudes(*_angles(g, fixed_other, target)))[0]
-    return float(
-        (counts.counts_w * np.log(np.clip(vals, PROB_CLAMP, None))).sum()
-        / counts.n
-    )
+    return counts if counts.stacked else counts[None]
 
 
-def golden_section_maximize(f, lo: float, hi: float, tol: float) -> float:
-    """Locate the maximum of a unimodal f on [lo, hi] to interval width tol."""
+def _single(counts: CountTable, result: TrialResult, error) -> TrialResult:
+    """The stacked result itself, or for one table its scalar form."""
+    if counts.stacked:
+        return result
+    if result.omitted[0]:
+        raise error
+    return TrialResult(float(result.estimate[0]), float(result.observed_fi[0]),
+                       float(result.variance_estimate[0]))
+
+
+def log_likelihood(counts: CountTable, g, fixed_other: float,
+                   target: Target, w: Hovm):
+    """(1/n) sum c(a,b|W) log W(a,b) with the model clamped at 1e-12.
+
+    For a stack of tables ``g`` holds one angle per table and the result
+    one value per table.
+    """
+    stack = _stack(counts)
+    vals = oq_values(w, amplitudes(*_angles(g, fixed_other, target)))
+    ll = _cell_sum(stack.counts_w * np.log(np.clip(vals, PROB_CLAMP, None))) / stack.n
+    return ll if counts.stacked else float(ll[0])
+
+
+def golden_section_maximize(f, lo, hi, tol: float):
+    """Locate the maximum of a unimodal f on [lo, hi] to interval width tol.
+
+    ``lo`` and ``hi`` may be arrays of brackets, refined in lockstep: ``f``
+    maps an array of points to an array of values, and a bracket stops
+    moving once it is no wider than ``tol`` while the others go on.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return (lo + hi) / 2
+    active = hi - lo > tol
+    while active.any():
+        left = fc > fd
+        # a left step keeps [lo, d] and probes a new c; a right step keeps
+        # [c, hi] and probes a new d
+        new_lo = np.where(left, lo, c)
+        new_hi = np.where(left, d, hi)
+        x = np.where(left, new_hi - _INV_PHI * (new_hi - new_lo),
+                     new_lo + _INV_PHI * (new_hi - new_lo))
+        fx = f(x)
+        new = (new_lo, new_hi, np.where(left, x, d), np.where(left, c, x),
+               np.where(left, fx, fd), np.where(left, fc, fx))
+        lo, hi, c, d, fc, fd = (np.where(active, updated, kept) for updated, kept
+                                in zip(new, (lo, hi, c, d, fc, fd)))
+        active = hi - lo > tol
+    est = (lo + hi) / 2
+    return est if est.ndim else float(est)
 
 
 def _grid(domain: tuple, step: float) -> np.ndarray:
@@ -171,6 +262,13 @@ def _grid(domain: tuple, step: float) -> np.ndarray:
     return gs
 
 
+def _brackets(gs: np.ndarray, best: list) -> tuple:
+    """The grid neighbours of each table's best grid point; at the ends of
+    the grid a bracket is one step wide, on a one-point grid empty."""
+    i = np.array(best, dtype=np.intp)
+    return gs[np.maximum(i - 1, 0)], gs[np.minimum(i + 1, len(gs) - 1)]
+
+
 def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
                  w: Hovm, domain: tuple, grid_step: float = GRID_STEP,
                  refine_tol: float = REFINE_TOL,
@@ -179,23 +277,22 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
 
     Coarse grid scan (first maximum wins ties, i.e. the smallest angle)
     followed by golden-section refinement; the curvature at the optimum is a
-    central second difference of the log-likelihood.
+    central second difference of the log-likelihood.  ``counts`` is one
+    table, for which a flat likelihood raises FlatLikelihood, or a stack,
+    for which the result marks such tables omitted.
     """
-    if counts.has_negative:
-        raise NegativeCounts("W-counts went negative; trial must be omitted")
+    stack = _stack(counts)
     gs = _grid(domain, grid_step)
-    vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
-    ll = (
-        counts.counts_w[None, :, :] * np.log(np.clip(vals, PROB_CLAMP, None))
-    ).sum(axis=(1, 2)) / counts.n
-    i = int(np.argmax(ll))
+    log_cells = np.log(np.clip(
+        oq_values(w, amplitudes(*_angles(gs, fixed_other, target))),
+        PROB_CLAMP, None))
+    best = [np.argmax((cw[None, :, :] * log_cells).sum(axis=(1, 2)) / stack.n)
+            for cw in stack.counts_w]
 
     def f(g):
-        return log_likelihood(counts, g, fixed_other, target, w)
+        return log_likelihood(stack, g, fixed_other, target, w)
 
-    lo = gs[max(i - 1, 0)]
-    hi = gs[min(i + 1, len(gs) - 1)]
-    est = golden_section_maximize(f, lo, hi, refine_tol) if hi > lo else float(gs[i])
+    est = golden_section_maximize(f, *_brackets(gs, best), refine_tol)
 
     h = curvature_h
     center = f(est)
@@ -203,50 +300,57 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
     observed_fi = -curvature
     # resolution limit of the second difference: cancellation noise in the
     # log-likelihood amplified by 1/h^2
-    noise = 16 * np.finfo(float).eps * max(abs(center), 1.0) / (h * h)
-    if observed_fi <= noise:
-        raise FlatLikelihood("nonpositive curvature at the MLE")
-    return TrialResult(float(est), float(observed_fi),
-                       1.0 / (counts.n * observed_fi))
+    noise = 16 * np.finfo(float).eps * np.maximum(np.abs(center), 1.0) / (h * h)
+    with np.errstate(divide="ignore"):
+        variance = 1.0 / (stack.n * observed_fi)
+    result = TrialResult(est, observed_fi, variance, observed_fi <= noise)
+    return _single(counts, result,
+                   FlatLikelihood("nonpositive curvature at the MLE"))
 
 
-def parity_mean(counts: CountTable) -> float:
-    """Observed mean of the parity observable (-1)^(ab) W_ab."""
-    return float((_PARITY * counts.counts_w).sum() / counts.n)
+def parity_mean(counts: CountTable):
+    """Observed mean of the parity observable (-1)^(ab) W_ab, per table."""
+    mean = _cell_sum(_PARITY * counts.counts_w) / counts.n
+    return mean if counts.stacked else float(mean)
 
 
 def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
                  w: Hovm, domain: tuple, grid_step: float = GRID_STEP,
                  refine_tol: float = REFINE_TOL) -> TrialResult:
-    """Linear-error-propagation estimate by inverting the parity mean."""
-    if counts.has_negative:
-        raise NegativeCounts("W-counts went negative; trial must be omitted")
-    obs = parity_mean(counts)
+    """Linear-error-propagation estimate by inverting the parity mean.
+
+    A table whose parity slope at the estimate is below ``SLOPE_FLOOR``, or
+    whose propagated standard error is wider than the search domain, has no
+    usable sensitivity: for one table that raises ZeroSlope, for a stack the
+    result marks the table omitted.
+    """
+    stack = _stack(counts)
+    obs = parity_mean(stack)
     gs = _grid(domain, grid_step)
     vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
     means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
-    sq = (means - obs) ** 2
-    i = int(np.argmin(sq))
+    best = [np.argmin((means - o) ** 2) for o in obs]
 
     def f(g):
         psi = amplitudes(*_angles(g, fixed_other, target))
-        m = (_PARITY * oq_values(w, psi)[0]).sum()
-        return -((m - obs) ** 2)
+        return -_square(_cell_sum(_PARITY * oq_values(w, psi)) - obs)
 
-    lo = gs[max(i - 1, 0)]
-    hi = gs[min(i + 1, len(gs) - 1)]
-    est = golden_section_maximize(f, lo, hi, refine_tol) if hi > lo else float(gs[i])
+    est = golden_section_maximize(f, *_brackets(gs, best), refine_tol)
 
     theta, phi = _angles(est, fixed_other, target)
     psi = amplitudes(theta, phi)
     dpsi = amplitude_slopes(theta, phi, target)
-    mean_at = float((_PARITY * oq_values(w, psi)[0]).sum())
-    slope = float((_PARITY * oq_slopes(w, psi, dpsi)[0]).sum())
-    if abs(slope) <= SLOPE_FLOOR:
-        raise ZeroSlope("parity mean has no sensitivity to the parameter here")
-    variance = (1.0 - mean_at**2) / (counts.n * slope**2)
+    mean_at = _cell_sum(_PARITY * oq_values(w, psi))
+    slope = _cell_sum(_PARITY * oq_slopes(w, psi, dpsi))
     # the parity observable has eigenvalue labels +-1, so <O^2> = 1
-    return TrialResult(float(est), float("nan"), float(variance))
+    with np.errstate(divide="ignore"):
+        variance = (1.0 - _square(mean_at)) / (stack.n * _square(slope))
+    width = float(domain[1]) - float(domain[0])
+    # the squared form of: standard error wider than the search domain
+    zero = (np.abs(slope) <= SLOPE_FLOOR) | (variance > width**2)
+    result = TrialResult(est, np.full_like(est, np.nan), variance, zero)
+    return _single(counts, result, ZeroSlope(
+        "parity mean has no sensitivity to the parameter here"))
 
 
 @dataclass(frozen=True)
@@ -296,28 +400,31 @@ class TrialSummary:
     lep: EstimatorSummary
 
 
-def _summarize(name: str, results: list, omitted: int, trials: int,
+def _summarize(name: str, result: TrialResult, negative: int, trials: int,
                quantum_var: float, inject: bool) -> EstimatorSummary:
+    done = ~result.omitted
+    estimates = result.estimate[done]
+    variances = result.variance_estimate[done]
     if inject:
-        if not results:
+        if not len(estimates):
             raise AllTrialsOmitted(f"{name}: injection evaluation failed")
-        pred = results[0].variance_estimate
+        pred = float(variances[0])
         ratio = math.log10(quantum_var / (2 * pred))
         return EstimatorSummary(
-            name, results[0].estimate, 0.0, pred, 0.0, ratio, math.nan, 1,
+            name, float(estimates[0]), 0.0, pred, 0.0, ratio, math.nan, 1,
         )
-    if len(results) < 2:
+    if len(estimates) < 2:
         raise AllTrialsOmitted(f"{name}: fewer than 2 trials completed")
-    estimates = np.array([r.estimate for r in results])
     emp_var = float(np.var(estimates, ddof=1))
-    pred = float(np.mean([r.variance_estimate for r in results]))
+    pred = float(np.mean(variances))
     ratio = math.log10(quantum_var / (2 * pred))
     ratio_emp = (
         math.log10(quantum_var / (2 * emp_var)) if emp_var > 0 else math.inf
     )
+    omitted = negative + int(result.omitted.sum())
     return EstimatorSummary(
         name, float(estimates.mean()), emp_var, pred,
-        omitted / trials, ratio, ratio_emp, len(results),
+        omitted / trials, ratio, ratio_emp, len(estimates),
     )
 
 
@@ -326,13 +433,16 @@ def run_trials(config: TrialConfig) -> TrialSummary:
 
     Trials with negative W-counts are dropped and reported through the
     omission rate, never resampled.  With ``inject_expected`` the exact
-    expected counts replace sampling (a single noiseless evaluation).
+    expected counts replace sampling (a single noiseless evaluation).  The
+    measurements, the outcome probabilities and the grid tables are built
+    once per run; every trial is refined in lockstep.
     """
     if config.trials < 2:
         raise ValueError("at least 2 trials are required")
     a, b = mutually_unbiased_pair(config.sharpness)
-    w = build_hovm(a, b, sequential_povm(a, b))
-    params0 = ProbeParams(config.theta0, config.phi0, config.target)
+    seq = sequential_povm(a, b)
+    w = build_hovm(a, b, seq)
+    ProbeParams(config.theta0, config.phi0, config.target)  # validates the point
     fixed_other = config.phi0 if config.target is Target.POLAR else config.theta0
     domain = config.domain or (0.0, math.pi)
     if config.target is Target.POLAR:
@@ -344,48 +454,25 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     adv = advantage(w, psi0, dpsi0)
     quantum_var = 1.0 / (config.n * qfi_pure(psi0, dpsi0))
 
-    mle_results: list = []
-    lep_results: list = []
-    mle_omitted = 0
-    lep_omitted = 0
-
+    p_b, p_seq = _outcome_probs(psi0, b), _outcome_probs(psi0, seq)
     if config.inject_expected:
-        table = expected_counts(params0, a, b, config.n)
-        tables = [table]
+        trials = 1
+        tables = _expected_table(p_b, p_seq, config.n)[None]
     else:
-        children = np.random.SeedSequence(config.seed).spawn(config.trials)
-        tables = (
-            sample_counts(params0, a, b, config.n, child) for child in children
-        )
+        trials = config.trials
+        children = np.random.SeedSequence(config.seed).spawn(trials)
+        tables = draw_counts(p_b, p_seq, config.n, children)
+    negative = tables.negative
+    kept = tables[~negative]
 
-    for table in tables:
-        if table.has_negative:
-            mle_omitted += 1
-            lep_omitted += 1
-            continue
-        try:
-            mle_results.append(
-                mle_estimate(table, config.target, fixed_other, w, domain)
-            )
-        except FlatLikelihood:
-            mle_omitted += 1
-        try:
-            lep_results.append(
-                lep_estimate(table, config.target, fixed_other, w, domain)
-            )
-        except ZeroSlope:
-            lep_omitted += 1
+    def summarize(name, estimator):
+        result = estimator(kept, config.target, fixed_other, w, domain)
+        return _summarize(name, result, int(negative.sum()), trials,
+                          quantum_var, config.inject_expected)
 
-    trials = 1 if config.inject_expected else config.trials
-    return TrialSummary(
-        config,
-        adv,
-        quantum_var,
-        _summarize("mle", mle_results, mle_omitted, trials, quantum_var,
-                   config.inject_expected),
-        _summarize("lep", lep_results, lep_omitted, trials, quantum_var,
-                   config.inject_expected),
-    )
+    return TrialSummary(config, adv, quantum_var,
+                        summarize("mle", mle_estimate),
+                        summarize("lep", lep_estimate))
 
 
 CSV_FIELDS = (
@@ -394,19 +481,18 @@ CSV_FIELDS = (
 )
 
 
+def _config_cells(c: TrialConfig) -> list:
+    return [c.target.value, repr(c.theta0), repr(c.phi0), repr(c.sharpness),
+            str(c.n), str(c.trials)]
+
+
 def summary_csv_rows(summary: TrialSummary) -> list:
     """Rows in the stable CSV schema, one per estimator."""
-    c = summary.config
     rows = []
     for est in (summary.mle, summary.lep):
         rows.append(
-            [
-                c.target.value,
-                repr(c.theta0),
-                repr(c.phi0),
-                repr(c.sharpness),
-                str(c.n),
-                str(c.trials),
+            _config_cells(summary.config)
+            + [
                 est.estimator,
                 repr(est.mean_estimate),
                 repr(est.emp_var),
@@ -416,3 +502,9 @@ def summary_csv_rows(summary: TrialSummary) -> list:
             ]
         )
     return rows
+
+
+def failed_csv_rows(config: TrialConfig) -> list:
+    """Rows for a point whose estimators could not run: the configuration
+    and estimator cells filled, the result cells empty (None)."""
+    return [_config_cells(config) + [name] + [None] * 5 for name in ("mle", "lep")]

@@ -192,6 +192,42 @@ class TestEstimate:
         ]) == 0
         assert [r["estimator"] for r in read_csv(out)] == ["mle", "lep"]
 
+    def test_negative_point_leaves_its_rows_empty(self, tmp_path, capsys):
+        # phi=0.3 is a negative-OQ point, phi=1.0 a positive one
+        out = tmp_path / "est.csv"
+        code = main([
+            "estimate", "--target", "phi", "--lambda", "0.9", "--theta", "1.2",
+            "--phi", "0.3,1.0", "--domain=-0.5:1.5", "--n", "10000",
+            "--trials", "20", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 3
+        assert "point theta=1.2 phi=0.3: negativity" in capsys.readouterr().err
+        rows = read_csv(out)
+        assert [(r["phi0"], r["estimator"]) for r in rows] == [
+            ("0.3", "mle"), ("0.3", "lep"), ("1.0", "mle"), ("1.0", "lep"),
+        ]
+        results = ("mean_estimate", "emp_var", "pred_var", "omission_rate",
+                   "ratio", "advantage")
+        for r in rows[:2]:
+            assert (r["target"], r["theta0"], r["lambda"], r["n"], r["trials"]) == (
+                "phi", "1.2", "0.9", "10000", "20")
+            assert all(r[k] == "" for k in results)
+        assert all(r[k] != "" for r in rows[2:] for k in r)
+
+    def test_lep_omits_trials_without_usable_slope(self, tmp_path):
+        # the parity mean is even in phi, so its slope vanishes at phi=0
+        # inside the domain; a trial whose standard error is wider than the
+        # domain is omitted instead of inflating the predicted variance
+        out = tmp_path / "est.csv"
+        assert main([
+            "estimate", "--target", "phi", "--lambda", "0.6", "--theta", "1.2",
+            "--phi", "0.2", "--domain=-0.5:0.5", "--n", "5000", "--trials", "6",
+            "--seed", "5", "--out", str(out),
+        ]) == 0
+        lep = next(r for r in read_csv(out) if r["estimator"] == "lep")
+        assert float(lep["omission_rate"]) > 0
+        assert float(lep["pred_var"]) < 1
+
     def test_empty_range_exits_2(self):
         assert main(["estimate", "--theta", "1:0:0.1", "--phi", "0",
                      "--n", "100", "--trials", "2"]) == 2

@@ -231,11 +231,28 @@ class TestRunTrials:
         def no_sampling(*args):
             raise AssertionError("sampled before the domain was checked")
 
-        monkeypatch.setattr(estimation, "sample_counts", no_sampling)
+        monkeypatch.setattr(estimation, "draw_counts", no_sampling)
         cfg = TrialConfig(0.05, 0.5, Target.POLAR, 0.9, 2000, 4, 0,
                           domain=(-0.5, 1.5))
         with pytest.raises(ParamOutOfRange, match="theta=-0.5"):
             run_trials(cfg)
+
+    @pytest.mark.parametrize("trials,inject", [(2, False), (9, False),
+                                               (40, False), (5, True)])
+    def test_sequential_measurement_built_once_per_run(self, monkeypatch,
+                                                       trials, inject):
+        calls = []
+        build = estimation.sequential_povm
+
+        def counted(a, b):
+            calls.append((a, b))
+            return build(a, b)
+
+        monkeypatch.setattr(estimation, "sequential_povm", counted)
+        cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, trials, 99,
+                          domain=(0.8, 1.6), inject_expected=inject)
+        run_trials(cfg)
+        assert len(calls) == 1
 
     def test_csv_rows_schema(self):
         cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, 5, 99,
