@@ -31,7 +31,6 @@ from .estimation import (
     sample_counts,
 )
 from .fisher import advantage, cri_bound, fisher_discrete, oqfi, qfi_pure
-from .linalg import hermitian_eigensystem, is_hermitian, is_psd, psd_sqrt
 from .measurement import (
     Hovm,
     Povm,

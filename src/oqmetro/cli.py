@@ -231,12 +231,8 @@ def cmd_estimate(args) -> int:
         )
         try:
             result = run_trials(config)
-        except AllTrialsOmitted as exc:
-            print(f"point theta={theta0} phi={phi0}: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        except (NegativeOq, ZeroQfi) as exc:
-            # the advantage is undefined here: keep the point's rows with
+        except (AllTrialsOmitted, NegativeOq, ZeroQfi) as exc:
+            # no estimate or no advantage here: keep the point's rows with
             # empty result cells, as advantage-map does, and go on
             print(f"point theta={theta0} phi={phi0}: {exc}", file=sys.stderr)
             failed = True
@@ -254,7 +250,7 @@ def cmd_compat(args) -> int:
     nu = np.array([_eval_number(t) for t in args.nu.split(",")])
     busch = bool(busch_compatible(mu, nu))
     a, b = bloch_povm(mu), bloch_povm(nu)
-    povm = bool(hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)), 1e-10))
+    povm = hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)))
     if busch != povm:
         raise OqMetroError("compatibility predicates disagree")
     boundary = None

@@ -258,13 +258,17 @@ def _grid(domain: tuple, step: float) -> np.ndarray:
     if not hi > lo:
         raise ValueError("domain must be a nondegenerate interval")
     gs = np.arange(lo, hi + step / 2, step)
+    if len(gs) < 2:
+        # a one-point grid leaves nothing to refine: every trial would
+        # return the same estimate
+        raise ValueError(f"domain is narrower than half the grid step {step}")
     gs[-1] = min(gs[-1], hi)
     return gs
 
 
 def _brackets(gs: np.ndarray, best: list) -> tuple:
     """The grid neighbours of each table's best grid point; at the ends of
-    the grid a bracket is one step wide, on a one-point grid empty."""
+    the grid a bracket is one step wide."""
     i = np.array(best, dtype=np.intp)
     return gs[np.maximum(i - 1, 0)], gs[np.minimum(i + 1, len(gs) - 1)]
 
@@ -448,6 +452,7 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     if config.target is Target.POLAR:
         # phi is periodic, so only a polar domain can leave the probe sphere
         check_angles(domain, config.phi0)
+    _grid(domain, GRID_STEP)  # refuses a one-point grid before sampling
 
     psi0 = amplitudes(config.theta0, config.phi0)
     dpsi0 = amplitude_slopes(config.theta0, config.phi0, config.target)

@@ -6,6 +6,10 @@ whole sums to the identity.  The HOVM built from a pair of local
 measurements and a conjunction measurement is the operator form of the
 operational quasiprobability; whether it is itself a POVM decides
 compatibility of the pair (for qubits, equivalently the Busch criterion).
+
+Operators are checked once, when a ``Povm`` or ``Hovm`` is constructed,
+with one stacked check per condition over all of its effects or elements.
+Everything built from validated measurements relies on those checks.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     BlochNormExceeded,
     DimensionMismatch,
@@ -28,7 +31,31 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
+# Entrywise tolerance of the Hermitian check, and the eigenvalue tolerance
+# of the PSD check: eigenvalues in [-HERMITIAN_TOL, 0) are float noise.
+HERMITIAN_TOL = 1e-10
 IDENTITY_TOL = 1e-10
+
+
+def _hermitian(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (..., dim, dim) stack is within
+    HERMITIAN_TOL of its adjoint, entrywise."""
+    adjoint = stack.conj().swapaxes(-1, -2)
+    return np.abs(stack - adjoint).max(axis=(-2, -1)) <= HERMITIAN_TOL
+
+
+def _psd(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the least eigenvalue of each Hermitian matrix of a
+    (..., dim, dim) stack is >= -tol."""
+    return np.linalg.eigvalsh(stack)[..., 0] >= -tol
+
+
+def _sqrt(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a validated POVM effect; eigenvalues in
+    [-HERMITIAN_TOL, 0) are clamped to 0 first."""
+    vals, vecs = np.linalg.eigh(m)
+    vals = np.where(vals < 0.0, 0.0, vals)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -38,22 +65,25 @@ class Povm:
     effects: tuple
 
     def __post_init__(self):
-        effects = tuple(linalg.as_matrix(e) for e in self.effects)
+        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
         if not effects:
             raise ValueError("a POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
         for e in effects:
-            if e.shape[0] != dim:
-                raise DimensionMismatch("effects act on different dimensions")
-            if not linalg.is_hermitian(e, 1e-10):
-                raise NotHermitian("POVM effect is not Hermitian")
-            if not linalg.is_psd(e, 1e-10):
-                raise NotPsd("POVM effect is not PSD")
-            total = total + e
-        if np.max(np.abs(total - np.eye(dim))) > IDENTITY_TOL:
+            if e.ndim != 2 or e.shape[0] != e.shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {e.shape}")
+        dim = effects[0].shape[0]
+        if any(e.shape[0] != dim for e in effects):
+            raise DimensionMismatch("effects act on different dimensions")
+        stack = np.array(effects)
+        if not _hermitian(stack).all():
+            raise NotHermitian("POVM effect is not Hermitian")
+        if not _psd(stack, HERMITIAN_TOL).all():
+            raise NotPsd("POVM effect is not PSD")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > IDENTITY_TOL:
             raise ValueError("POVM effects do not sum to the identity")
-        object.__setattr__(self, "effects", effects)
+        # read-only views of a private copy keep the checks valid for good
+        stack.setflags(write=False)
+        object.__setattr__(self, "effects", tuple(stack))
 
     @property
     def outcomes(self) -> int:
@@ -74,13 +104,13 @@ class Hovm:
     elements: np.ndarray
 
     def __post_init__(self):
-        el = np.asarray(self.elements, dtype=complex)
+        el = np.array(self.elements, dtype=complex)
         if el.ndim != 4 or el.shape[0] != el.shape[1] or el.shape[2] != el.shape[3]:
             raise ValueError(f"expected shape (d, d, dim, dim), got {el.shape}")
-        for a in range(el.shape[0]):
-            for b in range(el.shape[1]):
-                if not linalg.is_hermitian(el[a, b], 1e-10):
-                    raise NotHermitian(f"HOVM element ({a},{b}) is not Hermitian")
+        bad = np.argwhere(~_hermitian(el))
+        if len(bad):
+            a, b = bad[0]
+            raise NotHermitian(f"HOVM element ({a},{b}) is not Hermitian")
         total = el.sum(axis=(0, 1))
         if np.max(np.abs(total - np.eye(el.shape[2]))) > IDENTITY_TOL:
             raise ValueError("HOVM elements do not sum to the identity")
@@ -121,12 +151,8 @@ def sequential_povm(first: Povm, second: Povm) -> Povm:
     """
     if first.dim != second.dim:
         raise DimensionMismatch("POVMs act on different dimensions")
-    effects = []
-    for ea in first.effects:
-        root = linalg.psd_sqrt(ea)
-        for eb in second.effects:
-            effects.append(root @ eb @ root)
-    return Povm(tuple(effects))
+    roots = [_sqrt(ea) for ea in first.effects]
+    return Povm(tuple(root @ eb @ root for root in roots for eb in second.effects))
 
 
 def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
@@ -142,20 +168,12 @@ def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
         raise OutcomeCountMismatch("A and B must have the same outcome count")
     if c.outcomes != d * d:
         raise OutcomeCountMismatch(f"conjunction must have {d * d} outcomes")
-    grid = np.array(
-        [[c.effects[i * d + j] for j in range(d)] for i in range(d)], dtype=complex
-    )
+    grid = np.array(c.effects).reshape(d, d, a.dim, a.dim)
     marg_a = grid.sum(axis=1)  # sum over b, indexed by a
     marg_b = grid.sum(axis=0)  # sum over a, indexed by b
-    w = np.empty_like(grid)
-    for i in range(d):
-        for j in range(d):
-            w[i, j] = (
-                grid[i, j]
-                + (a.effects[i] - marg_a[i]) / d
-                + (b.effects[j] - marg_b[j]) / d
-            )
-    return Hovm(w)
+    fix_a = (np.array(a.effects) - marg_a) / d
+    fix_b = (np.array(b.effects) - marg_b) / d
+    return Hovm((grid + fix_a[:, None]) + fix_b[None, :])
 
 
 def marginality_defect(w, a: Povm, b: Povm) -> float:
@@ -170,22 +188,14 @@ def marginality_defect(w, a: Povm, b: Povm) -> float:
         raise DimensionMismatch("dimension mismatch")
     if d != a.outcomes or d != b.outcomes:
         raise OutcomeCountMismatch("outcome-count mismatch")
-    defect = 0.0
-    sum_b = elements.sum(axis=1)
-    sum_a = elements.sum(axis=0)
-    for i in range(d):
-        defect = max(defect, float(np.max(np.abs(sum_b[i] - a.effects[i]))))
-        defect = max(defect, float(np.max(np.abs(sum_a[i] - b.effects[i]))))
-    return defect
+    defect_a = np.abs(elements.sum(axis=1) - np.array(a.effects)).max()
+    defect_b = np.abs(elements.sum(axis=0) - np.array(b.effects)).max()
+    return float(max(defect_a, defect_b))
 
 
-def hovm_is_povm(w: Hovm, tol: float = 1e-10) -> bool:
+def hovm_is_povm(w: Hovm, tol: float = HERMITIAN_TOL) -> bool:
     """True iff every HOVM element is PSD to the given tolerance."""
-    return all(
-        linalg.is_psd(w.elements[i, j], tol)
-        for i in range(w.d)
-        for j in range(w.d)
-    )
+    return bool(_psd(w.elements, tol).all())
 
 
 def busch_compatible(mu, nu) -> bool:
@@ -206,7 +216,7 @@ def busch_equiv_hovm_check(mu, nu) -> bool:
     a = bloch_povm(mu)
     b = bloch_povm(nu)
     w = build_hovm(a, b, sequential_povm(a, b))
-    return busch_compatible(mu, nu) == hovm_is_povm(w, 1e-10)
+    return busch_compatible(mu, nu) == hovm_is_povm(w)
 
 
 def sharpness_threshold(mu_dir, nu_dir, tol: float = 1e-9) -> float | None:
@@ -223,7 +233,7 @@ def sharpness_threshold(mu_dir, nu_dir, tol: float = 1e-9) -> float | None:
     def povm_at(s: float) -> bool:
         a = bloch_povm(s * mu_dir)
         b = bloch_povm(s * nu_dir)
-        return hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)), 1e-10)
+        return hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)))
 
     if povm_at(1.0):
         return None

@@ -239,15 +239,30 @@ class TestEstimate:
         ])
         assert code == 2
 
-    def test_all_omitted_exits_3(self, tmp_path):
+    def test_all_omitted_exits_3(self, tmp_path, capsys):
         # full sharpness at the equator: two cells are exactly zero and the
         # assembled counts fluctuate negative in essentially every trial
+        out = tmp_path / "x.csv"
         code = main([
             "estimate", "--lambda", "1.0", "--theta", "pi/2", "--phi", "0",
             "--n", "1000", "--trials", "4", "--seed", "1",
-            "--domain", "1.2:2.0", "--out", str(tmp_path / "x.csv"),
+            "--domain", "1.2:2.0", "--out", str(out),
         ])
         assert code == 3
+        assert "fewer than 2 trials completed" in capsys.readouterr().err
+        rows = read_csv(out)
+        assert [r["estimator"] for r in rows] == ["mle", "lep"]
+        assert all(r["mean_estimate"] == r["advantage"] == "" for r in rows)
+
+    def test_domain_narrower_than_half_a_grid_step_exits_2(self, capsys):
+        # a one-point grid would give every trial the same estimate
+        code = main([
+            "estimate", "--lambda", "0.85", "--theta", "1.2", "--phi", "1.0",
+            "--n", "2000", "--trials", "5", "--seed", "4",
+            "--domain", "1.2:1.2004",
+        ])
+        assert code == 2
+        assert "narrower than half the grid step" in capsys.readouterr().err
 
     def test_inject_expected_matches_advantage(self, tmp_path):
         out = tmp_path / "est.csv"

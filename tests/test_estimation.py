@@ -236,6 +236,11 @@ class TestRunTrials:
                           domain=(-0.5, 1.5))
         with pytest.raises(ParamOutOfRange, match="theta=-0.5"):
             run_trials(cfg)
+        # a domain too narrow for a grid is refused before sampling too
+        cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, 4, 0,
+                          domain=(1.2, 1.2004))
+        with pytest.raises(ValueError, match="narrower than half the grid step"):
+            run_trials(cfg)
 
     @pytest.mark.parametrize("trials,inject", [(2, False), (9, False),
                                                (40, False), (5, True)])

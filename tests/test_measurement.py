@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mub_hovm, random_bloch, random_conjunction, random_qubit_povm
-from oqmetro.errors import BlochNormExceeded, OutcomeCountMismatch
+from oqmetro.errors import (
+    BlochNormExceeded,
+    DimensionMismatch,
+    NotHermitian,
+    NotPsd,
+    OutcomeCountMismatch,
+)
 from oqmetro.measurement import (
     PAULI_X,
     PAULI_Z,
@@ -76,6 +84,23 @@ class TestSequential:
             lo = (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
             assert lo >= -1e-12
 
+    def test_noise_eigenvalues_are_clamped(self):
+        # eigenvalues in [-tol, 0) pass the PSD check and are rooted as 0
+        noisy = Povm((np.diag([1 + 5e-11, -5e-11]), np.diag([-5e-11, 1 + 5e-11])))
+        s = sequential_povm(noisy, bloch_povm((1, 0, 0)))
+        for e in s.effects:
+            assert np.isfinite(e).all()
+        np.testing.assert_allclose(s.effects[0], np.diag([0.5, 0.0]), atol=1e-10)
+
+    def test_qutrit_roots_square_back(self, rng):
+        # after the one-outcome measurement the effects are sqrt(C)^2 = C
+        trivial = Povm((np.eye(3),))
+        for _ in range(200):
+            c = random_conjunction(rng, outcomes=3, dim=3)
+            s = sequential_povm(c, trivial)
+            for got, want in zip(s.effects, c.effects):
+                assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_marginal_over_second_reproduces_first(self, rng):
         for _ in range(200):
             a = random_qubit_povm(rng)
@@ -139,6 +164,9 @@ class TestCompatibility:
 
     def test_hovm_is_not_povm_at_full_sharpness(self):
         _, _, w = mub_hovm(1.0)
+        # the sharp corner (1 - sz - sx) / 4 has eigenvalues (1 +- sqrt(2)) / 4
+        corner = (np.eye(2) - PAULI_Z - PAULI_X) / 4
+        assert np.max(np.abs(w.elements[1, 1] - corner)) <= 1e-15
         assert not hovm_is_povm(w, 1e-10)
 
     def test_uniform_grid_is_povm(self):
@@ -189,3 +217,265 @@ def test_hovm_allows_negative_elements():
     _, _, w = mub_hovm(1.0)
     assert isinstance(w, Hovm)
     assert w.d == 2 and w.dim == 2
+
+
+class TestChecks:
+    """An input with a single defect raises that defect's exception."""
+
+    @pytest.mark.parametrize("effects, error", [
+        ((np.ones((2, 3)),), ValueError),
+        ((np.eye(2) / 2, np.eye(3) / 2), DimensionMismatch),
+        (([[0.5, 0.1], [0.0, 0.5]], [[0.5, -0.1], [0.0, 0.5]]), NotHermitian),
+        ((np.diag([1.0, -0.5]), np.diag([0.0, 1.5])), NotPsd),
+        ((np.eye(2) / 2, np.eye(2) / 4), ValueError),
+    ], ids=["not-square", "dimensions", "not-hermitian", "indefinite",
+            "not-identity"])
+    def test_povm_single_defect(self, effects, error):
+        with pytest.raises(error):
+            Povm(effects)
+
+    def test_hovm_names_first_non_hermitian_element(self):
+        _, _, w = mub_hovm(0.8)
+        el = np.array(w.elements)
+        el[1, 0, 0, 1] += 1e-6
+        el[1, 1, 1, 0] += 1e-6
+        with pytest.raises(NotHermitian, match=r"element \(1,0\)"):
+            Hovm(el)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 2, 2), (2, 2, 2, 3)])
+    def test_hovm_shape(self, shape):
+        with pytest.raises(ValueError):
+            Hovm(np.zeros(shape))
+
+    def test_hovm_identity(self):
+        with pytest.raises(ValueError, match="identity"):
+            Hovm(np.zeros((2, 2, 2, 2)))
+
+    def test_checked_operators_cannot_change(self):
+        # a measurement is checked once, so neither the caller's arrays nor
+        # the stored ones may alias each other or be written afterwards
+        effects = (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2)
+        p = Povm(effects)
+        effects[0][0, 0] = 5.0
+        assert p.effects[0][0, 0] == 0.5
+        el = np.array(mub_hovm(0.8)[2].elements)
+        want = el.copy()
+        w = Hovm(el)
+        el[0, 0] = 0.0
+        assert np.array_equal(w.elements, want)
+        for stored in (p.effects[1], w.elements):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 0.0
+
+
+# --- equivalence with the per-operator checks the stacked ones replaced ---
+#
+# The reference functions keep the earlier arithmetic: one Hermitian and
+# one PSD check per effect, the PSD check repeating the Hermitian one, a
+# square root that validates its input, and the double loops of the HOVM
+# assembly.  The stacked checks must accept and reject exactly the same
+# inputs, with the same exception class, and build bit-identical operators.
+
+REF_TOL = 1e-10
+
+
+def ref_is_hermitian(m, tol=REF_TOL):
+    a = np.asarray(m, dtype=complex)
+    return float(np.max(np.abs(a - a.conj().T))) <= tol
+
+
+def ref_is_psd(m, tol=REF_TOL):
+    a = np.asarray(m, dtype=complex)
+    if not ref_is_hermitian(a, max(tol, REF_TOL)):
+        raise NotHermitian("matrix is not Hermitian to tolerance")
+    return float(np.linalg.eigvalsh(a)[0]) >= -tol
+
+
+def ref_psd_sqrt(m, tol=REF_TOL):
+    a = np.asarray(m, dtype=complex)
+    if not ref_is_psd(a, tol):
+        raise NotPsd("matrix is not positive semidefinite to tolerance")
+    vals, vecs = np.linalg.eigh(a)
+    vals = np.where(vals < 0.0, 0.0, vals)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def ref_povm_error(effects):
+    """The exception class of the per-effect validation, or None."""
+    dim = effects[0].shape[0]
+    total = np.zeros((dim, dim), dtype=complex)
+    for e in effects:
+        if not ref_is_hermitian(e):
+            return NotHermitian
+        if not ref_is_psd(e):
+            return NotPsd
+        total = total + e
+    if np.max(np.abs(total - np.eye(dim))) > REF_TOL:
+        return ValueError
+    return None
+
+
+def ref_hovm_error(el):
+    """(exception class, message) of the per-element validation, or None."""
+    for a in range(el.shape[0]):
+        for b in range(el.shape[1]):
+            if not ref_is_hermitian(el[a, b]):
+                return NotHermitian, f"HOVM element ({a},{b}) is not Hermitian"
+    if np.max(np.abs(el.sum(axis=(0, 1)) - np.eye(el.shape[2]))) > REF_TOL:
+        return ValueError, "HOVM elements do not sum to the identity"
+    return None
+
+
+def ref_sequential(first, second):
+    effects = []
+    for ea in first:
+        root = ref_psd_sqrt(ea)
+        for eb in second:
+            effects.append(root @ eb @ root)
+    return effects
+
+
+def ref_build_hovm(a, b, c):
+    d = len(a)
+    grid = np.array([[c[i * d + j] for j in range(d)] for i in range(d)],
+                    dtype=complex)
+    marg_a = grid.sum(axis=1)
+    marg_b = grid.sum(axis=0)
+    w = np.empty_like(grid)
+    for i in range(d):
+        for j in range(d):
+            w[i, j] = (grid[i, j] + (a[i] - marg_a[i]) / d
+                       + (b[j] - marg_b[j]) / d)
+    return w
+
+
+def ref_marginality_defect(el, a, b):
+    defect = 0.0
+    sum_b, sum_a = el.sum(axis=1), el.sum(axis=0)
+    for i in range(el.shape[0]):
+        defect = max(defect, float(np.max(np.abs(sum_b[i] - a[i]))))
+        defect = max(defect, float(np.max(np.abs(sum_a[i] - b[i]))))
+    return defect
+
+
+def raised(fn, *args):
+    """(exception class, message) raised by fn(*args), or None."""
+    try:
+        fn(*args)
+    except (ValueError, NotHermitian, NotPsd) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def unitary(seed, dim):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim))
+                        + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def skew(seed, dim, size):
+    """An anti-Hermitian k with max |k| = size / 2: adding it to a Hermitian
+    matrix m makes max |m - m^dagger| = size."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    k = (x - x.conj().T) / 2
+    return k * (size / 2 / np.max(np.abs(k)))
+
+
+def hermitian(u, eigenvalues):
+    m = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return (m + m.conj().T) / 2  # Hermitian to the last bit
+
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.sampled_from([2, 3])
+# eigenvalues at the PSD tolerance, at the complementary edge, or inside
+edge_eigenvalue = st.one_of(st.floats(-2e-10, 2e-10),
+                            st.floats(1 - 2e-10, 1 + 2e-10), st.floats(0.0, 1.0))
+# Hermitian defects around the 1e-10 tolerance
+skew_size = st.floats(0.5e-10, 2e-10)
+
+
+@st.composite
+def edge_povm(draw, dim=None):
+    """Effects E and 1 - E, or E, t(1 - E), (1 - t)(1 - E), of exactly
+    Hermitian matrices whose eigenvalues may sit at the PSD tolerance."""
+    dim = dim or draw(dims)
+    e = hermitian(unitary(draw(seeds), dim),
+                  [draw(edge_eigenvalue) for _ in range(dim)])
+    rest = np.eye(dim) - e
+    if draw(st.booleans()):
+        return (e, rest)
+    t = draw(st.floats(0.0, 1.0))
+    return (e, t * rest, (1 - t) * rest)
+
+
+@st.composite
+def skewed_povm(draw):
+    """Effects with PSD margin whose first effect carries an anti-Hermitian
+    part around the tolerance, compensated in the second."""
+    dim = draw(dims)
+    e = hermitian(unitary(draw(seeds), dim),
+                  [draw(st.floats(0.01, 0.99)) for _ in range(dim)])
+    k = skew(draw(seeds), dim, draw(skew_size))
+    return (e + k, np.eye(dim) - e - k)
+
+
+@st.composite
+def skewed_hovm(draw):
+    """A d=2 grid of Hermitian elements summing to the identity, some of
+    them carrying an anti-Hermitian part around the tolerance."""
+    dim = draw(dims)
+    rng = np.random.default_rng(draw(seeds))
+    x = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+    h = (x + x.conj().swapaxes(1, 2)) / 2
+    h -= h.mean(axis=0)
+    el = np.eye(dim) / 4 + h
+    for cell in draw(st.lists(st.integers(0, 3), max_size=3)):
+        el[cell] += skew(draw(seeds), dim, draw(skew_size))
+    return el.reshape(2, 2, dim, dim)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(effects=st.one_of(edge_povm(), skewed_povm()))
+@example(effects=(np.diag([1 + 5e-11, -5e-11]), np.diag([-5e-11, 1 + 5e-11])))
+@example(effects=(np.diag([1 + 2e-10, -2e-10]), np.diag([-2e-10, 1 + 2e-10])))
+def test_povm_checks_match_reference(effects):
+    got = raised(Povm, effects)
+    assert (got[0] if got else None) is ref_povm_error(effects)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(el=skewed_hovm())
+def test_hovm_checks_match_reference(el):
+    assert raised(Hovm, el) == ref_hovm_error(el)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), dim=dims)
+def test_construction_matches_reference(data, dim):
+    a = data.draw(edge_povm(dim))
+    b = data.draw(edge_povm(dim).filter(lambda e: len(e) == len(a)))
+    assume(ref_povm_error(a) is None and ref_povm_error(b) is None)
+    pa, pb = Povm(a), Povm(b)
+    seq = sequential_povm(pa, pb)
+    want = ref_sequential(a, b)
+    assert all(np.array_equal(g, r) for g, r in zip(seq.effects, want, strict=True))
+    w = build_hovm(pa, pb, seq)
+    want_w = ref_build_hovm(a, b, want)
+    assert np.array_equal(w.elements, want_w)
+    assert hovm_is_povm(w) == all(ref_is_psd(m) for m in want_w.reshape(-1, dim, dim))
+    assert marginality_defect(w, pa, pb) == ref_marginality_defect(want_w, a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lam=st.floats(1 / math.sqrt(2) - 1e-9, 1 / math.sqrt(2) + 1e-9))
+def test_busch_boundary_matches_reference(lam):
+    # at the Busch boundary a corner element of W has an eigenvalue at 0
+    a, b = mutually_unbiased_pair(lam)
+    w = build_hovm(a, b, sequential_povm(a, b))
+    want_w = ref_build_hovm(a.effects, b.effects,
+                            ref_sequential(a.effects, b.effects))
+    assert np.array_equal(w.elements, want_w)
+    assert hovm_is_povm(w) == all(ref_is_psd(m) for m in want_w.reshape(-1, 2, 2))
