@@ -5,7 +5,6 @@ from .errors import (
     BlochNormExceeded,
     DerivativeNotTraceless,
     DimensionMismatch,
-    FlatLikelihood,
     NegativeCounts,
     NegativeOq,
     NotHermitian,
@@ -16,7 +15,6 @@ from .errors import (
     ParamOutOfRange,
     ZeroInformation,
     ZeroQfi,
-    ZeroSlope,
 )
 from .estimation import (
     CountTable,
@@ -28,7 +26,6 @@ from .estimation import (
     log_likelihood,
     mle_estimate,
     run_trials,
-    sample_counts,
 )
 from .fisher import advantage, cri_bound, fisher_discrete, oqfi, qfi_pure
 from .measurement import (
@@ -45,6 +42,6 @@ from .measurement import (
     sharpness_threshold,
 )
 from .oq import is_positive, negativity, oq_slopes, oq_values
-from .probe import ProbeParams, Target, amplitude_slopes, amplitudes, check_angles
+from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 __version__ = "0.1.0"

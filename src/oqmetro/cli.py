@@ -11,6 +11,10 @@ and ``+ - * /``), parsed without ``eval``.  ``fi-sweep`` and
 ``fi-sweep`` one call per sharpness value, ``advantage-map`` one call per
 theta row.
 
+Each subcommand lays out its own rows of plain values; ``_fmt`` is the one
+rule that turns a cell into CSV text or a JSON value, and ``_emit`` the one
+place output is written.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
 failure.
 """
@@ -29,13 +33,7 @@ import sys
 import numpy as np
 
 from .errors import AllTrialsOmitted, NegativeOq, OqMetroError, ZeroQfi
-from .estimation import (
-    CSV_FIELDS,
-    TrialConfig,
-    failed_csv_rows,
-    run_trials,
-    summary_csv_rows,
-)
+from .estimation import TrialConfig, TrialSummary, run_trials
 from .fisher import advantage, oqfi, qfi_pure
 from .measurement import (
     build_hovm,
@@ -83,10 +81,19 @@ def _eval_number(token: str) -> float:
         raise ValueError(f"not a number: {token!r}") from None
 
 
+def _fields(spec: str, form: str) -> list:
+    """The numbers of a colon-separated ``spec`` of the given form, such as
+    'lo:hi'."""
+    tokens = spec.split(":")
+    if len(tokens) != form.count(":") + 1:
+        raise ValueError(f"expected {form}, got {spec!r}")
+    return [_eval_number(t) for t in tokens]
+
+
 def parse_values(spec: str) -> list:
     """A value, a comma list, or an inclusive range 'start:stop:step'."""
     if ":" in spec:
-        start, stop, step = (_eval_number(t) for t in spec.split(":"))
+        start, stop, step = _fields(spec, "start:stop:step")
         if step <= 0:
             raise ValueError("range step must be positive")
         vals = list(np.arange(start, stop + step / 2, step))
@@ -98,13 +105,24 @@ def _target(name: str) -> Target:
     return Target.POLAR if name == "theta" else Target.AZIMUTHAL
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
+def _fmt(v):
+    """The one cell rule: numpy scalars become Python ones and infinities
+    the tokens 'inf'/'-inf'.  CSV writes the result with str (repr for
+    floats, '' for None), JSON as a number, bool, string or null."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout without a path."""
+    if not path:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def _write_table(path: str | None, fmt: str, name: str, header: list,
@@ -114,31 +132,15 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
         buf.write(f"# {SCHEMA_VERSION} {name}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else _fmt(v) for v in row])
+        writer.writerows(map(_fmt, row) for row in rows)
         text = buf.getvalue()
     else:
-        def jsonify(v):
-            if isinstance(v, (float, np.floating)):
-                v = float(v)
-                if math.isinf(v):
-                    return "inf" if v > 0 else "-inf"
-            elif isinstance(v, (bool, np.bool_)):
-                v = bool(v)
-            elif isinstance(v, np.integer):
-                v = int(v)
-            return v
-
         payload = {
             "schema": f"{SCHEMA_VERSION} {name}",
-            "rows": [dict(zip(header, map(jsonify, row))) for row in rows],
+            "rows": [dict(zip(header, map(_fmt, row))) for row in rows],
         }
         text = json.dumps(payload, indent=1) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, text)
 
 
 def cmd_fi_sweep(args) -> int:
@@ -208,16 +210,30 @@ def _segment_points(thetas: list, phis: list) -> list:
     return [(thetas[0], p) for p in phis]
 
 
+ESTIMATE_FIELDS = [
+    "target", "theta0", "phi0", "lambda", "n", "trials", "estimator",
+    "mean_estimate", "emp_var", "pred_var", "omission_rate", "ratio",
+    "advantage",
+]
+
+
+def _estimate_rows(config: TrialConfig, summary: TrialSummary | None) -> list:
+    """One row per estimator; without a summary the result cells stay empty."""
+    cells = [config.target.value, config.theta0, config.phi0,
+             config.sharpness, config.n, config.trials]
+    if summary is None:
+        return [cells + [name] + [None] * 6 for name in ("mle", "lep")]
+    return [cells + [est.estimator, est.mean_estimate, est.emp_var,
+                     est.mean_pred_var, est.omission_rate, est.ratio,
+                     summary.advantage]
+            for est in (summary.mle, summary.lep)]
+
+
 def cmd_estimate(args) -> int:
-    if args.trials < 2:
-        raise ValueError("at least 2 trials are required")
     target = _target(args.target)
     lam = _eval_number(args.lam)
     points = _segment_points(parse_values(args.theta), parse_values(args.phi))
-    domain = None
-    if args.domain:
-        lo, hi = (_eval_number(t) for t in args.domain.split(":"))
-        domain = (lo, hi)
+    domain = _fields(args.domain, "lo:hi") if args.domain else None
     point_seeds = np.random.SeedSequence(args.seed).generate_state(
         len(points), np.uint64
     )
@@ -230,18 +246,15 @@ def cmd_estimate(args) -> int:
             inject_expected=args.inject_expected,
         )
         try:
-            result = run_trials(config)
+            summary = run_trials(config)
         except (AllTrialsOmitted, NegativeOq, ZeroQfi) as exc:
             # no estimate or no advantage here: keep the point's rows with
             # empty result cells, as advantage-map does, and go on
             print(f"point theta={theta0} phi={phi0}: {exc}", file=sys.stderr)
             failed = True
-            rows.extend(row + [None] for row in failed_csv_rows(config))
-            continue
-        for row in summary_csv_rows(result):
-            rows.append(row + [_fmt(result.advantage)])
-    header = CSV_FIELDS.split(",") + ["advantage"]
-    _write_table(args.out, args.format, "estimate", header, rows)
+            summary = None
+        rows.extend(_estimate_rows(config, summary))
+    _write_table(args.out, args.format, "estimate", ESTIMATE_FIELDS, rows)
     return 3 if failed else 0
 
 
@@ -259,12 +272,7 @@ def cmd_compat(args) -> int:
         if boundary is not None:
             boundary = float(boundary)
     verdict = {"busch": busch, "hovm_povm": povm, "boundary_lambda": boundary}
-    text = json.dumps(verdict) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, json.dumps(verdict) + "\n")
     return 0
 
 
@@ -322,7 +330,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OqMetroError, ValueError) as exc:
+    except (OqMetroError, ValueError, OSError) as exc:
+        # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,13 +53,5 @@ class NegativeCounts(OqMetroError):
     pass
 
 
-class FlatLikelihood(OqMetroError):
-    pass
-
-
-class ZeroSlope(OqMetroError):
-    pass
-
-
 class AllTrialsOmitted(OqMetroError):
     pass

@@ -12,29 +12,26 @@ Randomness: a single master seed is split with ``numpy.random.SeedSequence``
 into per-trial and per-setting substreams, so every table is reproducible
 and trials are independent.
 
-Lockstep refinement: a run builds its measurements, outcome probabilities
-and grid tables once and stacks its trials' tables into one ``CountTable``.
-Each golden-section or curvature step is then one kernel call over all
+Stacks only: every function takes a ``CountTable`` stack of tables with a
+leading trial axis and returns one array entry per table; an estimator
+marks the tables it refuses in ``TrialResult.omitted`` instead of raising.
+A run builds its measurements, outcome probabilities and grid tables once,
+and each golden-section or curvature step is one kernel call over all
 trials, with the per-table arithmetic of refining the tables one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllTrialsOmitted,
-    FlatLikelihood,
-    NegativeCounts,
-    ZeroSlope,
-)
+from .errors import AllTrialsOmitted, NegativeCounts, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
 from .oq import oq_slopes, oq_values
-from .probe import ProbeParams, Target, amplitude_slopes, amplitudes, check_angles
+from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
 GRID_STEP = 1e-3
@@ -50,11 +47,12 @@ _INV_PHI = (math.sqrt(5) - 1) / 2
 
 @dataclass(frozen=True)
 class CountTable:
-    """Counts for the two sampled settings plus the assembled W-counts.
+    """A stack of tables: counts for the two sampled settings plus the
+    assembled W-counts.
 
-    One table holds ``counts_b`` of shape (2,) and ``counts_seq``,
-    ``counts_w`` of shape (2, 2); a stack of tables adds a leading trial
-    axis to all three, and indexing a stack selects tables.
+    ``counts_b`` has shape (trials, 2) and ``counts_seq``, ``counts_w``
+    shape (trials, 2, 2).  Indexing selects tables and keeps the trial
+    axis, so ``table[0]`` is a stack of one.
     """
 
     n: int
@@ -66,11 +64,11 @@ class CountTable:
         counts_b = np.asarray(self.counts_b)
         counts_seq = np.asarray(self.counts_seq)
         counts_w = np.asarray(self.counts_w, dtype=float)
-        lead = counts_b.shape[:-1]
-        if (counts_b.shape != lead + (2,) or len(lead) > 1
-                or counts_seq.shape != lead + (2, 2)
+        lead = counts_b.shape[:1]
+        if (counts_b.shape != lead + (2,) or counts_seq.shape != lead + (2, 2)
                 or counts_w.shape != lead + (2, 2)):
-            raise ValueError("expected 2 outcomes per local measurement")
+            raise ValueError("expected a stack of tables with 2 outcomes per "
+                             "local measurement")
         tol = 1e-9 * max(self.n, 1)
         if (np.abs(counts_b.sum(axis=-1) - self.n) > tol).any() or (
                 np.abs(counts_seq.sum(axis=(-2, -1)) - self.n) > tol).any():
@@ -83,34 +81,29 @@ class CountTable:
         object.__setattr__(self, "counts_seq", counts_seq)
         object.__setattr__(self, "counts_w", counts_w)
 
-    @property
-    def stacked(self) -> bool:
-        return self.counts_b.ndim == 2
-
     def __getitem__(self, index) -> "CountTable":
-        return CountTable(self.n, self.counts_b[index], self.counts_seq[index],
-                          self.counts_w[index])
+        keep = np.atleast_1d(np.arange(len(self.counts_b))[index])
+        return CountTable(self.n, self.counts_b[keep], self.counts_seq[keep],
+                          self.counts_w[keep])
 
     @property
-    def negative(self):
+    def negative(self) -> np.ndarray:
         """Whether each table has a negative W-count."""
         return (self.counts_w < 0).any(axis=(-2, -1))
-
-    @property
-    def has_negative(self) -> bool:
-        return bool(self.negative.any())
 
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One estimate with its error bar; for a stack of tables each field
-    holds one entry per table and ``omitted`` marks the tables the
-    estimator refused (their other entries are meaningless)."""
+    """Estimates with their error bars, one entry per table of a stack.
 
-    estimate: float
-    observed_fi: float
-    variance_estimate: float
-    omitted: bool = field(default=False)
+    ``omitted`` marks the tables the estimator refused (a flat likelihood,
+    or no usable parity slope); their other entries are meaningless.
+    """
+
+    estimate: np.ndarray
+    observed_fi: np.ndarray
+    variance_estimate: np.ndarray
+    omitted: np.ndarray
 
 
 def assemble_w_counts(counts_b: np.ndarray, counts_seq: np.ndarray) -> np.ndarray:
@@ -127,11 +120,6 @@ def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
     return p / p.sum()
 
 
-def _setting_probs(params: ProbeParams, a: Povm, b: Povm) -> tuple:
-    psi = amplitudes(params.theta, params.phi)
-    return _outcome_probs(psi, b), _outcome_probs(psi, sequential_povm(a, b))
-
-
 def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seeds) -> CountTable:
     """Draw a stack of tables, one per ``SeedSequence`` in ``seeds``.
 
@@ -139,8 +127,6 @@ def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seeds) -> CountTable
     sequential setting.  The two settings of a table consume independent
     substreams of its seed, so each table is deterministic given its seed.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     counts_b = np.empty((len(seeds), 2), dtype=np.int64)
     counts_seq = np.empty((len(seeds), 2, 2), dtype=np.int64)
     for k, ss in enumerate(seeds):
@@ -152,25 +138,12 @@ def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seeds) -> CountTable
                       assemble_w_counts(counts_b, counts_seq))
 
 
-def sample_counts(params: ProbeParams, a: Povm, b: Povm, n: int, seed) -> CountTable:
-    """Draw one table of multinomial counts for both settings.
-
-    ``seed`` is an integer or a ``numpy.random.SeedSequence``.
-    """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return draw_counts(*_setting_probs(params, a, b), n, [ss])[0]
-
-
-def _expected_table(p_b: np.ndarray, p_seq: np.ndarray, n: int) -> CountTable:
-    counts_b = n * p_b
-    counts_seq = n * p_seq.reshape(2, 2)
+def expected_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int) -> CountTable:
+    """A stack of one noise-free table: n times the outcome probabilities."""
+    counts_b = n * p_b[None]
+    counts_seq = n * p_seq.reshape(1, 2, 2)
     return CountTable(n, counts_b, counts_seq,
                       assemble_w_counts(counts_b, counts_seq))
-
-
-def expected_counts(params: ProbeParams, a: Povm, b: Povm, n: int) -> CountTable:
-    """Noise-free table with counts equal to n times the exact probabilities."""
-    return _expected_table(*_setting_probs(params, a, b), n)
 
 
 def _angles(gs, fixed_other: float, target: Target) -> tuple:
@@ -193,39 +166,25 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def _stack(counts: CountTable) -> CountTable:
-    if counts.has_negative:
+def _check(counts: CountTable) -> None:
+    if counts.negative.any():
         raise NegativeCounts("W-counts went negative; trial must be omitted")
-    return counts if counts.stacked else counts[None]
-
-
-def _single(counts: CountTable, result: TrialResult, error) -> TrialResult:
-    """The stacked result itself, or for one table its scalar form."""
-    if counts.stacked:
-        return result
-    if result.omitted[0]:
-        raise error
-    return TrialResult(float(result.estimate[0]), float(result.observed_fi[0]),
-                       float(result.variance_estimate[0]))
 
 
 def log_likelihood(counts: CountTable, g, fixed_other: float,
-                   target: Target, w: Hovm):
-    """(1/n) sum c(a,b|W) log W(a,b) with the model clamped at 1e-12.
-
-    For a stack of tables ``g`` holds one angle per table and the result
-    one value per table.
-    """
-    stack = _stack(counts)
+                   target: Target, w: Hovm) -> np.ndarray:
+    """(1/n) sum c(a,b|W) log W(a,b) with the model clamped at 1e-12, per
+    table; ``g`` holds one angle per table, or one angle for all."""
+    _check(counts)
     vals = oq_values(w, amplitudes(*_angles(g, fixed_other, target)))
-    ll = _cell_sum(stack.counts_w * np.log(np.clip(vals, PROB_CLAMP, None))) / stack.n
-    return ll if counts.stacked else float(ll[0])
+    return _cell_sum(counts.counts_w * np.log(np.clip(vals, PROB_CLAMP, None))) / counts.n
 
 
-def golden_section_maximize(f, lo, hi, tol: float):
-    """Locate the maximum of a unimodal f on [lo, hi] to interval width tol.
+def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
+    """Locate the maximum of a unimodal f on each bracket [lo, hi] to
+    interval width tol.
 
-    ``lo`` and ``hi`` may be arrays of brackets, refined in lockstep: ``f``
+    ``lo`` and ``hi`` are arrays of brackets, refined in lockstep: ``f``
     maps an array of points to an array of values, and a bracket stops
     moving once it is no wider than ``tol`` while the others go on.
     """
@@ -249,8 +208,7 @@ def golden_section_maximize(f, lo, hi, tol: float):
         lo, hi, c, d, fc, fd = (np.where(active, updated, kept) for updated, kept
                                 in zip(new, (lo, hi, c, d, fc, fd)))
         active = hi - lo > tol
-    est = (lo + hi) / 2
-    return est if est.ndim else float(est)
+    return (lo + hi) / 2
 
 
 def _grid(domain: tuple, step: float) -> np.ndarray:
@@ -281,20 +239,19 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
 
     Coarse grid scan (first maximum wins ties, i.e. the smallest angle)
     followed by golden-section refinement; the curvature at the optimum is a
-    central second difference of the log-likelihood.  ``counts`` is one
-    table, for which a flat likelihood raises FlatLikelihood, or a stack,
-    for which the result marks such tables omitted.
+    central second difference of the log-likelihood.  A table whose
+    likelihood is flat at the optimum is marked omitted.
     """
-    stack = _stack(counts)
+    _check(counts)
     gs = _grid(domain, grid_step)
     log_cells = np.log(np.clip(
         oq_values(w, amplitudes(*_angles(gs, fixed_other, target))),
         PROB_CLAMP, None))
-    best = [np.argmax((cw[None, :, :] * log_cells).sum(axis=(1, 2)) / stack.n)
-            for cw in stack.counts_w]
+    best = [np.argmax((cw[None, :, :] * log_cells).sum(axis=(1, 2)) / counts.n)
+            for cw in counts.counts_w]
 
     def f(g):
-        return log_likelihood(stack, g, fixed_other, target, w)
+        return log_likelihood(counts, g, fixed_other, target, w)
 
     est = golden_section_maximize(f, *_brackets(gs, best), refine_tol)
 
@@ -306,16 +263,13 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
     # log-likelihood amplified by 1/h^2
     noise = 16 * np.finfo(float).eps * np.maximum(np.abs(center), 1.0) / (h * h)
     with np.errstate(divide="ignore"):
-        variance = 1.0 / (stack.n * observed_fi)
-    result = TrialResult(est, observed_fi, variance, observed_fi <= noise)
-    return _single(counts, result,
-                   FlatLikelihood("nonpositive curvature at the MLE"))
+        variance = 1.0 / (counts.n * observed_fi)
+    return TrialResult(est, observed_fi, variance, observed_fi <= noise)
 
 
-def parity_mean(counts: CountTable):
+def parity_mean(counts: CountTable) -> np.ndarray:
     """Observed mean of the parity observable (-1)^(ab) W_ab, per table."""
-    mean = _cell_sum(_PARITY * counts.counts_w) / counts.n
-    return mean if counts.stacked else float(mean)
+    return _cell_sum(_PARITY * counts.counts_w) / counts.n
 
 
 def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
@@ -325,11 +279,10 @@ def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
 
     A table whose parity slope at the estimate is below ``SLOPE_FLOOR``, or
     whose propagated standard error is wider than the search domain, has no
-    usable sensitivity: for one table that raises ZeroSlope, for a stack the
-    result marks the table omitted.
+    usable sensitivity and is marked omitted.
     """
-    stack = _stack(counts)
-    obs = parity_mean(stack)
+    _check(counts)
+    obs = parity_mean(counts)
     gs = _grid(domain, grid_step)
     vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
     means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
@@ -348,13 +301,11 @@ def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
     slope = _cell_sum(_PARITY * oq_slopes(w, psi, dpsi))
     # the parity observable has eigenvalue labels +-1, so <O^2> = 1
     with np.errstate(divide="ignore"):
-        variance = (1.0 - _square(mean_at)) / (stack.n * _square(slope))
+        variance = (1.0 - _square(mean_at)) / (counts.n * _square(slope))
     width = float(domain[1]) - float(domain[0])
     # the squared form of: standard error wider than the search domain
     zero = (np.abs(slope) <= SLOPE_FLOOR) | (variance > width**2)
-    result = TrialResult(est, np.full_like(est, np.nan), variance, zero)
-    return _single(counts, result, ZeroSlope(
-        "parity mean has no sensitivity to the parameter here"))
+    return TrialResult(est, np.full_like(est, np.nan), variance, zero)
 
 
 @dataclass(frozen=True)
@@ -397,6 +348,8 @@ class EstimatorSummary:
 
 @dataclass(frozen=True)
 class TrialSummary:
+    """The result of one run: numbers only; ``cli`` lays them out as rows."""
+
     config: TrialConfig
     advantage: float
     quantum_var: float
@@ -443,10 +396,14 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     """
     if config.trials < 2:
         raise ValueError("at least 2 trials are required")
+    if config.n < 1:
+        raise ValueError("n must be positive")
+    check_angles(config.theta0, config.phi0)
+    if not isinstance(config.target, Target):
+        raise ParamOutOfRange("target must be a Target enum member")
     a, b = mutually_unbiased_pair(config.sharpness)
     seq = sequential_povm(a, b)
     w = build_hovm(a, b, seq)
-    ProbeParams(config.theta0, config.phi0, config.target)  # validates the point
     fixed_other = config.phi0 if config.target is Target.POLAR else config.theta0
     domain = config.domain or (0.0, math.pi)
     if config.target is Target.POLAR:
@@ -462,7 +419,7 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     p_b, p_seq = _outcome_probs(psi0, b), _outcome_probs(psi0, seq)
     if config.inject_expected:
         trials = 1
-        tables = _expected_table(p_b, p_seq, config.n)[None]
+        tables = expected_counts(p_b, p_seq, config.n)
     else:
         trials = config.trials
         children = np.random.SeedSequence(config.seed).spawn(trials)
@@ -479,37 +436,3 @@ def run_trials(config: TrialConfig) -> TrialSummary:
                         summarize("mle", mle_estimate),
                         summarize("lep", lep_estimate))
 
-
-CSV_FIELDS = (
-    "target,theta0,phi0,lambda,n,trials,estimator,"
-    "mean_estimate,emp_var,pred_var,omission_rate,ratio"
-)
-
-
-def _config_cells(c: TrialConfig) -> list:
-    return [c.target.value, repr(c.theta0), repr(c.phi0), repr(c.sharpness),
-            str(c.n), str(c.trials)]
-
-
-def summary_csv_rows(summary: TrialSummary) -> list:
-    """Rows in the stable CSV schema, one per estimator."""
-    rows = []
-    for est in (summary.mle, summary.lep):
-        rows.append(
-            _config_cells(summary.config)
-            + [
-                est.estimator,
-                repr(est.mean_estimate),
-                repr(est.emp_var),
-                repr(est.mean_pred_var),
-                repr(est.omission_rate),
-                repr(est.ratio),
-            ]
-        )
-    return rows
-
-
-def failed_csv_rows(config: TrialConfig) -> list:
-    """Rows for a point whose estimators could not run: the configuration
-    and estimator cells filled, the result cells empty (None)."""
-    return [_config_cells(config) + [name] + [None] * 5 for name in ("mle", "lep")]

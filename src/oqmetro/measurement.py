@@ -8,7 +8,8 @@ operational quasiprobability; whether it is itself a POVM decides
 compatibility of the pair (for qubits, equivalently the Busch criterion).
 
 Operators are checked once, when a ``Povm`` or ``Hovm`` is constructed,
-with one stacked check per condition over all of its effects or elements.
+with one check per condition over the whole stack of its effects or
+elements.
 Everything built from validated measurements relies on those checks.
 """
 
@@ -131,7 +132,8 @@ def bloch_povm(bloch) -> Povm:
     v = np.asarray(bloch, dtype=float)
     if v.shape != (3,):
         raise ValueError("bloch vector must have 3 components")
-    if np.linalg.norm(v) > 1 + 1e-12:
+    # written so that a vector with a nan or inf entry fails it too
+    if not np.linalg.norm(v) <= 1 + 1e-12:
         raise BlochNormExceeded(f"Bloch norm {np.linalg.norm(v):.6f} > 1")
     vs = sum(c * p for c, p in zip(v, PAULI))
     eye = np.eye(2, dtype=complex)
@@ -202,7 +204,7 @@ def busch_compatible(mu, nu) -> bool:
     """Qubit two-outcome compatibility: |mu+nu| + |mu-nu| <= 2."""
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    if np.linalg.norm(mu) > 1 + 1e-12 or np.linalg.norm(nu) > 1 + 1e-12:
+    if not (np.linalg.norm(mu) <= 1 + 1e-12 and np.linalg.norm(nu) <= 1 + 1e-12):
         raise BlochNormExceeded("Bloch norms must be <= 1")
     return np.linalg.norm(mu + nu) + np.linalg.norm(mu - nu) <= 2 + 1e-12
 

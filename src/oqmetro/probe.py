@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +35,6 @@ def check_angles(theta, phi) -> None:
     bad = ~((0.0 <= phi) & (phi < 2 * math.pi))
     if bad.any():
         raise ParamOutOfRange(f"phi={float(phi[bad][0])} outside [0, 2*pi)")
-
-
-@dataclass(frozen=True)
-class ProbeParams:
-    theta: float
-    phi: float
-    target: Target
-
-    def __post_init__(self):
-        check_angles(self.theta, self.phi)
-        if not isinstance(self.target, Target):
-            raise ParamOutOfRange("target must be a Target enum member")
 
 
 def _empty(theta, phi) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oqmetro.estimation import _outcome_probs
 from oqmetro.measurement import (
     Povm,
     bloch_povm,
@@ -20,6 +21,12 @@ def mub_hovm(lam):
 def probe(theta, phi, target=Target.POLAR):
     """Amplitudes and target-angle slopes, the (psi, dpsi) the kernel takes."""
     return amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+
+
+def setting_probs(theta, phi, a, b):
+    """Outcome probabilities of B and of the sequential setting A-then-B."""
+    psi = amplitudes(theta, phi)
+    return _outcome_probs(psi, b), _outcome_probs(psi, sequential_povm(a, b))
 
 
 def random_bloch(rng, max_norm=1.0):

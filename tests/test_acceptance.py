@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mub_hovm, probe, random_conjunction, random_qubit_povm
+from conftest import (
+    mub_hovm,
+    probe,
+    random_conjunction,
+    random_qubit_povm,
+    setting_probs,
+)
 from oqmetro.cli import main
 from oqmetro.estimation import TrialConfig, expected_counts, mle_estimate, run_trials
 from oqmetro.fisher import advantage, oqfi, qfi_pure
@@ -25,7 +31,7 @@ from oqmetro.measurement import (
     sharpness_threshold,
 )
 from oqmetro.oq import negativity, oq_slopes, oq_values
-from oqmetro.probe import ProbeParams, Target, amplitudes
+from oqmetro.probe import Target, amplitudes
 
 
 def _passed(label):
@@ -177,10 +183,9 @@ def test_08_derivative_hygiene():
     # likelihood curvature on noiseless counts reproduces the information
     lam = 0.9
     a, b, w = mub_hovm(lam)
-    p = ProbeParams(math.pi / 2, 0.0, Target.POLAR)
-    table = expected_counts(p, a, b, 10_000)
+    table = expected_counts(*setting_probs(math.pi / 2, 0.0, a, b), 10_000)
     r = mle_estimate(table, Target.POLAR, 0.0, w, (1.0, 2.0))
-    assert r.observed_fi == pytest.approx(oqfi(w, *probe(math.pi / 2, 0.0)),
+    assert r.observed_fi[0] == pytest.approx(oqfi(w, *probe(math.pi / 2, 0.0)),
                                           rel=1e-3)
     _passed("8 analytic derivatives and likelihood curvature verified")
 

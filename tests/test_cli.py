@@ -1,14 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oqmetro.cli
-from oqmetro.cli import main, parse_values
+from oqmetro.cli import ESTIMATE_FIELDS, _estimate_rows, main, parse_values
+from oqmetro.estimation import TrialConfig, run_trials
+from oqmetro.probe import Target
 
 
 def read_csv(path):
@@ -54,6 +58,24 @@ class TestParsing:
     def test_non_arithmetic_argument_exits_2(self, capsys):
         assert main(["advantage-map", "--lambda", "().__class__"]) == 2
         assert "not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["0:1", "0:1:0.1:2", ":"])
+    def test_malformed_range_names_its_form(self, spec):
+        with pytest.raises(ValueError, match="expected start:stop:step"):
+            parse_values(spec)
+
+    @pytest.mark.parametrize("argv,form", [
+        (["fi-sweep", "--lambda", "0:1"], "start:stop:step"),
+        (["estimate", "--n", "100", "--trials", "2", "--domain", "0.7"],
+         "lo:hi"),
+        (["estimate", "--n", "100", "--trials", "2", "--domain", "0:1:2"],
+         "lo:hi"),
+    ])
+    def test_malformed_range_argument_exits_2(self, capsys, argv, form):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"expected {form}, got" in err
+        assert "unpack" not in err
 
 
 class TestFiSweep:
@@ -232,6 +254,49 @@ class TestEstimate:
         assert main(["estimate", "--theta", "1:0:0.1", "--phi", "0",
                      "--n", "100", "--trials", "2"]) == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--inject-expected"]])
+    def test_zero_samples_is_config_error(self, capsys, extra):
+        code = main([
+            "estimate", "--lambda", "0.9", "--theta", "1.0", "--phi", "2.3",
+            "--trials", "3", "--domain", "0.7:1.3", "--n", "0",
+        ] + extra)
+        assert code == 2
+        assert "n must be positive" in capsys.readouterr().err
+
+    def test_json_cells_keep_their_types(self, tmp_path):
+        out = tmp_path / "est.json"
+        assert main(self.ARGS + ["--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["estimator"] for r in rows] == ["mle", "lep"]
+        for r in rows:
+            assert list(r) == ESTIMATE_FIELDS
+            assert r["target"] == "theta"
+            assert type(r["n"]) is int and type(r["trials"]) is int
+            assert all(type(r[k]) is float for k in ESTIMATE_FIELDS[7:])
+            assert (r["theta0"], r["phi0"], r["lambda"]) == (1.2, 1.0, 0.85)
+
+    def test_json_cells_of_a_failed_point_are_null(self, tmp_path):
+        out = tmp_path / "est.json"
+        assert main([
+            "estimate", "--lambda", "1.0", "--theta", "pi/2", "--phi", "0",
+            "--n", "1000", "--trials", "4", "--seed", "1",
+            "--domain", "1.2:2.0", "--format", "json", "--out", str(out),
+        ]) == 3
+        for r in json.loads(out.read_text())["rows"]:
+            assert r["n"] == 1000 and r["lambda"] == 1.0
+            assert all(r[k] is None for k in ESTIMATE_FIELDS[7:])
+
+    def test_csv_rows_schema(self):
+        cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, 5, 99,
+                          domain=(0.8, 1.6))
+        rows = _estimate_rows(cfg, run_trials(cfg))
+        assert len(rows) == 2
+        assert rows[0][6] == "mle" and rows[1][6] == "lep"
+        assert all(len(r) == len(ESTIMATE_FIELDS) == 13 for r in rows)
+        empty = _estimate_rows(cfg, None)
+        assert [r[:7] for r in empty] == [r[:7] for r in rows]
+        assert all(v is None for r in empty for v in r[7:])
+
     def test_single_trial_is_config_error(self, tmp_path):
         code = main([
             "estimate", "--lambda", "0.85", "--theta", "1.2", "--phi", "1.0",
@@ -309,3 +374,86 @@ class TestCompat:
                             lambda mu, nu: True)
         assert main(["compat", "--mu", "0,0,0.9", "--nu", "0.9,0,0"]) == 2
         assert "predicates disagree" in capsys.readouterr().err
+
+
+# Token pools for the exit-code contract, as (typical, edge or malformed)
+# values per option.  Every list or range holds at most three values, so no
+# run exceeds about ten probe points, five trials or 1e4 samples.
+_ANGLE_EDGES = ("0", "pi", "-0.1", "4", "nan", "inf", "1:0:0.1", "0:1",
+                "0:inf:1", "0:1:nan", "0:1:-1", "x", "")
+_GRID_OPTIONS = {
+    "target": (("theta", "phi"), ()),
+    "lambda": (("0.9", "0.8", "pi/4"),
+               ("0", "1", "1.0001", "-0.5", "nan", "inf", "0.5,0.9",
+                "0:1:0.5", "0:1", "1/0", "x", "")),
+    "theta": (("pi/2", "1.0", "0.5,1.0", "0.6:1.2:0.3"), _ANGLE_EDGES),
+    "phi": (("0", "2.3", "0.5,1.0", "0.5:1.5:0.5"),
+            _ANGLE_EDGES + ("2*pi", "2*pi-0.01")),
+}
+_OPTIONS = {
+    "fi-sweep": _GRID_OPTIONS,
+    "advantage-map": _GRID_OPTIONS,
+    "estimate": {
+        **_GRID_OPTIONS,
+        "n": (("2000", "10000"), ("0", "-1", "1", "2", "1e4", "x", "")),
+        "trials": (("2", "3", "5"), ("-1", "0", "1", "x")),
+        "seed": (("0", "7", "99999999999999999999999"), ("-1", "x")),
+        "domain": (("0.7:1.3", "0:pi", "0.2:2.5"),
+                   ("-0.5:0.5", "0.7", "1.2:1.2004", "1.3:0.7", "nan:1",
+                    "0:inf", "-3:-1", "0:1:2", "a:b", ":")),
+    },
+    "compat": {
+        "mu": (("0,0,0.9", "0.9,0,0", "0.5,0.5,0"),
+               ("0,0,0", "1,0,0", "1.2,0,0", "nan,0,0", "inf,0,0", "0,0",
+                "0,0,0,0", "x,0,0", "")),
+    },
+}
+_OPTIONS["compat"]["nu"] = _OPTIONS["compat"]["mu"]
+
+
+@st.composite
+def _commands(draw):
+    """A subcommand with a typical value for every option, then zero, one
+    or two options replaced by an edge or malformed value."""
+    name = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[name]
+    values = {opt: draw(st.sampled_from(good))
+              for opt, (good, _) in options.items()}
+    faulty = [opt for opt, (_, bad) in options.items() if bad]
+    for opt in draw(st.lists(st.sampled_from(faulty), max_size=2, unique=True)):
+        values[opt] = draw(st.sampled_from(options[opt][1]))
+    argv = [name] + [f"--{opt}={v}" for opt, v in values.items()]
+    if name == "estimate" and draw(st.booleans()):
+        argv.append("--inject-expected")
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(argv=_commands())
+    @example(argv=["estimate", "--lambda", "0.9", "--theta", "1.0", "--phi",
+                   "2.3", "--trials", "3", "--domain", "0.7:1.3", "--n", "0"])
+    @example(argv=["estimate", "--lambda", "0.9", "--theta", "1.0", "--phi",
+                   "2.3", "--trials", "3", "--domain", "0.7:1.3", "--n", "0",
+                   "--inject-expected"])
+    def test_every_input_ends_in_a_documented_exit_code(self, argv):
+        """0, 2 or 3 from ``main``, or argparse's exit 2; nothing escapes."""
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, argv
+        assert code in (0, 2, 3), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["fi-sweep", "--lambda", "0.5"],
+        ["advantage-map", "--theta", "1", "--phi", "1"],
+        ["estimate", "--n", "100", "--trials", "2", "--domain", "1.3:1.8"],
+        ["compat", "--mu", "0,0,0.9", "--nu", "0.9,0,0"],
+    ])
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err

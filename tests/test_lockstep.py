@@ -7,6 +7,9 @@ rule added to it is the LEP's relative slope floor (a standard error
 wider than the search domain omits the trial), which the batched path
 applies as well.  ``run_trials`` must return exactly the reference's
 summary, compared with ``==``, or raise the same exception class.
+
+The per-table refusals the reference raises and catches are its own: the
+package marks refused tables in ``TrialResult.omitted`` instead.
 """
 
 import math
@@ -15,12 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oqmetro.errors import (
-    AllTrialsOmitted,
-    FlatLikelihood,
-    OqMetroError,
-    ZeroSlope,
-)
+from oqmetro.errors import AllTrialsOmitted, OqMetroError
 from oqmetro.estimation import (
     CURVATURE_H,
     GRID_STEP,
@@ -35,10 +33,18 @@ from oqmetro.estimation import (
 from oqmetro.fisher import advantage, qfi_pure
 from oqmetro.measurement import build_hovm, mutually_unbiased_pair, sequential_povm
 from oqmetro.oq import oq_slopes, oq_values
-from oqmetro.probe import ProbeParams, Target, amplitude_slopes, amplitudes, check_angles
+from oqmetro.probe import Target, amplitude_slopes, amplitudes, check_angles
 
 PARITY = np.array([[1.0, 1.0], [1.0, -1.0]])
 INV_PHI = (math.sqrt(5) - 1) / 2
+
+
+class FlatLikelihood(Exception):
+    """The reference refuses a table whose likelihood is flat at the MLE."""
+
+
+class ZeroSlope(Exception):
+    """The reference refuses a table without a usable parity slope."""
 
 
 def ref_probs(psi, povm):
@@ -167,7 +173,7 @@ def ref_run_trials(cfg):
         raise ValueError("at least 2 trials are required")
     a, b = mutually_unbiased_pair(cfg.sharpness)
     w = build_hovm(a, b, sequential_povm(a, b))
-    ProbeParams(cfg.theta0, cfg.phi0, cfg.target)
+    check_angles(cfg.theta0, cfg.phi0)
     other = cfg.phi0 if cfg.target is Target.POLAR else cfg.theta0
     domain = cfg.domain or (0.0, math.pi)
     if cfg.target is Target.POLAR:

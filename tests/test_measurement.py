@@ -50,6 +50,12 @@ class TestBlochPovm:
         with pytest.raises(BlochNormExceeded):
             bloch_povm((0.9, 0.9, 0))
 
+    @pytest.mark.parametrize("bloch", [(np.nan, 0, 0), (np.inf, 0, 0),
+                                       (np.nan, -0.3, np.inf)])
+    def test_non_finite_vector_has_no_norm_below_1(self, bloch):
+        with pytest.raises(BlochNormExceeded):
+            bloch_povm(bloch)
+
     def test_random_instances_are_valid(self, rng):
         for _ in range(1000):
             p = random_qubit_povm(rng)
@@ -189,6 +195,8 @@ class TestCompatibility:
     def test_busch_norm_guard(self):
         with pytest.raises(BlochNormExceeded):
             busch_compatible((1.1, 0, 0), (0, 0, 0.5))
+        with pytest.raises(BlochNormExceeded):
+            busch_compatible((0, 0, 0.5), (np.nan, 0, np.inf))
 
     def test_lemma2_equivalence_examples(self):
         assert busch_equiv_hovm_check((0, 0, 0.5), (0.5, 0, 0))

@@ -5,7 +5,6 @@ import pytest
 
 from oqmetro.errors import ParamOutOfRange
 from oqmetro.probe import (
-    ProbeParams,
     Target,
     amplitude_slopes,
     amplitudes,
@@ -45,11 +44,11 @@ def test_azimuthal_derivative_norm():
 
 def test_param_range_guards():
     with pytest.raises(ParamOutOfRange):
-        ProbeParams(-0.1, 0.0, Target.POLAR)
+        check_angles(-0.1, 0.0)
     with pytest.raises(ParamOutOfRange):
-        ProbeParams(math.pi + 0.1, 0.0, Target.POLAR)
+        check_angles(math.pi + 0.1, 0.0)
     with pytest.raises(ParamOutOfRange):
-        ProbeParams(1.0, 2 * math.pi, Target.POLAR)
+        check_angles(1.0, 2 * math.pi)
 
 
 def test_check_angles_on_grids():
