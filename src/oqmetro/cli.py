@@ -6,14 +6,19 @@ comparison), ``compat`` (compatibility certificate for a Bloch pair).
 Output is data only; plotting is left to external tools.
 
 Numeric arguments accept ``pi`` arithmetic (numbers, ``pi``, unary signs
-and ``+ - * /``), parsed without ``eval``.  ``fi-sweep`` and
-``advantage-map`` evaluate whole batches of probe points per kernel call:
-``fi-sweep`` one call per sharpness value, ``advantage-map`` one call per
-theta row.
+and ``+ - * /``), parsed without ``eval``; a range may ask for at most
+``MAX_RANGE_POINTS`` points.  ``fi-sweep`` and ``advantage-map`` evaluate
+whole batches of probe points per kernel call: ``fi-sweep`` one call per
+sharpness value, ``advantage-map`` one call per theta row.
 
-Each subcommand lays out its own rows of plain values; ``_fmt`` is the one
-rule that turns a cell into CSV text or a JSON value, and ``_emit`` the one
-place output is written.
+Each subcommand hands ``_write_table`` its table as blocks of columns of
+plain Python values: one block per theta row for ``advantage-map``, each
+formatted as soon as it is computed, one per sharpness value for
+``fi-sweep`` and one per probe point for ``estimate``.  A CSV cell is
+Python's shortest round-trip text for a float (``inf``/``-inf`` for
+infinities), ``str`` for a bool, int or token, and empty for None; no
+cell is ever quoted.  ``_fmt`` is the JSON cell rule, and ``_emit`` the
+one place output is written.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
 failure.
@@ -23,8 +28,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
-import io
 import json
 import math
 import operator
@@ -48,6 +51,10 @@ from .oq import POSITIVITY_TOL, negativity, oq_values
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 SCHEMA_VERSION = "oqmetro-csv v1"
+
+# The most points a range start:stop:step may ask for, (stop - start) / step;
+# a longer range is refused before anything is allocated.
+MAX_RANGE_POINTS = 1_000_000
 
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -94,8 +101,13 @@ def parse_values(spec: str) -> list:
     """A value, a comma list, or an inclusive range 'start:stop:step'."""
     if ":" in spec:
         start, stop, step = _fields(spec, "start:stop:step")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"range {spec!r} is not finite")
         if step <= 0:
             raise ValueError("range step must be positive")
+        if (stop - start) / step > MAX_RANGE_POINTS:
+            raise ValueError(f"range {spec!r} has more than "
+                             f"{MAX_RANGE_POINTS} points")
         vals = list(np.arange(start, stop + step / 2, step))
         return [float(min(v, stop)) for v in vals]
     return [_eval_number(t) for t in spec.split(",")]
@@ -106,14 +118,75 @@ def _target(name: str) -> Target:
 
 
 def _fmt(v):
-    """The one cell rule: numpy scalars become Python ones and infinities
-    the tokens 'inf'/'-inf'.  CSV writes the result with str (repr for
-    floats, '' for None), JSON as a number, bool, string or null."""
+    """The JSON cell rule: numpy scalars become Python ones and infinities
+    the tokens 'inf'/'-inf'; the result is written as a number, bool,
+    string or null."""
     if isinstance(v, np.generic):
         v = v.item()
     if isinstance(v, float) and math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v
+
+
+def _gapped(values: np.ndarray, present: np.ndarray) -> list:
+    """A column holding ``values`` at the present positions, None (an empty
+    cell) at the others."""
+    col = np.empty(present.shape, dtype=object)  # all None
+    col[present] = values
+    return col.tolist()
+
+
+def _block_length(block: list) -> int:
+    """Rows in a block: the length of its list columns; any other column
+    is one cell repeated down the block, and a block of such cells alone
+    is one row."""
+    return next((len(col) for col in block if isinstance(col, list)), 1)
+
+
+def _csv_cells(col: list) -> list:
+    """CSV text of a column of Python values: ``str``, which is the
+    shortest round-trip text for a float and 'inf'/'-inf' for infinities,
+    and '' for None."""
+    texts = list(map(str, col))
+    if "None" in texts:
+        cells = np.array(texts, dtype=object)
+        cells[np.equal(np.array(col, dtype=object), None)] = ""
+        texts = cells.tolist()
+    return texts
+
+
+def _csv_text(header: list, blocks) -> str:
+    """The CSV lines of ``blocks``, each column turned into text once.
+
+    A list column passed again as the same object at the same position
+    keeps its text from the block before.  No cell is quoted: cells are
+    numbers, bools and plain tokens.
+    """
+    parts = [",".join(header) + "\n"]
+    held = {}  # column position -> (list column, its text)
+    for block in blocks:
+        n = _block_length(block)
+        cols = []
+        for j, col in enumerate(block):
+            if not isinstance(col, list):
+                cols.append(["" if col is None else str(col)] * n)
+                continue
+            if j not in held or held[j][0] is not col:
+                held[j] = (col, _csv_cells(col))
+            cols.append(held[j][1])
+        if n:
+            parts.append("\n".join(map(",".join, zip(*cols))) + "\n")
+    return "".join(parts)
+
+
+def _json_rows(header: list, blocks) -> list:
+    """The row dicts of ``blocks``, each cell passed through ``_fmt``."""
+    rows = []
+    for block in blocks:
+        n = _block_length(block)
+        cols = [col if isinstance(col, list) else [col] * n for col in block]
+        rows.extend(dict(zip(header, map(_fmt, row))) for row in zip(*cols))
+    return rows
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -126,18 +199,21 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _write_table(path: str | None, fmt: str, name: str, header: list,
-                 rows: list) -> None:
+                 blocks) -> None:
+    """Write a table given as an iterable of blocks of equal-length columns.
+
+    A column is a list of Python values, None for an empty cell, or a
+    single value repeated down its block.  Blocks are consumed one at a
+    time, so a subcommand may compute each block as it is asked for.  A
+    list passed again at the same position keeps the text it had, so it
+    must not change in between.
+    """
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(f"# {SCHEMA_VERSION} {name}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(_fmt, row) for row in rows)
-        text = buf.getvalue()
+        text = f"# {SCHEMA_VERSION} {name}\n" + _csv_text(header, blocks)
     else:
         payload = {
             "schema": f"{SCHEMA_VERSION} {name}",
-            "rows": [dict(zip(header, map(_fmt, row))) for row in rows],
+            "rows": _json_rows(header, blocks),
         }
         text = json.dumps(payload, indent=1) + "\n"
     _emit(path, text)
@@ -152,21 +228,25 @@ def cmd_fi_sweep(args) -> int:
     check_angles(theta, phi)
     psi = amplitudes(theta, phi)
     dpsi = amplitude_slopes(theta, phi, target)
+    thetas, phis = theta.tolist(), phi.tolist()
     qfi = qfi_pure(psi, dpsi).tolist()
-    points = list(zip(theta.tolist(), phi.tolist(), qfi))
-    rows = []
+
+    # one block per sharpness value, all built before any is formatted:
+    # alternating measurement builds with formatting one-point blocks made
+    # the default sweep about 3% slower
+    blocks = []
     for lam in lams:
         a, b = mutually_unbiased_pair(lam)
         w = build_hovm(a, b, sequential_povm(a, b))
         neg = negativity(oq_values(w, psi))
         positive = neg <= POSITIVITY_TOL
-        info = iter(oqfi(w, psi[positive], dpsi[positive]).tolist())
-        for (t, p, q), n, pos in zip(points, neg.tolist(), positive.tolist()):
-            rows.append([lam, t, p, args.target, next(info) if pos else None,
-                         q, n, pos])
+        info = oqfi(w, psi[positive], dpsi[positive])
+        blocks.append([lam, thetas, phis, args.target,
+                       _gapped(info, positive), qfi, neg.tolist(),
+                       positive.tolist()])
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
-                  "negativity", "positive"], rows)
+                  "negativity", "positive"], blocks)
     return 0
 
 
@@ -179,20 +259,22 @@ def cmd_advantage_map(args) -> int:
     a, b = mutually_unbiased_pair(lam)
     w = build_hovm(a, b, sequential_povm(a, b))
     phi = np.array(phis, dtype=float)
-    rows = []
-    # one theta row per kernel call keeps the working set small
-    for theta in thetas:
-        psi = amplitudes(theta, phi)
-        dpsi = amplitude_slopes(theta, phi, target)
-        neg = negativity(oq_values(w, psi))
-        # the advantage is undefined at negative points and where the
-        # quantum information vanishes: those cells stay empty
-        defined = (neg <= POSITIVITY_TOL) & (qfi_pure(psi, dpsi) > 0)
-        adv = iter(advantage(w, psi[defined], dpsi[defined]).tolist())
-        for p, n, ok in zip(phis, neg.tolist(), defined.tolist()):
-            rows.append([theta, p, next(adv) if ok else None, n])
+
+    def blocks():
+        # one theta row per kernel call keeps the working set small, and
+        # each row is formatted before the next is computed
+        for theta in thetas:
+            psi = amplitudes(theta, phi)
+            dpsi = amplitude_slopes(theta, phi, target)
+            neg = negativity(oq_values(w, psi))
+            # the advantage is undefined at negative points and where the
+            # quantum information vanishes: those cells stay empty
+            defined = (neg <= POSITIVITY_TOL) & (qfi_pure(psi, dpsi) > 0)
+            adv = advantage(w, psi[defined], dpsi[defined])
+            yield [theta, phis, _gapped(adv, defined), neg.tolist()]
+
     _write_table(args.out, args.format, "advantage-map",
-                 ["theta", "phi", "advantage", "negativity"], rows)
+                 ["theta", "phi", "advantage", "negativity"], blocks())
     return 0
 
 
@@ -237,7 +319,7 @@ def cmd_estimate(args) -> int:
     point_seeds = np.random.SeedSequence(args.seed).generate_state(
         len(points), np.uint64
     )
-    rows = []
+    blocks = []
     failed = False
     for (theta0, phi0), seed in zip(points, point_seeds):
         config = TrialConfig(
@@ -253,8 +335,9 @@ def cmd_estimate(args) -> int:
             print(f"point theta={theta0} phi={phi0}: {exc}", file=sys.stderr)
             failed = True
             summary = None
-        rows.extend(_estimate_rows(config, summary))
-    _write_table(args.out, args.format, "estimate", ESTIMATE_FIELDS, rows)
+        # one block per point: the columns of its mle and lep rows
+        blocks.append(list(map(list, zip(*_estimate_rows(config, summary)))))
+    _write_table(args.out, args.format, "estimate", ESTIMATE_FIELDS, blocks)
     return 3 if failed else 0
 
 
@@ -269,8 +352,6 @@ def cmd_compat(args) -> int:
     boundary = None
     if np.linalg.norm(mu) > 0 and np.linalg.norm(nu) > 0:
         boundary = sharpness_threshold(mu, nu)
-        if boundary is not None:
-            boundary = float(boundary)
     verdict = {"busch": busch, "hovm_povm": povm, "boundary_lambda": boundary}
     _emit(args.out, json.dumps(verdict) + "\n")
     return 0

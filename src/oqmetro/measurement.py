@@ -221,30 +221,20 @@ def busch_equiv_hovm_check(mu, nu) -> bool:
     return busch_compatible(mu, nu) == hovm_is_povm(w)
 
 
-def sharpness_threshold(mu_dir, nu_dir, tol: float = 1e-9) -> float | None:
-    """Bisect the common sharpness where the sequential HOVM stops being a POVM.
+def sharpness_threshold(mu_dir, nu_dir) -> float | None:
+    """The common sharpness where the sequential HOVM stops being a POVM.
 
-    Directions are normalized; returns None if W stays a POVM up to full
-    sharpness.
+    Directions are normalized.  The pair ``lam * mu``, ``lam * nu`` meets
+    the Busch boundary at lam = 2 / (|mu + nu| + |mu - nu|); since
+    (|mu + nu| + |mu - nu|)^2 = 4 (1 + |mu x nu|) for unit vectors, that is
+    sqrt(1 / (1 + |mu x nu|)), which stays accurate for nearly parallel
+    and orthogonal pairs alike.  Returns None when the boundary is not
+    below full sharpness (parallel or antiparallel directions).
     """
     mu_dir = np.asarray(mu_dir, dtype=float)
     nu_dir = np.asarray(nu_dir, dtype=float)
     mu_dir = mu_dir / np.linalg.norm(mu_dir)
     nu_dir = nu_dir / np.linalg.norm(nu_dir)
-
-    def povm_at(s: float) -> bool:
-        a = bloch_povm(s * mu_dir)
-        b = bloch_povm(s * nu_dir)
-        return hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)))
-
-    if povm_at(1.0):
-        return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if povm_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
+    sine = np.linalg.norm(np.cross(mu_dir, nu_dir))
+    boundary = float(np.sqrt(1.0 / (1.0 + sine)))
+    return None if boundary >= 1.0 else boundary

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ class TestParsing:
     def test_non_arithmetic_argument_exits_2(self, capsys):
         assert main(["advantage-map", "--lambda", "().__class__"]) == 2
         assert "not a number" in capsys.readouterr().err
+
+    def test_range_length_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(oqmetro.cli, "MAX_RANGE_POINTS", 10)
+        assert len(parse_values("0:10:1")) == 11
+        with pytest.raises(ValueError, match="more than 10 points"):
+            parse_values("0:10.5:1")
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "0:1:nan", "-inf:0:1",
+                                      "0:1:inf"])
+    def test_non_finite_range_is_refused(self, spec):
+        with pytest.raises(ValueError, match="is not finite"):
+            parse_values(spec)
+
+    def test_overlong_range_exits_2_at_once(self, capsys):
+        # about 3e12 points: refused before anything is allocated
+        start = time.perf_counter()
+        assert main(["advantage-map", "--theta", "0:3:1e-12"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "more than 1000000 points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["0:1", "0:1:0.1:2", ":"])
     def test_malformed_range_names_its_form(self, spec):
@@ -347,6 +367,12 @@ class TestCompat:
         assert verdict["boundary_lambda"] == pytest.approx(
             1 / math.sqrt(2), abs=1e-6
         )
+
+    def test_boundary_is_the_closed_form(self, capsys):
+        # 1/sqrt(2) to the last digit, as the README example shows
+        assert main(["compat", "--mu", "0,0,0.9", "--nu", "0.9,0,0"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["boundary_lambda"] == math.sqrt(0.5)
 
     def test_compatible_pair(self, capsys):
         assert main(["compat", "--mu", "0,0,0.5", "--nu", "0.5,0,0"]) == 0

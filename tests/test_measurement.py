@@ -218,6 +218,26 @@ class TestCompatibility:
 
     def test_sharpness_threshold_none_for_parallel(self):
         assert sharpness_threshold((0, 0, 1), (0, 0, 1)) is None
+        assert sharpness_threshold((0, 0, 1), (0, 0, -2)) is None
+
+    @pytest.mark.parametrize("mu, nu", [
+        ((0, 0, 1), (1, 0, 0)),
+        ((0, 0, 1), (0.5, 0, 0.866)),
+        ((1, 1, 0), (0, 1, 1)),
+        ((0, 0, 1), (0.1, 0, -1)),
+        ((0.3, -0.2, 0.9), (-0.7, 0.4, 0.1)),
+    ])
+    def test_sharpness_threshold_is_the_povm_boundary(self, mu, nu):
+        mu = np.array(mu) / np.linalg.norm(mu)
+        nu = np.array(nu) / np.linalg.norm(nu)
+        thr = sharpness_threshold(mu, nu)
+
+        def povm_at(lam):
+            a, b = bloch_povm(lam * mu), bloch_povm(lam * nu)
+            return hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)))
+
+        assert povm_at(thr - 1e-9)
+        assert not povm_at(thr + 1e-9)
 
 
 def test_hovm_allows_negative_elements():
