@@ -34,14 +34,12 @@ from .measurement import (
     bloch_povm,
     build_hovm,
     busch_compatible,
-    busch_equiv_hovm_check,
     hovm_is_povm,
-    marginality_defect,
     mutually_unbiased_pair,
     sequential_povm,
     sharpness_threshold,
 )
-from .oq import is_positive, negativity, oq_slopes, oq_values
+from .oq import negativity, oq_slopes, oq_values
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 __version__ = "0.1.0"

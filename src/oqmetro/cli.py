@@ -7,9 +7,11 @@ Output is data only; plotting is left to external tools.
 
 Numeric arguments accept ``pi`` arithmetic (numbers, ``pi``, unary signs
 and ``+ - * /``), parsed without ``eval``; a range may ask for at most
-``MAX_RANGE_POINTS`` points.  ``fi-sweep`` and ``advantage-map`` evaluate
-whole batches of probe points per kernel call: ``fi-sweep`` one call per
-sharpness value, ``advantage-map`` one call per theta row.
+``MAX_RANGE_POINTS`` points, and so may the grid of a sweep or map.
+``fi-sweep`` and ``advantage-map`` evaluate whole batches of probe points
+per kernel call: ``fi-sweep`` builds all its measurements as one stack
+and makes one kernel call per sweep over every (sharpness, point) pair,
+``advantage-map`` one call per theta row.
 
 Each subcommand hands ``_write_table`` its table as blocks of columns of
 plain Python values: one block per theta row for ``advantage-map``, each
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import AllTrialsOmitted, NegativeOq, OqMetroError, ZeroQfi
 from .estimation import TrialConfig, TrialSummary, run_trials
-from .fisher import advantage, oqfi, qfi_pure
+from .fisher import _cells, advantage, fisher_discrete, qfi_pure
 from .measurement import (
     build_hovm,
     bloch_povm,
@@ -47,7 +49,7 @@ from .measurement import (
     sequential_povm,
     sharpness_threshold,
 )
-from .oq import POSITIVITY_TOL, negativity, oq_values
+from .oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 SCHEMA_VERSION = "oqmetro-csv v1"
@@ -108,9 +110,16 @@ def parse_values(spec: str) -> list:
         if (stop - start) / step > MAX_RANGE_POINTS:
             raise ValueError(f"range {spec!r} has more than "
                              f"{MAX_RANGE_POINTS} points")
-        vals = list(np.arange(start, stop + step / 2, step))
-        return [float(min(v, stop)) for v in vals]
+        vals = np.arange(start, stop + step / 2, step)
+        return np.where(vals > stop, stop, vals).tolist()
     return [_eval_number(t) for t in spec.split(",")]
+
+
+def _check_grid_size(*axes: list) -> None:
+    """Refuse a grid of more than MAX_RANGE_POINTS points over the given
+    axes, before any of its arrays is built."""
+    if math.prod(map(len, axes)) > MAX_RANGE_POINTS:
+        raise ValueError(f"grid has more than {MAX_RANGE_POINTS} points")
 
 
 def _target(name: str) -> Target:
@@ -222,8 +231,9 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
 def cmd_fi_sweep(args) -> int:
     target = _target(args.target)
     lams = parse_values(args.lam)
-    grid = np.meshgrid(parse_values(args.theta), parse_values(args.phi),
-                       indexing="ij")
+    axes = parse_values(args.theta), parse_values(args.phi)
+    _check_grid_size(lams, *axes)
+    grid = np.meshgrid(*axes, indexing="ij")
     theta, phi = (g.ravel() for g in grid)
     check_angles(theta, phi)
     psi = amplitudes(theta, phi)
@@ -231,19 +241,19 @@ def cmd_fi_sweep(args) -> int:
     thetas, phis = theta.tolist(), phi.tolist()
     qfi = qfi_pure(psi, dpsi).tolist()
 
-    # one block per sharpness value, all built before any is formatted:
-    # alternating measurement builds with formatting one-point blocks made
-    # the default sweep about 3% slower
-    blocks = []
-    for lam in lams:
-        a, b = mutually_unbiased_pair(lam)
-        w = build_hovm(a, b, sequential_povm(a, b))
-        neg = negativity(oq_values(w, psi))
-        positive = neg <= POSITIVITY_TOL
-        info = oqfi(w, psi[positive], dpsi[positive])
-        blocks.append([lam, thetas, phis, args.target,
-                       _gapped(info, positive), qfi, neg.tolist(),
-                       positive.tolist()])
+    # every measurement in one stack of batch shape (lambda, 1), which
+    # broadcasts against the probe points: cells have shape (lambda, point)
+    a, b = mutually_unbiased_pair(np.array(lams)[:, None])
+    w = build_hovm(a, b, sequential_povm(a, b))
+    values = oq_values(w, psi)
+    neg = negativity(values)
+    positive = neg <= POSITIVITY_TOL
+    slopes = oq_slopes(w, psi, dpsi)
+    info = fisher_discrete(_cells(values[positive]), _cells(slopes[positive]))
+    blocks = [[lam, thetas, phis, args.target, info_row, qfi, neg_row, pos_row]
+              for lam, info_row, neg_row, pos_row in
+              zip(lams, _gapped(info, positive), neg.tolist(),
+                  positive.tolist())]
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
                   "negativity", "positive"], blocks)
@@ -255,6 +265,7 @@ def cmd_advantage_map(args) -> int:
     lam = _eval_number(args.lam)
     thetas = parse_values(args.theta)
     phis = parse_values(args.phi)
+    _check_grid_size(thetas, phis)
     check_angles(thetas, phis)
     a, b = mutually_unbiased_pair(lam)
     w = build_hovm(a, b, sequential_povm(a, b))

@@ -7,9 +7,15 @@ measurements and a conjunction measurement is the operator form of the
 operational quasiprobability; whether it is itself a POVM decides
 compatibility of the pair (for qubits, equivalently the Busch criterion).
 
-Operators are checked once, when a ``Povm`` or ``Hovm`` is constructed,
-with one check per condition over the whole stack of its effects or
-elements.
+Measurements carry leading batch axes: ``Povm.effects`` has shape
+(..., outcomes, dim, dim) and ``Hovm.elements`` (..., d, d, dim, dim), so
+a stack of measurements (one per sharpness value, say) is built in one
+array pass.  A single measurement has batch shape ().  The builders
+broadcast the batch axes of their inputs.
+
+Operators are checked once per stack, when a ``Povm`` or ``Hovm`` is
+constructed, with one check per condition over all its effects or
+elements; one bad entry refuses the whole stack.
 Everything built from validated measurements relies on those checks.
 """
 
@@ -52,97 +58,109 @@ def _psd(stack: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a validated POVM effect; eigenvalues in
-    [-HERMITIAN_TOL, 0) are clamped to 0 first."""
+    """Principal square roots of a (..., dim, dim) stack of validated POVM
+    effects; eigenvalues in [-HERMITIAN_TOL, 0) are clamped to 0 first."""
     vals, vecs = np.linalg.eigh(m)
     vals = np.where(vals < 0.0, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator-valued measure: PSD effects summing to identity."""
+    """Positive operator-valued measure: PSD effects summing to identity.
 
-    effects: tuple
+    ``effects`` has shape (..., outcomes, dim, dim); it may be given as a
+    sequence of (dim, dim) effects of one measurement.
+    """
+
+    effects: np.ndarray
 
     def __post_init__(self):
-        effects = tuple(np.asarray(e, dtype=complex) for e in self.effects)
-        if not effects:
-            raise ValueError("a POVM needs at least one effect")
-        for e in effects:
-            if e.ndim != 2 or e.shape[0] != e.shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {e.shape}")
-        dim = effects[0].shape[0]
-        if any(e.shape[0] != dim for e in effects):
-            raise DimensionMismatch("effects act on different dimensions")
-        stack = np.array(effects)
+        effects = self.effects
+        if not isinstance(effects, np.ndarray):
+            effects = [np.asarray(e, dtype=complex) for e in effects]
+            for e in effects:
+                if e.ndim != 2 or e.shape[0] != e.shape[1]:
+                    raise ValueError(f"expected a square matrix, got shape {e.shape}")
+            if len({e.shape for e in effects}) > 1:
+                raise DimensionMismatch("effects act on different dimensions")
+        stack = np.array(effects, dtype=complex)
+        if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2] or not stack.shape[-3]:
+            raise ValueError(f"expected one or more square effects, got {stack.shape}")
         if not _hermitian(stack).all():
             raise NotHermitian("POVM effect is not Hermitian")
         if not _psd(stack, HERMITIAN_TOL).all():
             raise NotPsd("POVM effect is not PSD")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) > IDENTITY_TOL:
+        if (np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])) > IDENTITY_TOL).any():
             raise ValueError("POVM effects do not sum to the identity")
-        # read-only views of a private copy keep the checks valid for good
+        # a read-only private copy keeps the checks valid for good
         stack.setflags(write=False)
-        object.__setattr__(self, "effects", tuple(stack))
+        object.__setattr__(self, "effects", stack)
 
     @property
     def outcomes(self) -> int:
-        return len(self.effects)
+        return self.effects.shape[-3]
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[-1]
 
 
 @dataclass(frozen=True)
 class Hovm:
     """Hermitian operator-valued measure on a d x d outcome grid.
 
-    ``elements`` has shape (d, d, dim, dim); elements may fail positivity.
+    ``elements`` has shape (..., d, d, dim, dim); elements may fail positivity.
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
         el = np.array(self.elements, dtype=complex)
-        if el.ndim != 4 or el.shape[0] != el.shape[1] or el.shape[2] != el.shape[3]:
-            raise ValueError(f"expected shape (d, d, dim, dim), got {el.shape}")
+        if el.ndim < 4 or el.shape[-4] != el.shape[-3] or el.shape[-2] != el.shape[-1]:
+            raise ValueError(f"expected shape (..., d, d, dim, dim), got {el.shape}")
         bad = np.argwhere(~_hermitian(el))
         if len(bad):
-            a, b = bad[0]
+            a, b = bad[0][-2:]
             raise NotHermitian(f"HOVM element ({a},{b}) is not Hermitian")
-        total = el.sum(axis=(0, 1))
-        if np.max(np.abs(total - np.eye(el.shape[2]))) > IDENTITY_TOL:
+        total = el.sum(axis=(-4, -3))
+        if (np.abs(total - np.eye(el.shape[-1])) > IDENTITY_TOL).any():
             raise ValueError("HOVM elements do not sum to the identity")
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
 
     @property
     def d(self) -> int:
-        return self.elements.shape[0]
+        return self.elements.shape[-3]
 
     @property
     def dim(self) -> int:
-        return self.elements.shape[2]
+        return self.elements.shape[-1]
 
 
 def bloch_povm(bloch) -> Povm:
-    """Two-outcome qubit POVM with effects (1 + (-1)^a bloch.sigma) / 2."""
+    """Two-outcome qubit POVMs with effects (1 + (-1)^a bloch.sigma) / 2,
+    one per Bloch vector of a (..., 3) stack."""
     v = np.asarray(bloch, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,):
         raise ValueError("bloch vector must have 3 components")
+    norm = np.linalg.norm(v, axis=-1)
     # written so that a vector with a nan or inf entry fails it too
-    if not np.linalg.norm(v) <= 1 + 1e-12:
-        raise BlochNormExceeded(f"Bloch norm {np.linalg.norm(v):.6f} > 1")
-    vs = sum(c * p for c, p in zip(v, PAULI))
+    bad = ~(norm <= 1 + 1e-12)
+    if bad.any():
+        raise BlochNormExceeded(f"Bloch norm {norm[bad].flat[0]:.6f} > 1")
+    vs = sum(v[..., k, None, None] * p for k, p in enumerate(PAULI))
     eye = np.eye(2, dtype=complex)
-    return Povm(((eye + vs) / 2, (eye - vs) / 2))
+    return Povm(np.stack(((eye + vs) / 2, (eye - vs) / 2), axis=-3))
 
 
-def mutually_unbiased_pair(sharpness: float) -> tuple[Povm, Povm]:
-    """The z/x noisy-projective pair with common sharpness."""
-    return bloch_povm((0.0, 0.0, sharpness)), bloch_povm((sharpness, 0.0, 0.0))
+def mutually_unbiased_pair(sharpness) -> tuple[Povm, Povm]:
+    """The z/x noisy-projective pair with common sharpness, one pair per
+    entry of an array of sharpness values."""
+    s = np.asarray(sharpness, dtype=float)[..., None]
+    zero = np.zeros_like(s)
+    return (bloch_povm(np.concatenate((zero, zero, s), axis=-1)),
+            bloch_povm(np.concatenate((s, zero, zero), axis=-1)))
 
 
 def sequential_povm(first: Povm, second: Povm) -> Povm:
@@ -153,8 +171,10 @@ def sequential_povm(first: Povm, second: Povm) -> Povm:
     """
     if first.dim != second.dim:
         raise DimensionMismatch("POVMs act on different dimensions")
-    roots = [_sqrt(ea) for ea in first.effects]
-    return Povm(tuple(root @ eb @ root for root in roots for eb in second.effects))
+    roots = _sqrt(first.effects)[..., :, None, :, :]
+    effects = (roots @ second.effects[..., None, :, :, :]) @ roots
+    return Povm(effects.reshape(effects.shape[:-4] + (
+        first.outcomes * second.outcomes, first.dim, first.dim)))
 
 
 def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
@@ -170,29 +190,12 @@ def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
         raise OutcomeCountMismatch("A and B must have the same outcome count")
     if c.outcomes != d * d:
         raise OutcomeCountMismatch(f"conjunction must have {d * d} outcomes")
-    grid = np.array(c.effects).reshape(d, d, a.dim, a.dim)
-    marg_a = grid.sum(axis=1)  # sum over b, indexed by a
-    marg_b = grid.sum(axis=0)  # sum over a, indexed by b
-    fix_a = (np.array(a.effects) - marg_a) / d
-    fix_b = (np.array(b.effects) - marg_b) / d
-    return Hovm((grid + fix_a[:, None]) + fix_b[None, :])
-
-
-def marginality_defect(w, a: Povm, b: Povm) -> float:
-    """Worst entrywise deviation of the HOVM marginals from A and B.
-
-    Accepts a ``Hovm`` or a raw (d, d, dim, dim) grid, so deliberately
-    defective grids can be scored too.
-    """
-    elements = w.elements if isinstance(w, Hovm) else np.asarray(w, dtype=complex)
-    d, dim = elements.shape[0], elements.shape[2]
-    if dim != a.dim or dim != b.dim:
-        raise DimensionMismatch("dimension mismatch")
-    if d != a.outcomes or d != b.outcomes:
-        raise OutcomeCountMismatch("outcome-count mismatch")
-    defect_a = np.abs(elements.sum(axis=1) - np.array(a.effects)).max()
-    defect_b = np.abs(elements.sum(axis=0) - np.array(b.effects)).max()
-    return float(max(defect_a, defect_b))
+    grid = c.effects.reshape(c.effects.shape[:-3] + (d, d, a.dim, a.dim))
+    marg_a = grid.sum(axis=-3)  # sum over b, indexed by a
+    marg_b = grid.sum(axis=-4)  # sum over a, indexed by b
+    fix_a = (a.effects - marg_a) / d
+    fix_b = (b.effects - marg_b) / d
+    return Hovm((grid + fix_a[..., :, None, :, :]) + fix_b[..., None, :, :, :])
 
 
 def hovm_is_povm(w: Hovm, tol: float = HERMITIAN_TOL) -> bool:
@@ -207,18 +210,6 @@ def busch_compatible(mu, nu) -> bool:
     if not (np.linalg.norm(mu) <= 1 + 1e-12 and np.linalg.norm(nu) <= 1 + 1e-12):
         raise BlochNormExceeded("Bloch norms must be <= 1")
     return np.linalg.norm(mu + nu) + np.linalg.norm(mu - nu) <= 2 + 1e-12
-
-
-def busch_equiv_hovm_check(mu, nu) -> bool:
-    """Runnable equivalence of the Busch criterion and HOVM positivity.
-
-    Builds W from the sequential conjunction of the Bloch pair and compares
-    the two compatibility predicates; always true when both are correct.
-    """
-    a = bloch_povm(mu)
-    b = bloch_povm(nu)
-    w = build_hovm(a, b, sequential_povm(a, b))
-    return busch_compatible(mu, nu) == hovm_is_povm(w)
 
 
 def sharpness_threshold(mu_dir, nu_dir) -> float | None:

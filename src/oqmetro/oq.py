@@ -4,7 +4,8 @@ The table W(a,b) = <psi|W_ab|psi> is real (the elements are Hermitian) but
 may be negative; negativity sum|W| - 1 quantifies by how much it fails to
 be a probability distribution.  This module is the only place that
 evaluates HOVM cells: every function works on whole arrays of amplitudes
-of shape (..., 2) and returns cells of shape (..., d, d).
+of shape (..., 2) and returns cells of shape (..., d, d).  The batch axes
+of a stacked HOVM broadcast against those of the amplitudes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .measurement import Hovm
 
 POSITIVITY_TOL = 1e-10
 
-_CELLS = "...i,abij,...j->...ab"
+_CELLS = "...i,...abij,...j->...ab"
 
 
 def _check_qubit(w: Hovm) -> None:
@@ -40,6 +41,3 @@ def negativity(values: np.ndarray) -> np.ndarray:
     """sum |W(a,b)| - 1 over the last two axes."""
     return np.sum(np.abs(values), axis=(-2, -1)) - 1.0
 
-
-def is_positive(values: np.ndarray, tol: float = POSITIVITY_TOL):
-    return negativity(values) <= tol

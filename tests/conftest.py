@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from oqmetro.errors import DimensionMismatch, OutcomeCountMismatch
 from oqmetro.estimation import _outcome_probs
 from oqmetro.measurement import (
+    Hovm,
     Povm,
     bloch_povm,
     build_hovm,
@@ -16,6 +18,23 @@ def mub_hovm(lam):
     """Mutually unbiased z/x pair at the given sharpness plus its HOVM."""
     a, b = mutually_unbiased_pair(lam)
     return a, b, build_hovm(a, b, sequential_povm(a, b))
+
+
+def marginality_defect(w, a, b):
+    """Worst entrywise deviation of the HOVM marginals from A and B.
+
+    Accepts a ``Hovm`` or a raw (d, d, dim, dim) grid, so deliberately
+    defective grids can be scored too.
+    """
+    elements = w.elements if isinstance(w, Hovm) else np.asarray(w, dtype=complex)
+    d, dim = elements.shape[0], elements.shape[2]
+    if dim != a.dim or dim != b.dim:
+        raise DimensionMismatch("dimension mismatch")
+    if d != a.outcomes or d != b.outcomes:
+        raise OutcomeCountMismatch("outcome-count mismatch")
+    defect_a = np.abs(elements.sum(axis=1) - np.array(a.effects)).max()
+    defect_b = np.abs(elements.sum(axis=0) - np.array(b.effects)).max()
+    return float(max(defect_a, defect_b))
 
 
 def probe(theta, phi, target=Target.POLAR):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    marginality_defect,
     mub_hovm,
     probe,
     random_conjunction,
@@ -25,7 +26,6 @@ from oqmetro.measurement import (
     build_hovm,
     busch_compatible,
     hovm_is_povm,
-    marginality_defect,
     mutually_unbiased_pair,
     sequential_povm,
     sharpness_threshold,

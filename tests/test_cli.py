@@ -11,9 +11,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oqmetro.cli
-from oqmetro.cli import ESTIMATE_FIELDS, _estimate_rows, main, parse_values
+from oqmetro.cli import (
+    ESTIMATE_FIELDS,
+    _estimate_rows,
+    _gapped,
+    _write_table,
+    build_parser,
+    main,
+    parse_values,
+)
 from oqmetro.estimation import TrialConfig, run_trials
-from oqmetro.probe import Target
+from oqmetro.fisher import oqfi, qfi_pure
+from oqmetro.measurement import build_hovm, mutually_unbiased_pair, sequential_povm
+from oqmetro.oq import POSITIVITY_TOL, negativity, oq_values
+from oqmetro.probe import Target, amplitude_slopes, amplitudes
 
 
 def read_csv(path):
@@ -78,6 +89,34 @@ class TestParsing:
         assert main(["advantage-map", "--theta", "0:3:1e-12"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "more than 1000000 points" in capsys.readouterr().err
+
+    def test_grid_size_is_bounded(self, monkeypatch, capsys):
+        monkeypatch.setattr(oqmetro.cli, "MAX_RANGE_POINTS", 10)
+        # 5 x 2 x 1 and 5 x 2 points pass
+        assert main(["fi-sweep", "--lambda", "0:0.8:0.2", "--theta", "1,2"]) == 0
+        assert main(["advantage-map", "--theta", "0.2:1:0.2",
+                     "--phi", "0,1"]) == 0
+        capsys.readouterr()
+
+        def no_grid(*args):
+            raise AssertionError("built before the grid size was checked")
+
+        monkeypatch.setattr(oqmetro.cli, "check_angles", no_grid)
+        # no range exceeds the bound, but 3 x 2 x 2 and 3 x 4 points do
+        assert main(["fi-sweep", "--lambda", "0:0.4:0.2", "--theta", "1,2",
+                     "--phi", "0,1"]) == 2
+        assert main(["advantage-map", "--theta", "0.5:1.5:0.5",
+                     "--phi", "0.2:0.8:0.2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: grid has more than 10 points") == 2
+
+    def test_overlong_grid_exits_2_at_once(self, capsys):
+        # two ranges of 1,000,001 points each, so a grid of about 1e12
+        start = time.perf_counter()
+        assert main(["advantage-map", "--theta", "0:3:3e-6",
+                     "--phi", "0:3:3e-6"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "grid has more than 1000000 points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["0:1", "0:1:0.1:2", ":"])
     def test_malformed_range_names_its_form(self, spec):
@@ -150,6 +189,86 @@ class TestFiSweep:
         payload = json.loads(out.read_text())
         assert payload["schema"].startswith("oqmetro-csv v1")
         assert payload["rows"][0]["oqfi"] == "inf"
+
+
+def per_lambda_sweep(argv):
+    """The fi-sweep table as the earlier per-sharpness loop wrote it: one
+    measurement build and one kernel call per sharpness value."""
+    args = build_parser().parse_args(argv)
+    target = Target.POLAR if args.target == "theta" else Target.AZIMUTHAL
+    grid = np.meshgrid(parse_values(args.theta), parse_values(args.phi),
+                       indexing="ij")
+    theta, phi = (g.ravel() for g in grid)
+    psi = amplitudes(theta, phi)
+    dpsi = amplitude_slopes(theta, phi, target)
+    thetas, phis = theta.tolist(), phi.tolist()
+    qfi = qfi_pure(psi, dpsi).tolist()
+    blocks = []
+    for lam in parse_values(args.lam):
+        a, b = mutually_unbiased_pair(lam)
+        w = build_hovm(a, b, sequential_povm(a, b))
+        neg = negativity(oq_values(w, psi))
+        positive = neg <= POSITIVITY_TOL
+        info = oqfi(w, psi[positive], dpsi[positive])
+        blocks.append([lam, thetas, phis, args.target, _gapped(info, positive),
+                       qfi, neg.tolist(), positive.tolist()])
+    _write_table(None, args.format, "fi-sweep",
+                 ["lambda", "theta", "phi", "target", "oqfi", "qfi",
+                  "negativity", "positive"], blocks)
+
+
+class TestFiSweepStack:
+    """The stacked sweep writes what one build per sharpness value wrote."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("target", ["theta", "phi"])
+    @pytest.mark.parametrize("grid", [
+        ["--lambda", "0:1:0.05", "--theta", "0:pi:0.3", "--phi", "0:6.2:0.4"],
+        ["--lambda=-0.9,0,0.7071067801865476,0.7071067821865476,0.995,1",
+         "--theta", "0,0.1,pi/4,pi/2,pi", "--phi", "0,pi/3,2*pi-0.01"],
+        ["--lambda=-1:1:0.25", "--theta", "pi/2", "--phi", "0"],
+        ["--lambda", "0.5", "--theta", "0.2:3:0.7", "--phi", "1.1"],
+        ["--lambda", "1:0:0.1", "--theta", "0.2,0.4"],
+        ["--lambda", "0.3,0.9", "--theta", "1:0:0.1"],
+    ], ids=["ranges", "edges", "one-point", "one-lambda", "no-lambda",
+            "no-point"])
+    def test_matches_per_lambda_loop(self, capsys, grid, target, fmt):
+        argv = ["fi-sweep", "--target", target, "--format", fmt] + grid
+        per_lambda_sweep(argv)
+        want = capsys.readouterr().out.splitlines(keepends=True)
+        assert main(argv) == 0
+        # lists of lines: pytest reports the first differing line at once
+        assert capsys.readouterr().out.splitlines(keepends=True) == want
+
+    def test_measurements_built_once_per_run(self, monkeypatch, capsys):
+        calls = {"sequential_povm": 0, "build_hovm": 0}
+        for name in calls:
+            def counted(*args, name=name, build=getattr(oqmetro.cli, name)):
+                calls[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(oqmetro.cli, name, counted)
+        assert main(["fi-sweep", "--theta", "0.5,1.5", "--phi", "0,1"]) == 0
+        assert calls == {"sequential_povm": 1, "build_hovm": 1}
+
+    # stdout, stderr and exit code as the per-sharpness loop gave them
+    @pytest.mark.parametrize("argv, out, err, code", [
+        (["--lambda", "0:1.2:0.1"], "", "error: Bloch norm 1.100000 > 1\n", 2),
+        (["--lambda=-0.5"],
+         "# oqmetro-csv v1 fi-sweep\n"
+         "lambda,theta,phi,target,oqfi,qfi,negativity,positive\n"
+         "-0.5,1.5707963267948966,0.0,theta,0.33333333333333315,1.0,0.0,True\n",
+         "", 0),
+        (["--lambda", "1.0"],
+         "# oqmetro-csv v1 fi-sweep\n"
+         "lambda,theta,phi,target,oqfi,qfi,negativity,positive\n"
+         "1.0,1.5707963267948966,0.0,theta,inf,1.0,0.0,True\n",
+         "", 0),
+    ], ids=["norm-exceeded", "negative-sharpness", "infinite-oqfi"])
+    def test_refusal_and_edge_rows_are_unchanged(self, capsys, argv, out, err,
+                                                 code):
+        assert main(["fi-sweep"] + argv) == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestAdvantageMap:

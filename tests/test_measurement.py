@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mub_hovm, random_bloch, random_conjunction, random_qubit_povm
+from conftest import (
+    marginality_defect,
+    mub_hovm,
+    random_bloch,
+    random_conjunction,
+    random_qubit_povm,
+)
 from oqmetro.errors import (
     BlochNormExceeded,
     DimensionMismatch,
@@ -14,6 +20,7 @@ from oqmetro.errors import (
     OutcomeCountMismatch,
 )
 from oqmetro.measurement import (
+    HERMITIAN_TOL,
     PAULI_X,
     PAULI_Z,
     Hovm,
@@ -21,12 +28,11 @@ from oqmetro.measurement import (
     bloch_povm,
     build_hovm,
     busch_compatible,
-    busch_equiv_hovm_check,
     hovm_is_povm,
-    marginality_defect,
     mutually_unbiased_pair,
     sequential_povm,
     sharpness_threshold,
+    _psd,
 )
 
 
@@ -161,6 +167,18 @@ class TestMarginalityDefect:
         grid = np.array(w.elements, copy=True)
         grid[0, 0] += 0.01 * np.eye(2)
         assert marginality_defect(grid, a, b) >= 0.01
+
+
+def busch_equiv_hovm_check(mu, nu) -> bool:
+    """Runnable equivalence of the Busch criterion and HOVM positivity.
+
+    Builds W from the sequential conjunction of the Bloch pair and compares
+    the two compatibility predicates; always true when both are correct.
+    """
+    a = bloch_povm(mu)
+    b = bloch_povm(nu)
+    w = build_hovm(a, b, sequential_povm(a, b))
+    return busch_compatible(mu, nu) == hovm_is_povm(w)
 
 
 class TestCompatibility:
@@ -507,3 +525,75 @@ def test_busch_boundary_matches_reference(lam):
                             ref_sequential(a.effects, b.effects))
     assert np.array_equal(w.elements, want_w)
     assert hovm_is_povm(w) == all(ref_is_psd(m) for m in want_w.reshape(-1, 2, 2))
+
+
+# --- stacks of measurements against one build per entry ---
+
+_BOUNDARY = 1 / math.sqrt(2)
+sharpness = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, _BOUNDARY - 1e-9, _BOUNDARY + 1e-9, 0.995]),
+    st.floats(-1.0, 1.0),
+)
+
+
+def entries(x, n, core):
+    """The n entries of a stack, each with ``core`` trailing axes."""
+    return x.reshape((n,) + x.shape[-core:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lams=st.lists(sharpness, max_size=8), column=st.booleans())
+@example(lams=[0.0, 1.0, -1.0, _BOUNDARY - 1e-9, _BOUNDARY + 1e-9, 0.995],
+         column=True)
+def test_stacked_builds_match_per_sharpness_builds(lams, column):
+    stack = np.array(lams, dtype=float)
+    a, b = mutually_unbiased_pair(stack[:, None] if column else stack)
+    seq = sequential_povm(a, b)
+    w = build_hovm(a, b, seq)
+    n = len(lams)
+    assert w.elements.shape == ((n, 1) if column else (n,)) + (2, 2, 2, 2)
+    povm_verdicts = _psd(entries(w.elements, n, 4), HERMITIAN_TOL).all(
+        axis=(-2, -1))
+    for k, lam in enumerate(lams):
+        a1, b1 = mutually_unbiased_pair(lam)
+        seq1 = sequential_povm(a1, b1)
+        w1 = build_hovm(a1, b1, seq1)
+        for got, want in ((a, a1), (b, b1), (seq, seq1)):
+            assert np.array_equal(entries(got.effects, n, 3)[k], want.effects)
+        assert np.array_equal(entries(w.elements, n, 4)[k], w1.elements)
+        assert povm_verdicts[k] == hovm_is_povm(w1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lams=st.lists(sharpness, max_size=5), at=st.integers(0, 5),
+       bad=st.one_of(st.floats(1 + 1e-9, 10), st.floats(-10, -1 - 1e-9),
+                     st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_stack_with_one_bad_sharpness_is_refused(lams, at, bad):
+    with pytest.raises(BlochNormExceeded) as alone:
+        mutually_unbiased_pair(bad)
+    lams.insert(at, bad)
+    with pytest.raises(BlochNormExceeded) as stacked:
+        mutually_unbiased_pair(np.array(lams))
+    assert str(stacked.value) == str(alone.value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), before=st.integers(0, 3), after=st.integers(0, 3))
+def test_povm_stack_with_one_bad_entry(data, before, after):
+    entry = data.draw(st.one_of(edge_povm(), skewed_povm()))
+    dim, outcomes = entry[0].shape[0], len(entry)
+    good = [np.eye(dim) / outcomes] * outcomes
+    stack = np.array([good] * before + [entry] + [good] * after)
+    got = raised(Povm, stack)
+    assert (got[0] if got else None) is ref_povm_error(entry)
+
+
+def test_hovm_stack_names_first_non_hermitian_element():
+    el = np.array([mub_hovm(lam)[2].elements for lam in (0.3, 0.8, 0.95)])
+    el[2, 0, 1, 0, 1] += 1e-6
+    el[1, 1, 0, 1, 0] += 1e-6
+    with pytest.raises(NotHermitian, match=r"element \(1,0\)"):
+        Hovm(el)
+    el[1] = mub_hovm(0.8)[2].elements
+    with pytest.raises(NotHermitian, match=r"element \(0,1\)"):
+        Hovm(el)

@@ -6,8 +6,12 @@ import pytest
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
 from oqmetro.errors import DimensionMismatch
 from oqmetro.measurement import Hovm, build_hovm
-from oqmetro.oq import is_positive, negativity, oq_values
+from oqmetro.oq import POSITIVITY_TOL, negativity, oq_values
 from oqmetro.probe import amplitudes
+
+
+def is_positive(values, tol=POSITIVITY_TOL):
+    return negativity(values) <= tol
 
 
 def closed_form(theta, phi, lam):
