@@ -13,7 +13,6 @@ from .errors import (
     OqMetroError,
     OutcomeCountMismatch,
     ParamOutOfRange,
-    ZeroInformation,
     ZeroQfi,
 )
 from .estimation import (
@@ -27,7 +26,7 @@ from .estimation import (
     mle_estimate,
     run_trials,
 )
-from .fisher import advantage, cri_bound, fisher_discrete, oqfi, qfi_pure
+from .fisher import advantage, fisher_discrete, oqfi, qfi_pure
 from .measurement import (
     Hovm,
     Povm,

@@ -7,11 +7,14 @@ Output is data only; plotting is left to external tools.
 
 Numeric arguments accept ``pi`` arithmetic (numbers, ``pi``, unary signs
 and ``+ - * /``), parsed without ``eval``; a range may ask for at most
-``MAX_RANGE_POINTS`` points, and so may the grid of a sweep or map.
+``MAX_RANGE_POINTS`` points, and so may the grid of a sweep or map and
+the trials of an ``estimate`` over all its points.
 ``fi-sweep`` and ``advantage-map`` evaluate whole batches of probe points
-per kernel call: ``fi-sweep`` builds all its measurements as one stack
-and makes one kernel call per sweep over every (sharpness, point) pair,
-``advantage-map`` one call per theta row.
+per kernel call, and each probe point once: ``fi-sweep`` builds all its
+measurements as one stack and makes one kernel call per sweep over every
+(sharpness, point) pair, ``advantage-map`` one call per theta row.  The
+cells, their slopes and the quantum information then go to ``fisher``
+as arrays.
 
 Each subcommand hands ``_write_table`` its table as blocks of columns of
 plain Python values: one block per theta row for ``advantage-map``, each
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import AllTrialsOmitted, NegativeOq, OqMetroError, ZeroQfi
 from .estimation import TrialConfig, TrialSummary, run_trials
-from .fisher import _cells, advantage, fisher_discrete, qfi_pure
+from .fisher import advantage, oqfi, qfi_pure
 from .measurement import (
     build_hovm,
     bloch_povm,
@@ -249,7 +252,7 @@ def cmd_fi_sweep(args) -> int:
     neg = negativity(values)
     positive = neg <= POSITIVITY_TOL
     slopes = oq_slopes(w, psi, dpsi)
-    info = fisher_discrete(_cells(values[positive]), _cells(slopes[positive]))
+    info = oqfi(values[positive], slopes[positive])
     blocks = [[lam, thetas, phis, args.target, info_row, qfi, neg_row, pos_row]
               for lam, info_row, neg_row, pos_row in
               zip(lams, _gapped(info, positive), neg.tolist(),
@@ -277,11 +280,14 @@ def cmd_advantage_map(args) -> int:
         for theta in thetas:
             psi = amplitudes(theta, phi)
             dpsi = amplitude_slopes(theta, phi, target)
-            neg = negativity(oq_values(w, psi))
+            values = oq_values(w, psi)
+            qfi = qfi_pure(psi, dpsi)
+            slopes = oq_slopes(w, psi, dpsi)
+            neg = negativity(values)
             # the advantage is undefined at negative points and where the
             # quantum information vanishes: those cells stay empty
-            defined = (neg <= POSITIVITY_TOL) & (qfi_pure(psi, dpsi) > 0)
-            adv = advantage(w, psi[defined], dpsi[defined])
+            defined = (neg <= POSITIVITY_TOL) & (qfi > 0)
+            adv = advantage(values[defined], slopes[defined], qfi[defined])
             yield [theta, phis, _gapped(adv, defined), neg.tolist()]
 
     _write_table(args.out, args.format, "advantage-map",
@@ -326,6 +332,8 @@ def cmd_estimate(args) -> int:
     target = _target(args.target)
     lam = _eval_number(args.lam)
     points = _segment_points(parse_values(args.theta), parse_values(args.phi))
+    if len(points) * args.trials > MAX_RANGE_POINTS:
+        raise ValueError(f"more than {MAX_RANGE_POINTS} trials in all")
     domain = _fields(args.domain, "lo:hi") if args.domain else None
     point_seeds = np.random.SeedSequence(args.seed).generate_state(
         len(points), np.uint64

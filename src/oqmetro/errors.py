@@ -45,10 +45,6 @@ class ZeroQfi(OqMetroError):
     pass
 
 
-class ZeroInformation(OqMetroError):
-    pass
-
-
 class NegativeCounts(OqMetroError):
     pass
 

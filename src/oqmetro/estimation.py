@@ -398,6 +398,9 @@ def run_trials(config: TrialConfig) -> TrialSummary:
         raise ValueError("at least 2 trials are required")
     if config.n < 1:
         raise ValueError("n must be positive")
+    if config.n > np.iinfo(np.int64).max:
+        # the multinomial draws count in int64
+        raise ValueError(f"n must be at most {np.iinfo(np.int64).max}")
     check_angles(config.theta0, config.phi0)
     if not isinstance(config.target, Target):
         raise ParamOutOfRange("target must be a Target enum member")
@@ -409,12 +412,17 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     if config.target is Target.POLAR:
         # phi is periodic, so only a polar domain can leave the probe sphere
         check_angles(domain, config.phi0)
+    elif not (np.isfinite(domain).all() and domain[1] - domain[0] <= 2 * math.pi):
+        # one period of phi: a wider window holds several likelihood maxima
+        raise ParamOutOfRange(f"phi domain {domain[0]}:{domain[1]} is not "
+                              "finite or wider than 2*pi")
     _grid(domain, GRID_STEP)  # refuses a one-point grid before sampling
 
     psi0 = amplitudes(config.theta0, config.phi0)
     dpsi0 = amplitude_slopes(config.theta0, config.phi0, config.target)
-    adv = advantage(w, psi0, dpsi0)
-    quantum_var = 1.0 / (config.n * qfi_pure(psi0, dpsi0))
+    qfi0 = qfi_pure(psi0, dpsi0)
+    adv = advantage(oq_values(w, psi0), oq_slopes(w, psi0, dpsi0), qfi0)
+    quantum_var = 1.0 / (config.n * qfi0)
 
     p_b, p_seq = _outcome_probs(psi0, b), _outcome_probs(psi0, seq)
     if config.inject_expected:

@@ -1,11 +1,15 @@
 """Fisher information: discrete models, quasiprobability FI, pure-state
-quantum FI, Cramer-Rao bounds and the two-setting advantage figure.
+quantum FI and the two-setting advantage figure.
 
-``oqfi``, ``qfi_pure`` and ``advantage`` take probe amplitudes ``psi``
-and their target-angle derivative ``dpsi`` of shape (..., 2) and return
-one value per probe point: a plain float for a single point, an array
-for a grid.  Infinite information (a vanishing cell with a nonzero
-slope) is ``inf``.
+Arrays in, numbers out: ``oqfi`` and ``advantage`` take quasiprobability
+cells ``values`` and their target-angle slopes ``slopes`` of shape
+(..., d, d), as ``oq.oq_values`` and ``oq.oq_slopes`` return them;
+``qfi_pure`` takes probe amplitudes ``psi`` and their slope ``dpsi`` of
+shape (..., 2).  Each returns one value per probe point: a plain float
+for a single point, an array for a grid.  Infinite information (a
+vanishing cell with a nonzero slope) is ``inf``.  This module evaluates
+no measurement; its callers evaluate each probe point once and hand the
+cells on.
 """
 
 from __future__ import annotations
@@ -14,15 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DerivativeNotTraceless,
-    NegativeOq,
-    NotNormalized,
-    ZeroInformation,
-    ZeroQfi,
-)
-from .measurement import Hovm
-from .oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values
+from .errors import DerivativeNotTraceless, NegativeOq, NotNormalized, ZeroQfi
+from .oq import POSITIVITY_TOL, negativity
 
 PROB_FLOOR = 1e-12
 DERIV_FLOOR = 1e-9
@@ -63,20 +60,20 @@ def _cells(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
-def oqfi(w: Hovm, psi, dpsi, positivity_tol: float = POSITIVITY_TOL):
-    """Fisher information of the quasiprobability model.
+def oqfi(values, slopes):
+    """Fisher information of the quasiprobability model with cells
+    ``values`` and their slopes ``slopes``.
 
     Defined only where the quasiprobability is positive; raises NegativeOq
     if any point is negative.
     """
-    values = oq_values(w, psi)
     neg = negativity(values)
-    bad = neg > positivity_tol
+    bad = neg > POSITIVITY_TOL
     if bad.any():
         raise NegativeOq(
-            f"negativity {neg[bad].flat[0]:.3e} exceeds {positivity_tol:.1e}"
+            f"negativity {neg[bad].flat[0]:.3e} exceeds {POSITIVITY_TOL:.1e}"
         )
-    return fisher_discrete(_cells(values), _cells(oq_slopes(w, psi, dpsi)))
+    return fisher_discrete(_cells(values), _cells(slopes))
 
 
 def _inner(u, v):
@@ -94,28 +91,18 @@ def qfi_pure(psi, dpsi):
     return _per_point(4 * (dd - sq))
 
 
-def advantage(w: Hovm, psi, dpsi):
-    """log10 of the quasiprobability FI over twice the quantum FI.
+def advantage(values, slopes, qfi):
+    """log10 of the quasiprobability FI over twice the quantum FI ``qfi``.
 
     The factor 2 accounts for the two measurement settings consuming twice
     the sample budget of a single optimal measurement.  Raises ZeroQfi if
-    the quantum information vanishes at any point.
+    the quantum information vanishes at any point, then NegativeOq if the
+    quasiprobability is negative at any point.
     """
-    q = qfi_pure(psi, dpsi)
-    if np.any(q <= 0):
+    if np.any(qfi <= 0):
         raise ZeroQfi("quantum Fisher information vanishes; advantage undefined")
-    ratios = np.divide(oqfi(w, psi, dpsi), 2 * q)
+    ratios = np.divide(oqfi(values, slopes), 2 * qfi)
     # math.log10 keeps the last digit independent of numpy's SIMD dispatch
     logs = [math.log10(r) if r > 0 else -math.inf for r in ratios.flat]
     return _per_point(np.reshape(logs, ratios.shape))
 
-
-def cri_bound(fi: float, n: int) -> float:
-    """Cramer-Rao lower bound 1 / (n * FI); 0 for infinite information."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if math.isinf(fi):
-        return 0.0
-    if fi <= 0:
-        raise ZeroInformation("Fisher information is zero; bound undefined")
-    return 1.0 / (n * fi)

@@ -11,6 +11,7 @@ from oqmetro.measurement import (
     mutually_unbiased_pair,
     sequential_povm,
 )
+from oqmetro.oq import oq_slopes, oq_values
 from oqmetro.probe import Target, amplitude_slopes, amplitudes
 
 
@@ -40,6 +41,12 @@ def marginality_defect(w, a, b):
 def probe(theta, phi, target=Target.POLAR):
     """Amplitudes and target-angle slopes, the (psi, dpsi) the kernel takes."""
     return amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+
+
+def cells(w, psi, dpsi):
+    """OQ cells and their slopes at the probe points, the (values, slopes)
+    that ``oqfi`` and ``advantage`` take."""
+    return oq_values(w, psi), oq_slopes(w, psi, dpsi)
 
 
 def setting_probs(theta, phi, a, b):

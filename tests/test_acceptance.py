@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cells,
     marginality_defect,
     mub_hovm,
     probe,
@@ -88,16 +89,16 @@ def test_03_closed_form_information():
     p = probe(math.pi / 2, 0.0)
     for lam in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]:
         _, _, w = mub_hovm(lam)
-        assert oqfi(w, *p) == pytest.approx(
+        assert oqfi(*cells(w, *p)) == pytest.approx(
             lam**2 / (1 - lam**2), abs=1e-9
         )
     _, _, w = mub_hovm(1 / math.sqrt(2))
-    assert oqfi(w, *p) == pytest.approx(qfi_pure(*p), abs=1e-12)
+    assert oqfi(*cells(w, *p)) == pytest.approx(qfi_pure(*p), abs=1e-12)
     for lam in (0.82, 0.9, 0.99):
         _, _, w = mub_hovm(lam)
-        assert advantage(w, *p) > 0
+        assert advantage(*cells(w, *p), qfi_pure(*p)) > 0
     _, _, w = mub_hovm(math.sqrt(2 / 3))
-    assert advantage(w, *p) == pytest.approx(0.0, abs=1e-12)
+    assert advantage(*cells(w, *p), qfi_pure(*p)) == pytest.approx(0.0, abs=1e-12)
     _passed("3 closed-form quasiprobability information lam^2/(1-lam^2)")
 
 
@@ -116,7 +117,7 @@ def test_04_never_beats_quantum_limit():
                 p = probe(theta, phi, target)
                 if negativity(oq_values(w, p[0])) > 1e-10:
                     continue
-                if oqfi(w, *p) > qfi_pure(*p) + 1e-9:
+                if oqfi(*cells(w, *p)) > qfi_pure(*p) + 1e-9:
                     violations += 1
     assert violations == 0
     assert time.perf_counter() - start < 10.0
@@ -185,8 +186,8 @@ def test_08_derivative_hygiene():
     a, b, w = mub_hovm(lam)
     table = expected_counts(*setting_probs(math.pi / 2, 0.0, a, b), 10_000)
     r = mle_estimate(table, Target.POLAR, 0.0, w, (1.0, 2.0))
-    assert r.observed_fi[0] == pytest.approx(oqfi(w, *probe(math.pi / 2, 0.0)),
-                                          rel=1e-3)
+    truth = oqfi(*cells(w, *probe(math.pi / 2, 0.0)))
+    assert r.observed_fi[0] == pytest.approx(truth, rel=1e-3)
     _passed("8 analytic derivatives and likelihood curvature verified")
 
 

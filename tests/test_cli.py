@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cells
 import oqmetro.cli
+import oqmetro.fisher
 from oqmetro.cli import (
     ESTIMATE_FIELDS,
     _estimate_rows,
@@ -209,7 +211,7 @@ def per_lambda_sweep(argv):
         w = build_hovm(a, b, sequential_povm(a, b))
         neg = negativity(oq_values(w, psi))
         positive = neg <= POSITIVITY_TOL
-        info = oqfi(w, psi[positive], dpsi[positive])
+        info = oqfi(*cells(w, psi[positive], dpsi[positive]))
         blocks.append([lam, thetas, phis, args.target, _gapped(info, positive),
                        qfi, neg.tolist(), positive.tolist()])
     _write_table(None, args.format, "fi-sweep",
@@ -313,6 +315,23 @@ class TestAdvantageMap:
     def test_out_of_range_angle_exits_2(self, capsys):
         assert main(["advantage-map", "--theta", "0.5,4", "--phi", "0"]) == 2
         assert "theta=4.0 outside [0, pi]" in capsys.readouterr().err
+
+    def test_each_row_evaluated_once(self, monkeypatch, capsys):
+        calls = dict.fromkeys(("oq_values", "qfi_pure", "oq_slopes"), 0)
+        # wherever a name is bound, so calls made inside fisher count too
+        for module in (oqmetro.cli, oqmetro.fisher):
+            for name in calls:
+                if not hasattr(module, name):
+                    continue
+
+                def counted(*args, name=name, fn=getattr(module, name)):
+                    calls[name] += 1
+                    return fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        assert main(["advantage-map", "--lambda", "0.99", "--theta",
+                     "0.5,1.0,1.5", "--phi", "0.1:3.0:0.1"]) == 0
+        assert calls == {"oq_values": 3, "qfi_pure": 3, "oq_slopes": 3}
 
 
 class TestEstimate:
@@ -468,6 +487,38 @@ class TestEstimate:
         assert code == 2
         assert "narrower than half the grid step" in capsys.readouterr().err
 
+    def test_n_beyond_int64_exits_2(self, capsys):
+        argv = ["estimate", "--n", "99999999999999999999", "--trials", "2"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "n must be at most 9223372036854775807" in err
+
+    def test_trials_over_all_points_bounded(self, monkeypatch, capsys):
+        monkeypatch.setattr(oqmetro.cli, "MAX_RANGE_POINTS", 10)
+        argv = ["estimate", "--lambda", "0.85", "--theta", "1.2,1.3",
+                "--phi", "1.0", "--n", "2000", "--seed", "5",
+                "--domain", "0.8:1.6", "--trials"]
+        assert main(argv + ["6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 10 trials in all" in err
+        assert main(argv + ["5"]) == 0
+
+    @pytest.mark.parametrize("domain", ["0:1e6", "-inf:1"])
+    def test_phi_domain_beyond_one_period_exits_2(self, capsys, domain):
+        assert main(["estimate", "--target", "phi", "--lambda", "0.85",
+                     "--theta", "1.2", "--phi", "1.0", "--n", "2000",
+                     "--trials", "3", f"--domain={domain}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "phi domain" in err
+
+    def test_phi_domain_of_one_period_is_searched(self, capsys):
+        assert main(["estimate", "--target", "phi", "--lambda", "0.85",
+                     "--theta", "1.2", "--phi", "1.0", "--n", "2000",
+                     "--trials", "3", "--seed", "5",
+                     "--domain", "0:2*pi"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [r.split(",")[6] for r in rows] == ["mle", "lep"]
+
     def test_inject_expected_matches_advantage(self, tmp_path):
         out = tmp_path / "est.csv"
         main(self.ARGS + ["--inject-expected", "--out", str(out)])
@@ -523,7 +574,8 @@ class TestCompat:
 
 # Token pools for the exit-code contract, as (typical, edge or malformed)
 # values per option.  Every list or range holds at most three values, so no
-# run exceeds about ten probe points, five trials or 1e4 samples.
+# run exceeds about ten probe points, five trials or 1e4 samples; the huge
+# sample and trial counts are refused before anything is sampled.
 _ANGLE_EDGES = ("0", "pi", "-0.1", "4", "nan", "inf", "1:0:0.1", "0:1",
                 "0:inf:1", "0:1:nan", "0:1:-1", "x", "")
 _GRID_OPTIONS = {
@@ -540,8 +592,10 @@ _OPTIONS = {
     "advantage-map": _GRID_OPTIONS,
     "estimate": {
         **_GRID_OPTIONS,
-        "n": (("2000", "10000"), ("0", "-1", "1", "2", "1e4", "x", "")),
-        "trials": (("2", "3", "5"), ("-1", "0", "1", "x")),
+        "n": (("2000", "10000"), ("0", "-1", "1", "2", "1e4", "x", "",
+                                  "99999999999999999999")),
+        "trials": (("2", "3", "5"), ("-1", "0", "1", "x",
+                                     "99999999999999999999")),
         "seed": (("0", "7", "99999999999999999999999"), ("-1", "x")),
         "domain": (("0.7:1.3", "0:pi", "0.2:2.5"),
                    ("-0.5:0.5", "0.7", "1.2:1.2004", "1.3:0.7", "nan:1",

@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mub_hovm, probe
+from conftest import cells, mub_hovm, probe
 from oqmetro.errors import NegativeOq, ZeroQfi
 from oqmetro.fisher import DERIV_FLOOR, PROB_FLOOR, advantage, oqfi, qfi_pure
 from oqmetro.oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values
@@ -130,8 +130,9 @@ def test_single_point_matches_reference(lam, theta, phi, target):
     q_ref = ref_qfi(amps, der)
     q_atol = RTOL * 4 * np.vdot(der, der).real
     assert_close(qfi_pure(psi, dpsi), q_ref, q_atol)
-    assert_close(outcome(oqfi, w, psi, dpsi), outcome(ref_oqfi, w, amps, der))
-    assert_close(outcome(advantage, w, psi, dpsi),
+    assert_close(outcome(oqfi, *cells(w, psi, dpsi)),
+                 outcome(ref_oqfi, w, amps, der))
+    assert_close(outcome(advantage, *cells(w, psi, dpsi), qfi_pure(psi, dpsi)),
                  outcome(ref_advantage, w, amps, der),
                  q_atol / (max(q_ref, 0.0) * math.log(10) or math.inf))
 
@@ -152,12 +153,19 @@ def test_grid_call_equals_stacked_single_calls(lam, target, points):
     assert np.array_equal(negativity(oq_values(w, psi)),
                           [negativity(oq_values(w, s[0])) for s in singles])
     assert np.array_equal(qfi_pure(psi, dpsi), [qfi_pure(*s) for s in singles])
-    # one refused point refuses the whole grid; compare on the others
-    defined = [not isinstance(outcome(advantage, w, *s), type) for s in singles]
+    # one refused point refuses the whole grid; compare on the others, with
+    # the grid's cells taken at every point and then masked, as a map row is
+    values, slopes = cells(w, psi, dpsi)
+    q = qfi_pure(psi, dpsi)
+    single_cells = [cells(w, *s) for s in singles]
+    defined = [not isinstance(outcome(advantage, *c, qfi_pure(*s)), type)
+               for c, s in zip(single_cells, singles)]
     if not all(defined):
-        assert isinstance(outcome(advantage, w, psi, dpsi), type)
+        assert isinstance(outcome(advantage, values, slopes, q), type)
     if any(defined):
-        assert np.array_equal(oqfi(w, psi[defined], dpsi[defined]),
-                              [oqfi(w, *s) for s, d in zip(singles, defined) if d])
-        assert np.array_equal(advantage(w, psi[defined], dpsi[defined]),
-                              [advantage(w, *s) for s, d in zip(singles, defined) if d])
+        kept = [(c, s) for c, s, d in zip(single_cells, singles, defined) if d]
+        assert np.array_equal(oqfi(values[defined], slopes[defined]),
+                              [oqfi(*c) for c, _ in kept])
+        assert np.array_equal(
+            advantage(values[defined], slopes[defined], q[defined]),
+            [advantage(*c, qfi_pure(*s)) for c, s in kept])

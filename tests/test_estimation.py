@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mub_hovm, probe, setting_probs
+from conftest import cells, mub_hovm, probe, setting_probs
 from oqmetro import estimation
 from oqmetro.errors import AllTrialsOmitted, NegativeCounts, ParamOutOfRange
 from oqmetro.estimation import (
@@ -147,7 +147,7 @@ class TestMle:
         g0 = math.pi / 2
         table = expected_counts(*setting_probs(g0, 0.0, a, b), 10_000)
         r = mle_estimate(table, Target.POLAR, 0.0, w, (1.0, 2.0))
-        truth = oqfi(w, *probe(g0, 0.0))
+        truth = oqfi(*cells(w, *probe(g0, 0.0)))
         assert r.observed_fi[0] == pytest.approx(truth, rel=1e-3)
 
     def test_flat_likelihood_is_omitted(self):
@@ -241,7 +241,7 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(cfg)
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, 2**63])
     @pytest.mark.parametrize("inject", [False, True])
     def test_sample_size_floor_before_any_computation(self, monkeypatch,
                                                       n, inject):
@@ -251,7 +251,9 @@ class TestRunTrials:
         monkeypatch.setattr(estimation, "mutually_unbiased_pair", no_work)
         cfg = TrialConfig(1.0, 2.3, Target.POLAR, 0.9, n, 3, 0,
                           domain=(0.7, 1.3), inject_expected=inject)
-        with pytest.raises(ValueError, match="n must be positive"):
+        # multinomial draws count in int64
+        want = "n must be positive" if n < 1 else "n must be at most"
+        with pytest.raises(ValueError, match=want):
             run_trials(cfg)
 
     def test_probe_point_and_target_checked(self):
@@ -274,6 +276,22 @@ class TestRunTrials:
         cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, 4, 0,
                           domain=(1.2, 1.2004))
         with pytest.raises(ValueError, match="narrower than half the grid step"):
+            run_trials(cfg)
+
+    @pytest.mark.parametrize("domain", [
+        (0.0, 1e6), (-math.inf, 1.0), (0.0, math.nan),
+        (0.0, 2 * math.pi + 1e-9),
+    ], ids=["wide", "infinite", "nan", "just-over-a-period"])
+    def test_azimuthal_domain_checked_before_any_grid(self, monkeypatch,
+                                                      domain):
+        def no_grid(*args):
+            raise AssertionError("built a grid before the domain was checked")
+
+        monkeypatch.setattr(estimation, "_grid", no_grid)
+        monkeypatch.setattr(estimation, "draw_counts", no_grid)
+        cfg = TrialConfig(1.2, 1.0, Target.AZIMUTHAL, 0.85, 2000, 4, 0,
+                          domain=domain)
+        with pytest.raises(ParamOutOfRange, match="phi domain"):
             run_trials(cfg)
 
     @pytest.mark.parametrize("trials,inject", [(2, False), (9, False),

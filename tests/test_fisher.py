@@ -3,21 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import mub_hovm, probe
+from conftest import cells, mub_hovm, probe
 from oqmetro.errors import (
     DerivativeNotTraceless,
     NegativeOq,
     NotNormalized,
-    ZeroInformation,
     ZeroQfi,
 )
-from oqmetro.fisher import (
-    advantage,
-    cri_bound,
-    fisher_discrete,
-    oqfi,
-    qfi_pure,
-)
+from oqmetro.fisher import advantage, fisher_discrete, oqfi, qfi_pure
 from oqmetro.oq import negativity, oq_slopes, oq_values
 from oqmetro.probe import Target, amplitudes
 
@@ -66,28 +59,28 @@ class TestOqfi:
         p = probe(math.pi / 2, 0.0)
         for lam in np.linspace(0.0, 0.99, 34):
             _, _, w = mub_hovm(lam)
-            r = oqfi(w, *p)
+            r = oqfi(*cells(w, *p))
             assert r == pytest.approx(lam**2 / (1 - lam**2), abs=1e-9)
 
     def test_crosses_qfi_at_boundary_sharpness(self):
         p = probe(math.pi / 2, 0.0)
         _, _, w = mub_hovm(1 / math.sqrt(2))
-        assert oqfi(w, *p) == pytest.approx(qfi_pure(*p), abs=1e-12)
+        assert oqfi(*cells(w, *p)) == pytest.approx(qfi_pure(*p), abs=1e-12)
 
     def test_zero_sharpness_gives_zero(self):
         _, _, w = mub_hovm(0.0)
-        r = oqfi(w, *probe(1.2, 0.3))
+        r = oqfi(*cells(w, *probe(1.2, 0.3)))
         assert r == pytest.approx(0.0, abs=1e-30)
 
     def test_refused_on_negative_oq(self):
         _, _, w = mub_hovm(1.0)
         with pytest.raises(NegativeOq):
-            oqfi(w, *probe(math.pi / 4, 0.0))
+            oqfi(*cells(w, *probe(math.pi / 4, 0.0)))
 
     def test_refused_if_any_grid_point_is_negative(self):
         _, _, w = mub_hovm(1.0)
         with pytest.raises(NegativeOq):
-            oqfi(w, *probe(np.array([math.pi / 2, math.pi / 4]), 0.0))
+            oqfi(*cells(w, *probe(np.array([math.pi / 2, math.pi / 4]), 0.0)))
 
 
 class TestQfiPure:
@@ -114,27 +107,40 @@ class TestAdvantage:
     def test_zero_at_break_even_sharpness(self):
         lam = math.sqrt(2 / 3)
         _, _, w = mub_hovm(lam)
-        a = advantage(w, *probe(math.pi / 2, 0.0))
+        p = probe(math.pi / 2, 0.0)
+        a = advantage(*cells(w, *p), qfi_pure(*p))
         assert a == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_sharpness_value(self):
         _, _, w = mub_hovm(1 / math.sqrt(2))
-        a = advantage(w, *probe(math.pi / 2, 0.0))
+        p = probe(math.pi / 2, 0.0)
+        a = advantage(*cells(w, *p), qfi_pure(*p))
         assert a == pytest.approx(math.log10(0.5), abs=1e-12)
 
     def test_divergence_at_full_sharpness(self):
         _, _, w = mub_hovm(1.0)
-        a = advantage(w, *probe(math.pi / 2, 0.0))
+        p = probe(math.pi / 2, 0.0)
+        a = advantage(*cells(w, *p), qfi_pure(*p))
         assert math.isinf(a) and a > 0
 
     def test_zero_qfi_guard(self):
         _, _, w = mub_hovm(0.5)
+        p = probe(0.0, 0.0, Target.AZIMUTHAL)
         with pytest.raises(ZeroQfi):
-            advantage(w, *probe(0.0, 0.0, Target.AZIMUTHAL))
+            advantage(*cells(w, *p), qfi_pure(*p))
+
+    def test_zero_qfi_refused_before_negative_oq(self):
+        values = np.array([[0.75, -0.25], [0.25, 0.25]])
+        slopes = np.zeros((2, 2))
+        with pytest.raises(ZeroQfi):
+            advantage(values, slopes, 0.0)
+        with pytest.raises(NegativeOq, match="negativity 5.000e-01 exceeds"):
+            advantage(values, slopes, 1.0)
 
     def test_zero_information_gives_minus_inf(self):
         _, _, w = mub_hovm(0.0)
-        assert advantage(w, *probe(math.pi / 2, 0.0)) == -math.inf
+        p = probe(math.pi / 2, 0.0)
+        assert advantage(*cells(w, *p), qfi_pure(*p)) == -math.inf
 
     def test_advantage_region_exists_at_high_sharpness(self):
         _, _, w = mub_hovm(0.99)
@@ -144,32 +150,12 @@ class TestAdvantage:
                 p = probe(theta, phi)
                 if negativity(oq_values(w, p[0])) > 1e-10:
                     continue
-                if advantage(w, *p) > 0:
+                if advantage(*cells(w, *p), qfi_pure(*p)) > 0:
                     found = True
                     break
             if found:
                 break
         assert found
-
-
-class TestCriBound:
-    def test_simple_values(self):
-        assert cri_bound(1.0, 10**5) == pytest.approx(1e-5)
-        assert cri_bound(2.0, 10**5) == pytest.approx(5e-6)
-
-    def test_closed_form_point(self):
-        lam = 0.9
-        fi = lam**2 / (1 - lam**2)
-        assert cri_bound(fi, 10**5) == pytest.approx(
-            (1 - 0.81) / (0.81 * 1e5), rel=1e-12
-        )
-
-    def test_diverged_gives_zero(self):
-        assert cri_bound(math.inf, 10) == 0.0
-
-    def test_zero_information_guard(self):
-        with pytest.raises(ZeroInformation):
-            cri_bound(0.0, 10)
 
 
 def test_theorem2_compatible_sharpness_never_beats_qfi():
@@ -185,7 +171,7 @@ def test_theorem2_compatible_sharpness_never_beats_qfi():
                 p = probe(theta, phi, target)
                 if negativity(oq_values(w, p[0])) > 1e-10:
                     continue
-                r = oqfi(w, *p)
+                r = oqfi(*cells(w, *p))
                 assert not math.isinf(r)
                 assert r <= qfi_pure(*p) + 1e-9
 

@@ -180,7 +180,8 @@ def ref_run_trials(cfg):
         check_angles(domain, cfg.phi0)
     psi0 = amplitudes(cfg.theta0, cfg.phi0)
     dpsi0 = amplitude_slopes(cfg.theta0, cfg.phi0, cfg.target)
-    adv = advantage(w, psi0, dpsi0)
+    adv = advantage(oq_values(w, psi0), oq_slopes(w, psi0, dpsi0),
+                    qfi_pure(psi0, dpsi0))
     quantum_var = 1.0 / (cfg.n * qfi_pure(psi0, dpsi0))
     if cfg.inject_expected:
         tables = [ref_expected_table(cfg, a, b)]
