@@ -9,20 +9,20 @@ Numeric arguments accept ``pi`` arithmetic (numbers, ``pi``, unary signs
 and ``+ - * /``), parsed without ``eval``; a range may ask for at most
 ``MAX_RANGE_POINTS`` points, and so may the grid of a sweep or map and
 the trials of an ``estimate`` over all its points.
-``fi-sweep`` and ``advantage-map`` evaluate whole batches of probe points
-per kernel call, and each probe point once: ``fi-sweep`` builds all its
-measurements as one stack and makes one kernel call per sweep over every
-(sharpness, point) pair, ``advantage-map`` one call per theta row.  The
-cells, their slopes and the quantum information then go to ``fisher``
-as arrays.
+``fi-sweep`` and ``advantage-map`` evaluate each probe point once, in
+kernel calls of at most ``oq.BLOCK_POINTS`` points (``oq.row_blocks``):
+``advantage-map`` one call per block of theta rows, ``fi-sweep`` one per
+block of sharpness values, whose measurements it builds as one stack and
+evaluates at every probe point.  The cells, their slopes and the quantum
+information then go to ``fisher`` as arrays.
 
 Each subcommand hands ``_write_table`` its table as blocks of columns of
-plain Python values: one block per theta row for ``advantage-map``, each
-formatted as soon as it is computed, one per sharpness value for
-``fi-sweep`` and one per probe point for ``estimate``.  A CSV cell is
-Python's shortest round-trip text for a float (``inf``/``-inf`` for
-infinities), ``str`` for a bool, int or token, and empty for None; no
-cell is ever quoted.  ``_fmt`` is the JSON cell rule, and ``_emit`` the
+plain Python values: one block per theta row for ``advantage-map`` and
+per sharpness value for ``fi-sweep``, each formatted as soon as its
+kernel call is done, and one per probe point for ``estimate``.  A CSV
+cell is Python's shortest round-trip text for a float (``inf``/``-inf``
+for infinities), ``str`` for a bool, int or token, and empty for None;
+no cell is ever quoted.  ``_fmt`` is the JSON cell rule, and ``_emit`` the
 one place output is written.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
@@ -52,7 +52,7 @@ from .measurement import (
     sequential_povm,
     sharpness_threshold,
 )
-from .oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values
+from .oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values, row_blocks
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 SCHEMA_VERSION = "oqmetro-csv v1"
@@ -159,12 +159,7 @@ def _csv_cells(col: list) -> list:
     """CSV text of a column of Python values: ``str``, which is the
     shortest round-trip text for a float and 'inf'/'-inf' for infinities,
     and '' for None."""
-    texts = list(map(str, col))
-    if "None" in texts:
-        cells = np.array(texts, dtype=object)
-        cells[np.equal(np.array(col, dtype=object), None)] = ""
-        texts = cells.tolist()
-    return texts
+    return ["" if v is None else str(v) for v in col]
 
 
 def _csv_text(header: list, blocks) -> str:
@@ -244,22 +239,27 @@ def cmd_fi_sweep(args) -> int:
     thetas, phis = theta.tolist(), phi.tolist()
     qfi = qfi_pure(psi, dpsi).tolist()
 
-    # every measurement in one stack of batch shape (lambda, 1), which
-    # broadcasts against the probe points: cells have shape (lambda, point)
-    a, b = mutually_unbiased_pair(np.array(lams)[:, None])
-    w = build_hovm(a, b, sequential_povm(a, b))
-    values = oq_values(w, psi)
-    neg = negativity(values)
-    positive = neg <= POSITIVITY_TOL
-    slopes = oq_slopes(w, psi, dpsi)
-    info = oqfi(values[positive], slopes[positive])
-    blocks = [[lam, thetas, phis, args.target, info_row, qfi, neg_row, pos_row]
-              for lam, info_row, neg_row, pos_row in
-              zip(lams, _gapped(info, positive), neg.tolist(),
-                  positive.tolist())]
+    def blocks():
+        # the measurements of a block of sharpness values in one stack of
+        # batch shape (lambda, 1), which broadcasts against the probe
+        # points: cells have shape (lambda, point)
+        for rows in row_blocks(len(lams), len(thetas)):
+            a, b = mutually_unbiased_pair(np.array(lams[rows])[:, None])
+            w = build_hovm(a, b, sequential_povm(a, b))
+            values = oq_values(w, psi)
+            neg = negativity(values)
+            positive = neg <= POSITIVITY_TOL
+            slopes = oq_slopes(w, psi, dpsi)
+            info = oqfi(values[positive], slopes[positive])
+            for lam, info_row, neg_row, pos_row in zip(
+                    lams[rows], _gapped(info, positive), neg.tolist(),
+                    positive.tolist()):
+                yield [lam, thetas, phis, args.target, info_row, qfi,
+                       neg_row, pos_row]
+
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
-                  "negativity", "positive"], blocks)
+                  "negativity", "positive"], blocks())
     return 0
 
 
@@ -275,11 +275,13 @@ def cmd_advantage_map(args) -> int:
     phi = np.array(phis, dtype=float)
 
     def blocks():
-        # one theta row per kernel call keeps the working set small, and
-        # each row is formatted before the next is computed
-        for theta in thetas:
-            psi = amplitudes(theta, phi)
-            dpsi = amplitude_slopes(theta, phi, target)
+        # one kernel call per block of theta rows keeps the working set
+        # small, and a block's rows are formatted before the next block is
+        # computed
+        for rows in row_blocks(len(thetas), len(phis)):
+            theta_col = np.array(thetas[rows], dtype=float)[:, None]
+            psi = amplitudes(theta_col, phi)
+            dpsi = amplitude_slopes(theta_col, phi, target)
             values = oq_values(w, psi)
             qfi = qfi_pure(psi, dpsi)
             slopes = oq_slopes(w, psi, dpsi)
@@ -288,7 +290,9 @@ def cmd_advantage_map(args) -> int:
             # quantum information vanishes: those cells stay empty
             defined = (neg <= POSITIVITY_TOL) & (qfi > 0)
             adv = advantage(values[defined], slopes[defined], qfi[defined])
-            yield [theta, phis, _gapped(adv, defined), neg.tolist()]
+            for theta, adv_row, neg_row in zip(
+                    thetas[rows], _gapped(adv, defined), neg.tolist()):
+                yield [theta, phis, adv_row, neg_row]
 
     _write_table(args.out, args.format, "advantage-map",
                  ["theta", "phi", "advantage", "negativity"], blocks())

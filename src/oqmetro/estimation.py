@@ -15,9 +15,11 @@ and trials are independent.
 Stacks only: every function takes a ``CountTable`` stack of tables with a
 leading trial axis and returns one array entry per table; an estimator
 marks the tables it refuses in ``TrialResult.omitted`` instead of raising.
-A run builds its measurements, outcome probabilities and grid tables once,
-and each golden-section or curvature step is one kernel call over all
-trials, with the per-table arithmetic of refining the tables one at a time.
+A run builds its measurements, outcome probabilities and grid tables once.
+The grid scans take blocks of trials, at most ``oq.BLOCK_POINTS`` (trial,
+grid point) pairs per call, and each golden-section or curvature step is
+one kernel call over all trials, with the per-table arithmetic of
+refining the tables one at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import AllTrialsOmitted, NegativeCounts, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
-from .oq import oq_slopes, oq_values
+from .oq import oq_slopes, oq_values, row_blocks
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
@@ -224,11 +226,10 @@ def _grid(domain: tuple, step: float) -> np.ndarray:
     return gs
 
 
-def _brackets(gs: np.ndarray, best: list) -> tuple:
+def _brackets(gs: np.ndarray, best: np.ndarray) -> tuple:
     """The grid neighbours of each table's best grid point; at the ends of
     the grid a bracket is one step wide."""
-    i = np.array(best, dtype=np.intp)
-    return gs[np.maximum(i - 1, 0)], gs[np.minimum(i + 1, len(gs) - 1)]
+    return gs[np.maximum(best - 1, 0)], gs[np.minimum(best + 1, len(gs) - 1)]
 
 
 def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
@@ -247,8 +248,11 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
     log_cells = np.log(np.clip(
         oq_values(w, amplitudes(*_angles(gs, fixed_other, target))),
         PROB_CLAMP, None))
-    best = [np.argmax((cw[None, :, :] * log_cells).sum(axis=(1, 2)) / counts.n)
-            for cw in counts.counts_w]
+    cw = counts.counts_w
+    best = np.empty(len(cw), dtype=np.intp)
+    for rows in row_blocks(len(cw), len(gs)):
+        best[rows] = np.argmax(
+            _cell_sum(cw[rows, None] * log_cells[None]) / counts.n, axis=1)
 
     def f(g):
         return log_likelihood(counts, g, fixed_other, target, w)
@@ -286,7 +290,9 @@ def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
     gs = _grid(domain, grid_step)
     vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
     means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
-    best = [np.argmin((means - o) ** 2) for o in obs]
+    best = np.empty(len(obs), dtype=np.intp)
+    for rows in row_blocks(len(obs), len(gs)):
+        best[rows] = np.argmin((means[None] - obs[rows, None]) ** 2, axis=1)
 
     def f(g):
         psi = amplitudes(*_angles(g, fixed_other, target))

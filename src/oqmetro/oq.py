@@ -6,6 +6,10 @@ be a probability distribution.  This module is the only place that
 evaluates HOVM cells: every function works on whole arrays of amplitudes
 of shape (..., 2) and returns cells of shape (..., d, d).  The batch axes
 of a stacked HOVM broadcast against those of the amplitudes.
+
+Callers evaluate a grid in blocks of at most ``BLOCK_POINTS`` probe points
+per kernel call (``row_blocks``): large enough that per-call overhead does
+not dominate, small enough to keep the working set small.
 """
 
 from __future__ import annotations
@@ -17,12 +21,23 @@ from .measurement import Hovm
 
 POSITIVITY_TOL = 1e-10
 
+# the most probe points one kernel call evaluates
+BLOCK_POINTS = 4096
+
 _CELLS = "...i,...abij,...j->...ab"
 
 
 def _check_qubit(w: Hovm) -> None:
     if w.dim != 2:
         raise DimensionMismatch("probe states are qubits; HOVM dim must be 2")
+
+
+def row_blocks(rows: int, width: int) -> list:
+    """Slices covering ``rows`` rows of ``width`` probe points each, at most
+    ``BLOCK_POINTS`` points per slice but at least one row; an empty row
+    counts as one point."""
+    step = max(1, BLOCK_POINTS // max(width, 1))
+    return [slice(s, s + step) for s in range(0, rows, step)]
 
 
 def oq_values(w: Hovm, psi: np.ndarray) -> np.ndarray:

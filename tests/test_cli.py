@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import cells
 import oqmetro.cli
 import oqmetro.fisher
+import oqmetro.oq
 from oqmetro.cli import (
     ESTIMATE_FIELDS,
     _estimate_rows,
@@ -329,9 +330,23 @@ class TestAdvantageMap:
                     return fn(*args)
 
                 monkeypatch.setattr(module, name, counted)
-        assert main(["advantage-map", "--lambda", "0.99", "--theta",
-                     "0.5,1.0,1.5", "--phi", "0.1:3.0:0.1"]) == 0
-        assert calls == {"oq_values": 3, "qfi_pure": 3, "oq_slopes": 3}
+        argv = ["advantage-map", "--lambda", "0.99", "--theta",
+                "0.5,1.0,1.5", "--phi", "0.1:3.0:0.1"]
+        # 3 rows of 30 points fit in one block at the default budget
+        assert main(argv) == 0
+        assert calls == {"oq_values": 1, "qfi_pure": 1, "oq_slopes": 1}
+        # 2 rows per block: ceil(3 / 2) kernel calls
+        calls.update(dict.fromkeys(calls, 0))
+        monkeypatch.setattr(oqmetro.oq, "BLOCK_POINTS", 60)
+        assert main(argv) == 0
+        assert calls == {"oq_values": 2, "qfi_pure": 2, "oq_slopes": 2}
+
+    def test_empty_phi_range_writes_the_header(self, capsys):
+        assert main(["advantage-map", "--theta", "0.2,0.4",
+                     "--phi", "1:0:0.1"]) == 0
+        assert capsys.readouterr().out == (
+            "# oqmetro-csv v1 advantage-map\n"
+            "theta,phi,advantage,negativity\n")
 
 
 class TestEstimate:
