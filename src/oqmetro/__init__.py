@@ -4,7 +4,6 @@ from .errors import (
     AllTrialsOmitted,
     BlochNormExceeded,
     DerivativeNotTraceless,
-    DimensionMismatch,
     NegativeCounts,
     NegativeOq,
     NotHermitian,

@@ -17,10 +17,6 @@ class BlochNormExceeded(OqMetroError):
     pass
 
 
-class DimensionMismatch(OqMetroError):
-    pass
-
-
 class OutcomeCountMismatch(OqMetroError):
     pass
 

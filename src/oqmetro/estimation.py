@@ -99,7 +99,8 @@ class TrialResult:
     """Estimates with their error bars, one entry per table of a stack.
 
     ``omitted`` marks the tables the estimator refused (a flat likelihood,
-    or no usable parity slope); their other entries are meaningless.
+    no usable parity slope or no positive predicted variance); their other
+    entries are meaningless.
     """
 
     estimate: np.ndarray
@@ -233,9 +234,7 @@ def _brackets(gs: np.ndarray, best: np.ndarray) -> tuple:
 
 
 def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
-                 w: Hovm, domain: tuple, grid_step: float = GRID_STEP,
-                 refine_tol: float = REFINE_TOL,
-                 curvature_h: float = CURVATURE_H) -> TrialResult:
+                 w: Hovm, domain: tuple) -> TrialResult:
     """Maximum-likelihood estimate with observed-Fisher error bar.
 
     Coarse grid scan (first maximum wins ties, i.e. the smallest angle)
@@ -244,7 +243,7 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
     likelihood is flat at the optimum is marked omitted.
     """
     _check(counts)
-    gs = _grid(domain, grid_step)
+    gs = _grid(domain, GRID_STEP)
     log_cells = np.log(np.clip(
         oq_values(w, amplitudes(*_angles(gs, fixed_other, target))),
         PROB_CLAMP, None))
@@ -257,9 +256,9 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
     def f(g):
         return log_likelihood(counts, g, fixed_other, target, w)
 
-    est = golden_section_maximize(f, *_brackets(gs, best), refine_tol)
+    est = golden_section_maximize(f, *_brackets(gs, best), REFINE_TOL)
 
-    h = curvature_h
+    h = CURVATURE_H
     center = f(est)
     curvature = (f(est + h) - 2 * center + f(est - h)) / (h * h)
     observed_fi = -curvature
@@ -277,17 +276,17 @@ def parity_mean(counts: CountTable) -> np.ndarray:
 
 
 def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
-                 w: Hovm, domain: tuple, grid_step: float = GRID_STEP,
-                 refine_tol: float = REFINE_TOL) -> TrialResult:
+                 w: Hovm, domain: tuple) -> TrialResult:
     """Linear-error-propagation estimate by inverting the parity mean.
 
     A table whose parity slope at the estimate is below ``SLOPE_FLOOR``, or
-    whose propagated standard error is wider than the search domain, has no
-    usable sensitivity and is marked omitted.
+    whose predicted variance is not positive (the model parity mean of a
+    quasiprobability may pass 1 in magnitude) or has a standard error wider
+    than the search domain, is marked omitted.
     """
     _check(counts)
     obs = parity_mean(counts)
-    gs = _grid(domain, grid_step)
+    gs = _grid(domain, GRID_STEP)
     vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
     means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
     best = np.empty(len(obs), dtype=np.intp)
@@ -298,7 +297,7 @@ def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
         psi = amplitudes(*_angles(g, fixed_other, target))
         return -_square(_cell_sum(_PARITY * oq_values(w, psi)) - obs)
 
-    est = golden_section_maximize(f, *_brackets(gs, best), refine_tol)
+    est = golden_section_maximize(f, *_brackets(gs, best), REFINE_TOL)
 
     theta, phi = _angles(est, fixed_other, target)
     psi = amplitudes(theta, phi)
@@ -310,7 +309,8 @@ def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
         variance = (1.0 - _square(mean_at)) / (counts.n * _square(slope))
     width = float(domain[1]) - float(domain[0])
     # the squared form of: standard error wider than the search domain
-    zero = (np.abs(slope) <= SLOPE_FLOOR) | (variance > width**2)
+    zero = ((np.abs(slope) <= SLOPE_FLOOR) | (variance > width**2)
+            | ~(variance > 0))
     return TrialResult(est, np.full_like(est, np.nan), variance, zero)
 
 

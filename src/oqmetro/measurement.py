@@ -1,17 +1,18 @@
-"""POVM / HOVM data model and compatibility predicates.
+"""Qubit POVM / HOVM data model and compatibility predicates.
 
-A ``Povm`` is a list of PSD effects summing to the identity.  A ``Hovm``
-relaxes positivity: its elements need only be Hermitian, and the grid as a
-whole sums to the identity.  The HOVM built from a pair of local
+A ``Povm`` is a list of PSD qubit effects summing to the identity.  A
+``Hovm`` relaxes positivity: its elements need only be Hermitian, and the
+grid as a whole sums to the identity.  The HOVM built from a pair of local
 measurements and a conjunction measurement is the operator form of the
 operational quasiprobability; whether it is itself a POVM decides
 compatibility of the pair (for qubits, equivalently the Busch criterion).
 
-Measurements carry leading batch axes: ``Povm.effects`` has shape
-(..., outcomes, dim, dim) and ``Hovm.elements`` (..., d, d, dim, dim), so
-a stack of measurements (one per sharpness value, say) is built in one
-array pass.  A single measurement has batch shape ().  The builders
-broadcast the batch axes of their inputs.
+Operators are 2 x 2 (the probes are qubits); any other size is refused
+with ``ValueError``.  Measurements carry leading batch axes:
+``Povm.effects`` has shape (..., outcomes, 2, 2) and ``Hovm.elements``
+(..., d, d, 2, 2), so a stack of measurements (one per sharpness value,
+say) is built in one array pass.  A single measurement has batch shape
+().  The builders broadcast the batch axes of their inputs.
 
 Operators are checked once per stack, when a ``Povm`` or ``Hovm`` is
 constructed, with one check per condition over all its effects or
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import (
     BlochNormExceeded,
-    DimensionMismatch,
     NotHermitian,
     NotPsd,
     OutcomeCountMismatch,
@@ -67,31 +67,23 @@ def _sqrt(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operator-valued measure: PSD effects summing to identity.
+    """Positive operator-valued measure: PSD qubit effects summing to 1.
 
-    ``effects`` has shape (..., outcomes, dim, dim); it may be given as a
-    sequence of (dim, dim) effects of one measurement.
+    ``effects`` has shape (..., outcomes, 2, 2); it may be given as a
+    sequence of the 2 x 2 effects of one measurement.
     """
 
     effects: np.ndarray
 
     def __post_init__(self):
-        effects = self.effects
-        if not isinstance(effects, np.ndarray):
-            effects = [np.asarray(e, dtype=complex) for e in effects]
-            for e in effects:
-                if e.ndim != 2 or e.shape[0] != e.shape[1]:
-                    raise ValueError(f"expected a square matrix, got shape {e.shape}")
-            if len({e.shape for e in effects}) > 1:
-                raise DimensionMismatch("effects act on different dimensions")
-        stack = np.array(effects, dtype=complex)
-        if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2] or not stack.shape[-3]:
-            raise ValueError(f"expected one or more square effects, got {stack.shape}")
+        stack = np.array(self.effects, dtype=complex)
+        if stack.ndim < 3 or stack.shape[-2:] != (2, 2) or not stack.shape[-3]:
+            raise ValueError(f"expected one or more 2x2 effects, got {stack.shape}")
         if not _hermitian(stack).all():
             raise NotHermitian("POVM effect is not Hermitian")
         if not _psd(stack, HERMITIAN_TOL).all():
             raise NotPsd("POVM effect is not PSD")
-        if (np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1])) > IDENTITY_TOL).any():
+        if (np.abs(stack.sum(axis=-3) - np.eye(2)) > IDENTITY_TOL).any():
             raise ValueError("POVM effects do not sum to the identity")
         # a read-only private copy keeps the checks valid for good
         stack.setflags(write=False)
@@ -101,30 +93,26 @@ class Povm:
     def outcomes(self) -> int:
         return self.effects.shape[-3]
 
-    @property
-    def dim(self) -> int:
-        return self.effects.shape[-1]
-
 
 @dataclass(frozen=True)
 class Hovm:
     """Hermitian operator-valued measure on a d x d outcome grid.
 
-    ``elements`` has shape (..., d, d, dim, dim); elements may fail positivity.
+    ``elements`` has shape (..., d, d, 2, 2); elements may fail positivity.
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
         el = np.array(self.elements, dtype=complex)
-        if el.ndim < 4 or el.shape[-4] != el.shape[-3] or el.shape[-2] != el.shape[-1]:
-            raise ValueError(f"expected shape (..., d, d, dim, dim), got {el.shape}")
+        if el.ndim < 4 or el.shape[-4] != el.shape[-3] or el.shape[-2:] != (2, 2):
+            raise ValueError(f"expected shape (..., d, d, 2, 2), got {el.shape}")
         bad = np.argwhere(~_hermitian(el))
         if len(bad):
             a, b = bad[0][-2:]
             raise NotHermitian(f"HOVM element ({a},{b}) is not Hermitian")
         total = el.sum(axis=(-4, -3))
-        if (np.abs(total - np.eye(el.shape[-1])) > IDENTITY_TOL).any():
+        if (np.abs(total - np.eye(2)) > IDENTITY_TOL).any():
             raise ValueError("HOVM elements do not sum to the identity")
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
@@ -132,10 +120,6 @@ class Hovm:
     @property
     def d(self) -> int:
         return self.elements.shape[-3]
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[-1]
 
 
 def bloch_povm(bloch) -> Povm:
@@ -169,12 +153,10 @@ def sequential_povm(first: Povm, second: Povm) -> Povm:
     Outcomes are indexed (a, b) row-major: flat index a * second.outcomes + b.
     The marginal over b reproduces ``first`` exactly.
     """
-    if first.dim != second.dim:
-        raise DimensionMismatch("POVMs act on different dimensions")
     roots = _sqrt(first.effects)[..., :, None, :, :]
     effects = (roots @ second.effects[..., None, :, :, :]) @ roots
     return Povm(effects.reshape(effects.shape[:-4] + (
-        first.outcomes * second.outcomes, first.dim, first.dim)))
+        first.outcomes * second.outcomes, 2, 2)))
 
 
 def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
@@ -183,14 +165,12 @@ def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
     W_ab = C_ab + (A_a - sum_b C_ab) / d + (B_b - sum_a C_ab) / d.
     The marginals of the result reproduce A and B for any valid C.
     """
-    if a.dim != b.dim or a.dim != c.dim:
-        raise DimensionMismatch("measurements act on different dimensions")
     d = a.outcomes
     if b.outcomes != d:
         raise OutcomeCountMismatch("A and B must have the same outcome count")
     if c.outcomes != d * d:
         raise OutcomeCountMismatch(f"conjunction must have {d * d} outcomes")
-    grid = c.effects.reshape(c.effects.shape[:-3] + (d, d, a.dim, a.dim))
+    grid = c.effects.reshape(c.effects.shape[:-3] + (d, d, 2, 2))
     marg_a = grid.sum(axis=-3)  # sum over b, indexed by a
     marg_b = grid.sum(axis=-4)  # sum over a, indexed by b
     fix_a = (a.effects - marg_a) / d
@@ -198,9 +178,9 @@ def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
     return Hovm((grid + fix_a[..., :, None, :, :]) + fix_b[..., None, :, :, :])
 
 
-def hovm_is_povm(w: Hovm, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff every HOVM element is PSD to the given tolerance."""
-    return bool(_psd(w.elements, tol).all())
+def hovm_is_povm(w: Hovm) -> bool:
+    """True iff every HOVM element is PSD to HERMITIAN_TOL."""
+    return bool(_psd(w.elements, HERMITIAN_TOL).all())
 
 
 def busch_compatible(mu, nu) -> bool:

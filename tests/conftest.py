@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqmetro.errors import DimensionMismatch, OutcomeCountMismatch
+from oqmetro.errors import OutcomeCountMismatch
 from oqmetro.estimation import _outcome_probs
 from oqmetro.measurement import (
     Hovm,
@@ -24,13 +24,11 @@ def mub_hovm(lam):
 def marginality_defect(w, a, b):
     """Worst entrywise deviation of the HOVM marginals from A and B.
 
-    Accepts a ``Hovm`` or a raw (d, d, dim, dim) grid, so deliberately
+    Accepts a ``Hovm`` or a raw (d, d, 2, 2) grid, so deliberately
     defective grids can be scored too.
     """
     elements = w.elements if isinstance(w, Hovm) else np.asarray(w, dtype=complex)
-    d, dim = elements.shape[0], elements.shape[2]
-    if dim != a.dim or dim != b.dim:
-        raise DimensionMismatch("dimension mismatch")
+    d = elements.shape[0]
     if d != a.outcomes or d != b.outcomes:
         raise OutcomeCountMismatch("outcome-count mismatch")
     defect_a = np.abs(elements.sum(axis=1) - np.array(a.effects)).max()
@@ -65,11 +63,11 @@ def random_qubit_povm(rng):
     return bloch_povm(random_bloch(rng))
 
 
-def random_conjunction(rng, outcomes=4, dim=2):
+def random_conjunction(rng, outcomes=4):
     """Random valid POVM: random PSD chunks renormalized by S^{-1/2}."""
     chunks = []
     for _ in range(outcomes):
-        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         chunks.append(x @ x.conj().T)
     total = sum(chunks)
     vals, vecs = np.linalg.eigh(total)

@@ -66,7 +66,7 @@ def test_02_incompatibility_threshold():
     for lam in (boundary - 1e-4, boundary + 1e-4):
         a, b = mutually_unbiased_pair(lam)
         w = build_hovm(a, b, sequential_povm(a, b))
-        assert busch_compatible(lam * mu, lam * nu) == hovm_is_povm(w, 1e-10)
+        assert busch_compatible(lam * mu, lam * nu) == hovm_is_povm(w)
     rng = np.random.default_rng(2026)
     disagreements = 0
     for _ in range(500):
@@ -78,7 +78,7 @@ def test_02_incompatibility_threshold():
 
         a, b = bloch_povm(v), bloch_povm(u)
         w = build_hovm(a, b, sequential_povm(a, b))
-        if busch_compatible(v, u) != hovm_is_povm(w, 1e-10):
+        if busch_compatible(v, u) != hovm_is_povm(w):
             disagreements += 1
     assert disagreements == 0
     assert time.perf_counter() - start < 5.0

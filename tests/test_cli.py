@@ -349,6 +349,19 @@ class TestAdvantageMap:
             "theta,phi,advantage,negativity\n")
 
 
+# Every LEP variance of these runs is 0.0 and -0.2007 respectively.
+LEP_ZERO_VARIANCE = [
+    "estimate", "--target", "phi", "--lambda", "1.0", "--theta", "pi/2",
+    "--phi", "0.5", "--n", "1", "--trials", "3", "--seed", "443",
+    "--domain", "0:pi",
+]
+LEP_NEGATIVE_VARIANCE = [
+    "estimate", "--target", "theta", "--lambda", "0.95", "--theta", "pi",
+    "--phi", "0.5", "--n", "5", "--trials", "8", "--seed", "22",
+    "--domain", "0.2:1.2",
+]
+
+
 class TestEstimate:
     ARGS = [
         "estimate", "--target", "theta", "--lambda", "0.85",
@@ -422,6 +435,21 @@ class TestEstimate:
         lep = next(r for r in read_csv(out) if r["estimator"] == "lep")
         assert float(lep["omission_rate"]) > 0
         assert float(lep["pred_var"]) < 1
+
+    @pytest.mark.parametrize("argv", [LEP_ZERO_VARIANCE, LEP_NEGATIVE_VARIANCE],
+                             ids=["zero", "negative"])
+    def test_lep_without_positive_variance_exits_3(self, capsys, argv):
+        # the model parity mean m of a quasiprobability can reach or pass 1
+        # in magnitude, so the predicted variance (1 - m^2) / (n slope^2) is
+        # zero or negative: every LEP trial is omitted, and the point keeps
+        # its rows with empty result cells
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "lep: fewer than 2 trials completed" in err
+        assert "Traceback" not in err
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert [r["estimator"] for r in rows] == ["mle", "lep"]
+        assert all(r[k] == "" for r in rows for k in ESTIMATE_FIELDS[7:])
 
     def test_empty_range_exits_2(self):
         assert main(["estimate", "--theta", "1:0:0.1", "--phi", "0",
@@ -595,7 +623,7 @@ _ANGLE_EDGES = ("0", "pi", "-0.1", "4", "nan", "inf", "1:0:0.1", "0:1",
                 "0:inf:1", "0:1:nan", "0:1:-1", "x", "")
 _GRID_OPTIONS = {
     "target": (("theta", "phi"), ()),
-    "lambda": (("0.9", "0.8", "pi/4"),
+    "lambda": (("0.9", "0.8", "pi/4", "0.95", "1.0"),
                ("0", "1", "1.0001", "-0.5", "nan", "inf", "0.5,0.9",
                 "0:1:0.5", "0:1", "1/0", "x", "")),
     "theta": (("pi/2", "1.0", "0.5,1.0", "0.6:1.2:0.3"), _ANGLE_EDGES),
@@ -607,8 +635,8 @@ _OPTIONS = {
     "advantage-map": _GRID_OPTIONS,
     "estimate": {
         **_GRID_OPTIONS,
-        "n": (("2000", "10000"), ("0", "-1", "1", "2", "1e4", "x", "",
-                                  "99999999999999999999")),
+        "n": (("2000", "10000", "1", "5"),
+              ("0", "-1", "1", "2", "1e4", "x", "", "99999999999999999999")),
         "trials": (("2", "3", "5"), ("-1", "0", "1", "x",
                                      "99999999999999999999")),
         "seed": (("0", "7", "99999999999999999999999"), ("-1", "x")),
@@ -650,6 +678,8 @@ class TestExitCodeContract:
     @example(argv=["estimate", "--lambda", "0.9", "--theta", "1.0", "--phi",
                    "2.3", "--trials", "3", "--domain", "0.7:1.3", "--n", "0",
                    "--inject-expected"])
+    @example(argv=LEP_ZERO_VARIANCE)
+    @example(argv=LEP_NEGATIVE_VARIANCE)
     def test_every_input_ends_in_a_documented_exit_code(self, argv):
         """0, 2 or 3 from ``main``, or argparse's exit 2; nothing escapes."""
         with contextlib.redirect_stdout(io.StringIO()), \

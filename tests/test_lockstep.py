@@ -3,9 +3,10 @@
 The reference below keeps the earlier per-trial harness: every trial
 builds its sequential measurement and draws its own table, then a scalar
 golden section refines the MLE and the LEP of that one table.  The only
-rule added to it is the LEP's relative slope floor (a standard error
-wider than the search domain omits the trial), which the batched path
-applies as well.  ``run_trials`` must return exactly the reference's
+rules added to it are the LEP's relative slope floor (a standard error
+wider than the search domain omits the trial) and its variance rule (a
+predicted variance that is not positive omits the trial), which the
+batched path applies as well.  ``run_trials`` must return exactly the reference's
 summary, compared with ``==``, or raise the same exception class.
 
 The per-table refusals the reference raises and catches are its own: the
@@ -44,7 +45,8 @@ class FlatLikelihood(Exception):
 
 
 class ZeroSlope(Exception):
-    """The reference refuses a table without a usable parity slope."""
+    """The reference refuses a table without a usable parity slope or a
+    positive predicted variance."""
 
 
 def ref_probs(psi, povm):
@@ -147,6 +149,8 @@ def ref_lep(cw, n, target, other, w, domain):
     if math.sqrt(max(1.0 - mean_at**2, 0.0) / n) / abs(slope) > domain[1] - domain[0]:
         raise ZeroSlope("standard error wider than the domain")
     variance = (1.0 - mean_at**2) / (n * slope**2)
+    if not variance > 0:
+        raise ZeroSlope("no positive predicted variance")
     return float(est), float(variance)
 
 

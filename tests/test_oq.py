@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
-from oqmetro.errors import DimensionMismatch
 from oqmetro.measurement import Hovm, build_hovm
 from oqmetro.oq import POSITIVITY_TOL, negativity, oq_values
 from oqmetro.probe import amplitudes
@@ -108,6 +107,6 @@ def test_grid_shapes():
 
 
 def test_qutrit_hovm_rejected():
-    w = Hovm(np.array([[np.eye(3)]], dtype=complex))
-    with pytest.raises(DimensionMismatch):
-        oq_values(w, amplitudes(1.0, 0.0))
+    # probes are qubits, so a HOVM of 3x3 elements is refused when built
+    with pytest.raises(ValueError, match=r"\(\.\.\., d, d, 2, 2\)"):
+        Hovm(np.array([[np.eye(3)]], dtype=complex))

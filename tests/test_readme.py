@@ -1,13 +1,20 @@
-"""Every ``python`` block of README.md runs as written."""
+"""Every ``python`` block of README.md runs as written, and every
+``oqmetro`` command shown with its output prints that output."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from oqmetro.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT,
                     flags=re.DOTALL | re.MULTILINE)
+# a one-line command directly followed by a comment line holding its output
+SHOWN = re.findall(r"^oqmetro ([^\\\n]*)\n# (.*)$", TEXT, flags=re.MULTILINE)
 
 
 def test_readme_has_python_blocks():
@@ -19,3 +26,14 @@ def test_readme_has_python_blocks():
 def test_python_block_runs(source, capsys):
     exec(compile(source, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_shows_the_compat_output():
+    assert "compat --mu 0,0,0.9 --nu 0.9,0,0" in [cmd for cmd, _ in SHOWN]
+
+
+@pytest.mark.parametrize("command, shown", SHOWN,
+                         ids=[cmd.split()[0] for cmd, _ in SHOWN])
+def test_shown_output_is_what_main_prints(command, shown, capsys):
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == shown + "\n"
