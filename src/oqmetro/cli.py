@@ -19,11 +19,15 @@ information then go to ``fisher`` as arrays.
 Each subcommand hands ``_write_table`` its table as blocks of columns of
 plain Python values: one block per theta row for ``advantage-map`` and
 per sharpness value for ``fi-sweep``, each formatted as soon as its
-kernel call is done, and one per probe point for ``estimate``.  A CSV
-cell is Python's shortest round-trip text for a float (``inf``/``-inf``
-for infinities), ``str`` for a bool, int or token, and empty for None;
-no cell is ever quoted.  ``_fmt`` is the JSON cell rule, and ``_emit`` the
-one place output is written.
+kernel call is done, and one per probe point for ``estimate``.  One
+writer serves both formats with two cell rules: a CSV cell is Python's
+shortest round-trip text for a float (``inf``/``-inf`` for infinities),
+``str`` for a bool, int or token, and empty for None, never quoted; a
+JSON cell is ``json.dumps`` of the value, with the strings ``"inf"``/
+``"-inf"`` for infinities, framed as ``json.dumps(..., indent=1)`` frames
+the row objects.  Nothing is written before the last block is done, so a
+refused block leaves no partial table, and ``_emit`` is the one place
+output is written.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
 failure.
@@ -37,6 +41,7 @@ import json
 import math
 import operator
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -129,17 +134,6 @@ def _target(name: str) -> Target:
     return Target.POLAR if name == "theta" else Target.AZIMUTHAL
 
 
-def _fmt(v):
-    """The JSON cell rule: numpy scalars become Python ones and infinities
-    the tokens 'inf'/'-inf'; the result is written as a number, bool,
-    string or null."""
-    if isinstance(v, np.generic):
-        v = v.item()
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
-
-
 def _gapped(values: np.ndarray, present: np.ndarray) -> list:
     """A column holding ``values`` at the present positions, None (an empty
     cell) at the others."""
@@ -162,47 +156,21 @@ def _csv_cells(col: list) -> list:
     return ["" if v is None else str(v) for v in col]
 
 
-def _csv_text(header: list, blocks) -> str:
-    """The CSV lines of ``blocks``, each column turned into text once.
-
-    A list column passed again as the same object at the same position
-    keeps its text from the block before.  No cell is quoted: cells are
-    numbers, bools and plain tokens.
-    """
-    parts = [",".join(header) + "\n"]
-    held = {}  # column position -> (list column, its text)
-    for block in blocks:
-        n = _block_length(block)
-        cols = []
-        for j, col in enumerate(block):
-            if not isinstance(col, list):
-                cols.append(["" if col is None else str(col)] * n)
-                continue
-            if j not in held or held[j][0] is not col:
-                held[j] = (col, _csv_cells(col))
-            cols.append(held[j][1])
-        if n:
-            parts.append("\n".join(map(",".join, zip(*cols))) + "\n")
-    return "".join(parts)
+def _json_cells(key: str, col: list) -> list:
+    """JSON text of a column of Python values, each cell after the text
+    ``key``: ``json.dumps`` of the value, with the strings 'inf'/'-inf'
+    for infinities."""
+    return [key + json.dumps("inf" if v == math.inf else
+                             "-inf" if v == -math.inf else v) for v in col]
 
 
-def _json_rows(header: list, blocks) -> list:
-    """The row dicts of ``blocks``, each cell passed through ``_fmt``."""
-    rows = []
-    for block in blocks:
-        n = _block_length(block)
-        cols = [col if isinstance(col, list) else [col] * n for col in block]
-        rows.extend(dict(zip(header, map(_fmt, row))) for row in zip(*cols))
-    return rows
-
-
-def _emit(path: str | None, text: str) -> None:
-    """Write text to the file at path, or to stdout without a path."""
+def _emit(path: str | None, parts: list) -> None:
+    """Write text parts to the file at path, or to stdout without a path."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def _write_table(path: str | None, fmt: str, name: str, header: list,
@@ -211,19 +179,45 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
 
     A column is a list of Python values, None for an empty cell, or a
     single value repeated down its block.  Blocks are consumed one at a
-    time, so a subcommand may compute each block as it is asked for.  A
-    list passed again at the same position keeps the text it had, so it
-    must not change in between.
+    time, so a subcommand may compute each block as it is asked for; each
+    is turned into text before the next is asked for, and nothing is
+    written until the last one is done.  Each column is turned into text
+    once, and a list passed again as the same object at the same position
+    keeps the text it had, so it must not change in between.
     """
     if fmt == "csv":
-        text = f"# {SCHEMA_VERSION} {name}\n" + _csv_text(header, blocks)
+        head = f"# {SCHEMA_VERSION} {name}\n" + ",".join(header) + "\n"
+        rules = [_csv_cells] * len(header)
+        sep, row_open, row_close, row_join = ",", "", "\n", ""
+        tails = ("", "")  # without rows, after rows
     else:
-        payload = {
-            "schema": f"{SCHEMA_VERSION} {name}",
-            "rows": _json_rows(header, blocks),
-        }
-        text = json.dumps(payload, indent=1) + "\n"
-    _emit(path, text)
+        # the bytes of json.dumps({"schema": ..., "rows": [...]}, indent=1)
+        head = ('{\n "schema": ' + json.dumps(f"{SCHEMA_VERSION} {name}")
+                + ',\n "rows": [')
+        rules = [partial(_json_cells, f"   {json.dumps(key)}: ")
+                 for key in header]
+        sep, row_open, row_close, row_join = ",\n", "\n  {\n", "\n  }", ","
+        tails = ("]\n}\n", "\n ]\n}\n")
+    between = row_close + row_join + row_open
+    parts = [head]
+    held = {}  # column position -> (list column, its text)
+    for block in blocks:
+        n = _block_length(block)
+        cols = []
+        for j, col in enumerate(block):
+            if not isinstance(col, list):
+                cols.append(rules[j]([col]) * n)
+                continue
+            if j not in held or held[j][0] is not col:
+                held[j] = (col, rules[j](col))
+            cols.append(held[j][1])
+        if n:
+            first = row_join if len(parts) > 1 else ""  # after earlier rows
+            parts.append(first + row_open
+                         + between.join(map(sep.join, zip(*cols)))
+                         + row_close)
+    parts.append(tails[len(parts) > 1])
+    _emit(path, parts)
 
 
 def cmd_fi_sweep(args) -> int:
@@ -367,8 +361,9 @@ def cmd_estimate(args) -> int:
 def cmd_compat(args) -> int:
     mu = np.array([_eval_number(t) for t in args.mu.split(",")])
     nu = np.array([_eval_number(t) for t in args.nu.split(",")])
-    busch = bool(busch_compatible(mu, nu))
+    # bloch_povm refuses a vector of the wrong length by name
     a, b = bloch_povm(mu), bloch_povm(nu)
+    busch = bool(busch_compatible(mu, nu))
     povm = hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)))
     if busch != povm:
         raise OqMetroError("compatibility predicates disagree")
@@ -376,7 +371,7 @@ def cmd_compat(args) -> int:
     if np.linalg.norm(mu) > 0 and np.linalg.norm(nu) > 0:
         boundary = sharpness_threshold(mu, nu)
     verdict = {"busch": busch, "hovm_povm": povm, "boundary_lambda": boundary}
-    _emit(args.out, json.dumps(verdict) + "\n")
+    _emit(args.out, [json.dumps(verdict) + "\n"])
     return 0
 
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cells
+from test_outputs import COMMANDS as OUTPUT_COMMANDS
 import oqmetro.cli
 import oqmetro.fisher
 import oqmetro.oq
@@ -272,6 +273,45 @@ class TestFiSweepStack:
                                                  code):
         assert main(["fi-sweep"] + argv) == code
         assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_refused_later_block_writes_nothing(self, tmp_path, capsys, fmt,
+                                                to_file):
+        # 4 sharpness values per block of 961 probe points: the blocks up to
+        # lambda 1.0 are fine, and the one holding 1.01 is refused
+        argv = ["fi-sweep", "--lambda", "0:1.2:0.01", "--theta", "0:3:0.1",
+                "--phi", "0:3:0.1", "--format", fmt]
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 2
+        assert capsys.readouterr() == ("", "error: Bloch norm 1.010000 > 1\n")
+        assert not out.exists()
+
+
+def _same_cell(text, value):
+    """Whether a CSV cell and a JSON cell hold the same value."""
+    if value is None:
+        return text == ""
+    if isinstance(value, (bool, str)):  # a bool, a token or 'inf'/'-inf'
+        return text == str(value)
+    return float(text) == value
+
+
+class TestFormats:
+    @pytest.mark.parametrize("stem", ["smoke-advantage-map", "smoke-fi-sweep"])
+    def test_json_rows_match_csv_rows(self, capsys, stem):
+        argv = list(OUTPUT_COMMANDS[stem])
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == lines[0].removeprefix("# ")
+        csv_rows = list(csv.DictReader(lines[1:]))
+        assert len(payload["rows"]) == len(csv_rows) > 0
+        for csv_row, json_row in zip(csv_rows, payload["rows"]):
+            assert list(json_row) == list(csv_row)
+            for key, text in csv_row.items():
+                assert _same_cell(text, json_row[key]), (key, text)
 
 
 class TestAdvantageMap:
@@ -607,6 +647,13 @@ class TestCompat:
 
     def test_norm_violation_exits_2(self):
         assert main(["compat", "--mu", "1.2,0,0", "--nu", "0,0,0.5"]) == 2
+
+    @pytest.mark.parametrize("mu, nu", [("0,0,0.9", "0.9,0"),
+                                        ("0,0", "0.9,0,0")])
+    def test_unequal_lengths_are_refused_by_name(self, capsys, mu, nu):
+        assert main(["compat", f"--mu={mu}", f"--nu={nu}"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: bloch vector must have 3 components\n")
 
     def test_disagreeing_predicates_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(oqmetro.cli, "busch_compatible",
