@@ -8,9 +8,12 @@ counts assembled from the two settings feed a maximum-likelihood estimator
 information) and a linear-error-propagation estimator (mean inversion of the
 parity observable, error bar from the propagation formula).
 
-Randomness: a single master seed is split with ``numpy.random.SeedSequence``
-into per-trial and per-setting substreams, so every table is reproducible
-and trials are independent.
+Randomness: setting j of trial k draws from the PCG64 stream of
+``numpy.random.SeedSequence(seed).spawn(trials)[k].spawn(2)[j]``, so every
+table is reproducible from the run's seed and its index, and trials are
+independent.  The PCG64 states of all those streams are derived at once
+on integer arrays, in blocks of trials, with numpy's own seeding
+arithmetic; no ``SeedSequence`` is built per trial.
 
 Stacks only: every function takes a ``CountTable`` stack of tables with a
 leading trial axis and returns one array entry per table; an estimator
@@ -25,6 +28,7 @@ refining the tables one at a time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,17 @@ SLOPE_FLOOR = 1e-9
 _PARITY = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
+
+# numpy's SeedSequence constants (pool size, hashmix, mix, generate_state)
+# and the PCG64 LCG multiplier, from which _pcg64_states derives states
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_WORD = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -123,20 +138,98 @@ def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
     return p / p.sum()
 
 
-def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seeds) -> CountTable:
-    """Draw a stack of tables, one per ``SeedSequence`` in ``seeds``.
+def _run_words(seed) -> list:
+    """The 32-bit entropy words of an integer seed, least significant
+    first, as ``SeedSequence`` splits it (0 is one word)."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return [seed >> shift & _WORD
+            for shift in range(0, max(seed.bit_length(), 1), 32)]
+
+
+def _pcg64_states(run_words: list, start: int, stop: int) -> list:
+    """PCG64 states of the settings of tables ``start:stop``, one pair of
+    ``state`` dicts per table k: the states that
+    ``PCG64(SeedSequence(seed).spawn(stop)[k].spawn(2)[j])`` starts from,
+    for j = 0, 1, where ``run_words`` are ``_run_words(seed)``.
+
+    Every table's ``mix_entropy`` and ``generate_state(4, uint64)`` run at
+    once on uint32 arrays of shape (stop - start, 2), so only the 128-bit
+    PCG64 seeding step is per setting.  ``stop`` must be at most 2**32:
+    a larger spawn key is two words.
+    """
+    # run entropy is zero-padded to the pool size when a spawn key follows;
+    # the spawn key (k, j) adds two words, so the entropy fills the pool
+    keys = np.arange(start, stop, dtype=np.uint32)[:, None]
+    words = [np.broadcast_to(np.asarray(w, dtype=np.uint32), (stop - start, 2))
+             for w in run_words + [0] * (_POOL - len(run_words))
+             + [keys, np.arange(2)]]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _WORD
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    out = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _WORD
+        value = value * hash_const
+        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # generate_state's uint64 words pair uint32 words low word first; PCG64
+    # takes words 0-1 as the seed and 2-3 as the increment, high word first
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (out[2 * i] | out[2 * i + 1] << 32).ravel().tolist() for i in range(4))
+    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(inc_hi, inc_lo)]
+    states = [{"bit_generator": "PCG64",
+               "state": {"state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc)
+                         & _MASK128, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+              for inc, hi, lo in zip(incs, seed_hi, seed_lo)]
+    return list(zip(states[0::2], states[1::2]))
+
+
+def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seed: int,
+                trials: int) -> CountTable:
+    """Draw a stack of ``trials`` tables from a non-negative integer seed.
 
     ``p_b`` and ``p_seq`` are the outcome probabilities of B and of the
-    sequential setting.  The two settings of a table consume independent
-    substreams of its seed, so each table is deterministic given its seed.
+    sequential setting.  Table k draws setting j from the stream of
+    ``SeedSequence(seed).spawn(trials)[k].spawn(2)[j]``, whose PCG64 state
+    ``_pcg64_states`` derives without building the sequence, so each table
+    depends on the seed and its index only.
     """
-    counts_b = np.empty((len(seeds), 2), dtype=np.int64)
-    counts_seq = np.empty((len(seeds), 2, 2), dtype=np.int64)
-    for k, ss in enumerate(seeds):
-        ss_b, ss_seq = ss.spawn(2)
-        counts_b[k] = np.random.default_rng(ss_b).multinomial(n, p_b)
-        counts_seq[k] = np.random.default_rng(ss_seq).multinomial(
-            n, p_seq).reshape(2, 2)
+    run_words = _run_words(seed)
+    counts_b = np.empty((trials, 2), dtype=np.int64)
+    counts_seq = np.empty((trials, 4), dtype=np.int64)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for rows in row_blocks(trials, 1):
+        states = _pcg64_states(run_words, rows.start, min(rows.stop, trials))
+        for k, (state_b, state_seq) in enumerate(states, rows.start):
+            bitgen.state = state_b
+            counts_b[k] = rng.multinomial(n, p_b)
+            bitgen.state = state_seq
+            counts_seq[k] = rng.multinomial(n, p_seq)
+    counts_seq = counts_seq.reshape(trials, 2, 2)
     return CountTable(n, counts_b, counts_seq,
                       assemble_w_counts(counts_b, counts_seq))
 
@@ -402,6 +495,9 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     """
     if config.trials < 2:
         raise ValueError("at least 2 trials are required")
+    if config.trials >= 2**32:
+        # a trial's index is one 32-bit word of its spawn key
+        raise ValueError("at most 2**32 - 1 trials are supported")
     if config.n < 1:
         raise ValueError("n must be positive")
     if config.n > np.iinfo(np.int64).max:
@@ -436,8 +532,7 @@ def run_trials(config: TrialConfig) -> TrialSummary:
         tables = expected_counts(p_b, p_seq, config.n)
     else:
         trials = config.trials
-        children = np.random.SeedSequence(config.seed).spawn(trials)
-        tables = draw_counts(p_b, p_seq, config.n, children)
+        tables = draw_counts(p_b, p_seq, config.n, config.seed, trials)
     negative = tables.negative
     kept = tables[~negative]
 

@@ -20,16 +20,15 @@ from oqmetro.estimation import (
     run_trials,
 )
 from oqmetro.fisher import oqfi
-from oqmetro.oq import oq_values
+from oqmetro.oq import BLOCK_POINTS, oq_values
 from oqmetro.probe import Target, amplitudes
 
 EQUATOR = (math.pi / 2, 0.0)
 
 
-def sample(point, a, b, n, seeds):
-    """A stack of tables drawn at a probe point, one per integer seed."""
-    return draw_counts(*setting_probs(*point, a, b), n,
-                       [np.random.SeedSequence(s) for s in seeds])
+def sample(point, a, b, n, seed, trials=1):
+    """A stack of tables drawn at a probe point from one integer seed."""
+    return draw_counts(*setting_probs(*point, a, b), n, seed, trials)
 
 
 def flat_table():
@@ -43,21 +42,21 @@ def flat_table():
 class TestSampling:
     def test_deterministic_given_seed(self):
         a, b, _ = mub_hovm(0.7)
-        t1 = sample(EQUATOR, a, b, 5000, [42])
-        t2 = sample(EQUATOR, a, b, 5000, [42])
+        t1 = sample(EQUATOR, a, b, 5000, 42)
+        t2 = sample(EQUATOR, a, b, 5000, 42)
         np.testing.assert_array_equal(t1.counts_b, t2.counts_b)
         np.testing.assert_array_equal(t1.counts_seq, t2.counts_seq)
         np.testing.assert_array_equal(t1.counts_w, t2.counts_w)
 
     def test_different_seeds_differ(self):
         a, b, _ = mub_hovm(0.7)
-        t = sample(EQUATOR, a, b, 5000, [1, 2])
+        t = sample(EQUATOR, a, b, 5000, 1, trials=2)
         assert not np.array_equal(t.counts_seq[0], t.counts_seq[1])
 
     def test_zero_sharpness_uniform_within_binomial_bands(self):
         a, b, _ = mub_hovm(0.0)
         n = 10_000
-        t = sample((1.1, 0.4), a, b, n, [3])
+        t = sample((1.1, 0.4), a, b, n, 3)
         sigma_b = math.sqrt(n * 0.25)
         assert abs(t.counts_b[0, 0] - n / 2) <= 4 * sigma_b
         sigma_seq = math.sqrt(n * 0.25 * 0.75)
@@ -66,13 +65,13 @@ class TestSampling:
 
     def test_sharp_measurement_concentrates(self):
         a, b, _ = mub_hovm(1.0)
-        t = sample(EQUATOR, a, b, 2000, [11])
+        t = sample(EQUATOR, a, b, 2000, 11)
         # probe is the +x eigenstate, B is the sharp x measurement
         assert tuple(t.counts_b[0]) == (2000, 0)
 
     def test_w_counts_sum_exactly(self):
         a, b, _ = mub_hovm(0.85)
-        t = sample(EQUATOR, a, b, 999, range(20))
+        t = sample(EQUATOR, a, b, 999, 0, trials=20)
         assert all(cw.sum() == t.n for cw in t.counts_w)
 
     def test_expectation_consistency(self):
@@ -81,18 +80,46 @@ class TestSampling:
         theta, phi = 1.9, 0.6
         truth = oq_values(w, amplitudes(theta, phi))
         n, trials = 200, 10_000
-        children = np.random.SeedSequence(2718).spawn(trials)
-        acc = draw_counts(*setting_probs(theta, phi, a, b), n,
-                          children).counts_w / n
+        acc = draw_counts(*setting_probs(theta, phi, a, b), n, 2718,
+                          trials).counts_w / n
         mean = acc.mean(axis=0)
         se = acc.std(axis=0, ddof=1) / math.sqrt(trials)
         assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1,
+                                      2**130 + 3])
+    def test_derived_states_are_numpys(self, seed):
+        # 2**130 + 3 has five entropy words, so one is mixed in after the
+        # pool is full; a numpy release that changes SeedSequence fails here
+        words = estimation._run_words(seed)
+        want = [tuple(np.random.PCG64(ss).state for ss in child.spawn(2))
+                for child in np.random.SeedSequence(seed).spawn(3)]
+        assert estimation._pcg64_states(words, 0, 3) == want
+        # the last trial index that fits one spawn-key word
+        last = 2**32 - 1
+        want = [tuple(np.random.PCG64(np.random.SeedSequence(
+            seed, spawn_key=(last, j))).state for j in range(2))]
+        assert estimation._pcg64_states(words, last, last + 1) == want
+
+    def test_draws_match_numpys_across_a_block_boundary(self):
+        a, b, _ = mub_hovm(0.8)
+        p_b, p_seq = setting_probs(1.9, 0.6, a, b)
+        trials = 2 * BLOCK_POINTS + 3
+        t = draw_counts(p_b, p_seq, 700, 31, trials)
+        children = np.random.SeedSequence(31).spawn(trials)
+        for k in (0, BLOCK_POINTS - 1, BLOCK_POINTS, trials - 1):
+            ss_b, ss_seq = children[k].spawn(2)
+            np.testing.assert_array_equal(
+                t.counts_b[k], np.random.default_rng(ss_b).multinomial(700, p_b))
+            np.testing.assert_array_equal(
+                t.counts_seq[k].ravel(),
+                np.random.default_rng(ss_seq).multinomial(700, p_seq))
 
 
 class TestCountTable:
     def test_indexing_keeps_the_trial_axis(self):
         a, b, _ = mub_hovm(0.7)
-        t = sample(EQUATOR, a, b, 500, range(3))
+        t = sample(EQUATOR, a, b, 500, 0, trials=3)
         assert t[1].counts_w.shape == (1, 2, 2)
         assert t[-1].counts_b.shape == (1, 2)
         assert t[np.array([True, False, True])].counts_seq.shape == (2, 2, 2)
@@ -162,8 +189,7 @@ class TestMle:
         probs = setting_probs(g0, 1.0, a, b)
         rmse = []
         for n in (10**3, 10**4, 10**5):
-            children = np.random.SeedSequence(n).spawn(40)
-            t = draw_counts(*probs, n, children)
+            t = draw_counts(*probs, n, n, 40)
             r = mle_estimate(t[~t.negative], Target.POLAR, 1.0, w, (1.5, 2.3))
             assert not r.omitted.any()
             rmse.append(float(np.sqrt(np.mean(np.square(r.estimate - g0)))))
@@ -239,6 +265,26 @@ class TestRunTrials:
     def test_trials_floor(self):
         cfg = TrialConfig(1.2, 0.5, Target.POLAR, 0.85, 100, 1, 0)
         with pytest.raises(ValueError):
+            run_trials(cfg)
+
+    def test_trial_index_fits_one_word(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("computed before trials were checked")
+
+        monkeypatch.setattr(estimation, "mutually_unbiased_pair", no_work)
+        monkeypatch.setattr(estimation, "draw_counts", no_work)
+        cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, 2**32, 0,
+                          domain=(0.8, 1.6))
+        with pytest.raises(ValueError, match="at most 2\\*\\*32 - 1 trials"):
+            run_trials(cfg)
+
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
+    def test_seed_refused_as_seed_sequence_refuses(self, seed, error):
+        with pytest.raises(error):
+            np.random.SeedSequence(seed)
+        cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, 4, seed,
+                          domain=(0.8, 1.6))
+        with pytest.raises(error):
             run_trials(cfg)
 
     @pytest.mark.parametrize("n", [0, -3, 2**63])
