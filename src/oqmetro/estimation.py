@@ -17,12 +17,12 @@ arithmetic; no ``SeedSequence`` is built per trial.
 
 Stacks only: every function takes a ``CountTable`` stack of tables with a
 leading trial axis and returns one array entry per table; an estimator
-marks the tables it refuses in ``TrialResult.omitted`` instead of raising.
-A run builds its measurements, outcome probabilities and grid tables once.
-The grid scans take blocks of trials, at most ``oq.BLOCK_POINTS`` (trial,
-grid point) pairs per call, and each golden-section or curvature step is
-one kernel call over all trials, with the per-table arithmetic of
-refining the tables one at a time.
+marks the tables it refuses in ``TrialResult.cause`` instead of raising.
+A run refines both estimators of every trial in one lockstep: one kernel
+call evaluates the grid for both scans (blocks of at most
+``oq.BLOCK_POINTS`` (trial, grid point) pairs), one per golden-section
+step covers both estimators' brackets, and one the curvature's three
+points, with the per-table arithmetic of refining each table alone.
 """
 
 from __future__ import annotations
@@ -92,11 +92,10 @@ class CountTable:
             raise ValueError("setting counts must each sum to n")
         if (np.abs(counts_w.sum(axis=(-2, -1)) - self.n) > tol).any():
             raise ValueError("assembled W-counts must sum to n")
-        for arr in (counts_b, counts_seq, counts_w):
+        for name, arr in (("counts_b", counts_b), ("counts_seq", counts_seq),
+                          ("counts_w", counts_w)):
             arr.setflags(write=False)
-        object.__setattr__(self, "counts_b", counts_b)
-        object.__setattr__(self, "counts_seq", counts_seq)
-        object.__setattr__(self, "counts_w", counts_w)
+            object.__setattr__(self, name, arr)
 
     def __getitem__(self, index) -> "CountTable":
         keep = np.atleast_1d(np.arange(len(self.counts_b))[index])
@@ -109,19 +108,28 @@ class CountTable:
         return (self.counts_w < 0).any(axis=(-2, -1))
 
 
+KEPT, FLAT, NO_SLOPE, TOO_WIDE, NO_VARIANCE = range(5)
+CAUSES = ("kept", "flat likelihood", "no usable parity slope",
+          "standard error wider than the domain", "no positive predicted variance")
+
+
 @dataclass(frozen=True)
 class TrialResult:
     """Estimates with their error bars, one entry per table of a stack.
 
-    ``omitted`` marks the tables the estimator refused (a flat likelihood,
-    no usable parity slope or no positive predicted variance); their other
-    entries are meaningless.
+    ``cause`` is ``KEPT`` for a table the estimator accepted, else the
+    code of the rule that refused it, which ``CAUSES`` names; ``omitted``
+    marks the refused tables, whose other entries are meaningless.
     """
 
     estimate: np.ndarray
     observed_fi: np.ndarray
     variance_estimate: np.ndarray
-    omitted: np.ndarray
+    cause: np.ndarray
+
+    @property
+    def omitted(self) -> np.ndarray:
+        return self.cause != KEPT
 
 
 def assemble_w_counts(counts_b: np.ndarray, counts_seq: np.ndarray) -> np.ndarray:
@@ -133,8 +141,7 @@ def assemble_w_counts(counts_b: np.ndarray, counts_seq: np.ndarray) -> np.ndarra
 
 
 def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
-    p = np.array([np.real(psi.conj() @ e @ psi) for e in povm.effects])
-    p = np.clip(p, 0.0, None)
+    p = np.clip([np.real(psi.conj() @ e @ psi) for e in povm.effects], 0.0, None)
     return p / p.sum()
 
 
@@ -236,8 +243,7 @@ def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seed: int,
 
 def expected_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int) -> CountTable:
     """A stack of one noise-free table: n times the outcome probabilities."""
-    counts_b = n * p_b[None]
-    counts_seq = n * p_seq.reshape(1, 2, 2)
+    counts_b, counts_seq = n * p_b[None], n * p_seq.reshape(1, 2, 2)
     return CountTable(n, counts_b, counts_seq,
                       assemble_w_counts(counts_b, counts_seq))
 
@@ -267,13 +273,17 @@ def _check(counts: CountTable) -> None:
         raise NegativeCounts("W-counts went negative; trial must be omitted")
 
 
+def _log_likelihood(counts_w: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    return _cell_sum(counts_w * np.log(np.clip(vals, PROB_CLAMP, None))) / n
+
+
 def log_likelihood(counts: CountTable, g, fixed_other: float,
                    target: Target, w: Hovm) -> np.ndarray:
     """(1/n) sum c(a,b|W) log W(a,b) with the model clamped at 1e-12, per
     table; ``g`` holds one angle per table, or one angle for all."""
     _check(counts)
-    vals = oq_values(w, amplitudes(*_angles(g, fixed_other, target)))
-    return _cell_sum(counts.counts_w * np.log(np.clip(vals, PROB_CLAMP, None))) / counts.n
+    return _log_likelihood(counts.counts_w, oq_values(
+        w, amplitudes(*_angles(g, fixed_other, target))), counts.n)
 
 
 def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
@@ -281,28 +291,27 @@ def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
     interval width tol.
 
     ``lo`` and ``hi`` are arrays of brackets, refined in lockstep: ``f``
-    maps an array of points to an array of values, and a bracket stops
-    moving once it is no wider than ``tol`` while the others go on.
+    maps an array of points to an array of values (one call per step for
+    all brackets, which may belong to several objectives), and a bracket
+    stops moving once it is no wider than ``tol`` while the others go on.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
     active = hi - lo > tol
     while active.any():
         left = fc > fd
         # a left step keeps [lo, d] and probes a new c; a right step keeps
         # [c, hi] and probes a new d
-        new_lo = np.where(left, lo, c)
-        new_hi = np.where(left, d, hi)
+        new_lo, new_hi = np.where(left, lo, c), np.where(left, d, hi)
         x = np.where(left, new_hi - _INV_PHI * (new_hi - new_lo),
                      new_lo + _INV_PHI * (new_hi - new_lo))
         fx = f(x)
         new = (new_lo, new_hi, np.where(left, x, d), np.where(left, c, x),
                np.where(left, fx, fd), np.where(left, fc, fx))
-        lo, hi, c, d, fc, fd = (np.where(active, updated, kept) for updated, kept
-                                in zip(new, (lo, hi, c, d, fc, fd)))
+        lo, hi, c, d, fc, fd = new if active.all() else (
+            np.where(active, updated, kept)
+            for updated, kept in zip(new, (lo, hi, c, d, fc, fd)))
         active = hi - lo > tol
     return (lo + hi) / 2
 
@@ -313,17 +322,77 @@ def _grid(domain: tuple, step: float) -> np.ndarray:
         raise ValueError("domain must be a nondegenerate interval")
     gs = np.arange(lo, hi + step / 2, step)
     if len(gs) < 2:
-        # a one-point grid leaves nothing to refine: every trial would
-        # return the same estimate
+        # a one-point grid leaves nothing to refine: all estimates would agree
         raise ValueError(f"domain is narrower than half the grid step {step}")
     gs[-1] = min(gs[-1], hi)
     return gs
 
 
-def _brackets(gs: np.ndarray, best: np.ndarray) -> tuple:
-    """The grid neighbours of each table's best grid point; at the ends of
-    the grid a bracket is one step wide."""
-    return gs[np.maximum(best - 1, 0)], gs[np.minimum(best + 1, len(gs) - 1)]
+def parity_mean(counts: CountTable) -> np.ndarray:
+    """Observed mean of the parity observable (-1)^(ab) W_ab, per table."""
+    return _cell_sum(_PARITY * counts.counts_w) / counts.n
+
+
+def _estimate(counts: CountTable, target: Target, fixed_other: float,
+              w: Hovm, domain: tuple) -> tuple:
+    """The MLE and the LEP ``TrialResult`` of a stack: one grid for both
+    scans, then one golden-section stack of the MLE's brackets and the
+    LEP's, so each step is one kernel call for both estimators."""
+    _check(counts)
+    cw, n, trials = counts.counts_w, counts.n, len(counts.counts_w)
+    obs = parity_mean(counts)
+
+    def cells(g):
+        return oq_values(w, amplitudes(*_angles(g, fixed_other, target)))
+
+    gs = _grid(domain, GRID_STEP)
+    vals = cells(gs)
+    # contiguous per-cell columns; the scan sums products in _cell_sum's order
+    log_cells = np.log(np.clip(vals, PROB_CLAMP, None)).reshape(-1, 4).T.copy()
+    means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
+    best = np.empty((2, trials), dtype=np.intp)
+    for rows in row_blocks(trials, len(gs)):
+        c = cw.reshape(-1, 4)[rows, :, None]
+        ll = ((c[:, 0] * log_cells[0] + c[:, 1] * log_cells[1])
+              + c[:, 2] * log_cells[2]) + c[:, 3] * log_cells[3]
+        best[0, rows] = np.argmax(ll / n, axis=1)
+        best[1, rows] = np.argmin((means[None] - obs[rows, None]) ** 2, axis=1)
+
+    def f(g):
+        v = cells(g)
+        return np.concatenate((_log_likelihood(cw, v[:trials], n),
+                               -_square(_cell_sum(_PARITY * v[trials:]) - obs)))
+
+    # one stack of the MLE's brackets, then the LEP's; a bracket spans its
+    # best grid point's neighbours, one step wide at the ends of the grid
+    best = best.ravel()
+    est = golden_section_maximize(f, gs[np.maximum(best - 1, 0)],
+                                  gs[np.minimum(best + 1, len(gs) - 1)], REFINE_TOL)
+    mle, lep = est[:trials], est[trials:]
+
+    h = CURVATURE_H
+    three = cells(np.concatenate((mle, mle + h, mle - h)))
+    center, up, down = _log_likelihood(cw, three.reshape(3, trials, 2, 2), n)
+    observed_fi = -((up - 2 * center + down) / (h * h))
+    # resolution limit: log-likelihood cancellation noise amplified by 1/h^2
+    noise = 16 * np.finfo(float).eps * np.maximum(np.abs(center), 1.0) / (h * h)
+    with np.errstate(divide="ignore"):
+        mle_var = 1.0 / (n * observed_fi)
+
+    theta, phi = _angles(lep, fixed_other, target)
+    psi = amplitudes(theta, phi)
+    mean_at = _cell_sum(_PARITY * oq_values(w, psi))
+    slope = _cell_sum(_PARITY * oq_slopes(w, psi, amplitude_slopes(theta, phi, target)))
+    # the parity observable has eigenvalue labels +-1, so <O^2> = 1
+    with np.errstate(divide="ignore"):
+        lep_var = (1.0 - _square(mean_at)) / (n * _square(slope))
+    width = float(domain[1]) - float(domain[0])
+    # lep_var > width**2: the standard error is wider than the search domain
+    lep_cause = np.select([np.abs(slope) <= SLOPE_FLOOR, lep_var > width**2,
+                           ~(lep_var > 0)], [NO_SLOPE, TOO_WIDE, NO_VARIANCE], KEPT)
+    return (TrialResult(mle, observed_fi, mle_var,
+                        np.where(observed_fi <= noise, FLAT, KEPT)),
+            TrialResult(lep, np.full_like(lep, np.nan), lep_var, lep_cause))
 
 
 def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
@@ -333,39 +402,10 @@ def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
     Coarse grid scan (first maximum wins ties, i.e. the smallest angle)
     followed by golden-section refinement; the curvature at the optimum is a
     central second difference of the log-likelihood.  A table whose
-    likelihood is flat at the optimum is marked omitted.
+    likelihood is flat at the optimum is marked omitted (the MLE half of
+    ``_estimate``, of which ``run_trials`` takes both halves at once).
     """
-    _check(counts)
-    gs = _grid(domain, GRID_STEP)
-    log_cells = np.log(np.clip(
-        oq_values(w, amplitudes(*_angles(gs, fixed_other, target))),
-        PROB_CLAMP, None))
-    cw = counts.counts_w
-    best = np.empty(len(cw), dtype=np.intp)
-    for rows in row_blocks(len(cw), len(gs)):
-        best[rows] = np.argmax(
-            _cell_sum(cw[rows, None] * log_cells[None]) / counts.n, axis=1)
-
-    def f(g):
-        return log_likelihood(counts, g, fixed_other, target, w)
-
-    est = golden_section_maximize(f, *_brackets(gs, best), REFINE_TOL)
-
-    h = CURVATURE_H
-    center = f(est)
-    curvature = (f(est + h) - 2 * center + f(est - h)) / (h * h)
-    observed_fi = -curvature
-    # resolution limit of the second difference: cancellation noise in the
-    # log-likelihood amplified by 1/h^2
-    noise = 16 * np.finfo(float).eps * np.maximum(np.abs(center), 1.0) / (h * h)
-    with np.errstate(divide="ignore"):
-        variance = 1.0 / (counts.n * observed_fi)
-    return TrialResult(est, observed_fi, variance, observed_fi <= noise)
-
-
-def parity_mean(counts: CountTable) -> np.ndarray:
-    """Observed mean of the parity observable (-1)^(ab) W_ab, per table."""
-    return _cell_sum(_PARITY * counts.counts_w) / counts.n
+    return _estimate(counts, target, fixed_other, w, domain)[0]
 
 
 def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
@@ -375,36 +415,9 @@ def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
     A table whose parity slope at the estimate is below ``SLOPE_FLOOR``, or
     whose predicted variance is not positive (the model parity mean of a
     quasiprobability may pass 1 in magnitude) or has a standard error wider
-    than the search domain, is marked omitted.
+    than the search domain, is marked omitted.  The LEP half of ``_estimate``.
     """
-    _check(counts)
-    obs = parity_mean(counts)
-    gs = _grid(domain, GRID_STEP)
-    vals = oq_values(w, amplitudes(*_angles(gs, fixed_other, target)))
-    means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
-    best = np.empty(len(obs), dtype=np.intp)
-    for rows in row_blocks(len(obs), len(gs)):
-        best[rows] = np.argmin((means[None] - obs[rows, None]) ** 2, axis=1)
-
-    def f(g):
-        psi = amplitudes(*_angles(g, fixed_other, target))
-        return -_square(_cell_sum(_PARITY * oq_values(w, psi)) - obs)
-
-    est = golden_section_maximize(f, *_brackets(gs, best), REFINE_TOL)
-
-    theta, phi = _angles(est, fixed_other, target)
-    psi = amplitudes(theta, phi)
-    dpsi = amplitude_slopes(theta, phi, target)
-    mean_at = _cell_sum(_PARITY * oq_values(w, psi))
-    slope = _cell_sum(_PARITY * oq_slopes(w, psi, dpsi))
-    # the parity observable has eigenvalue labels +-1, so <O^2> = 1
-    with np.errstate(divide="ignore"):
-        variance = (1.0 - _square(mean_at)) / (counts.n * _square(slope))
-    width = float(domain[1]) - float(domain[0])
-    # the squared form of: standard error wider than the search domain
-    zero = ((np.abs(slope) <= SLOPE_FLOOR) | (variance > width**2)
-            | ~(variance > 0))
-    return TrialResult(est, np.full_like(est, np.nan), variance, zero)
+    return _estimate(counts, target, fixed_other, w, domain)[1]
 
 
 @dataclass(frozen=True)
@@ -459,29 +472,23 @@ class TrialSummary:
 def _summarize(name: str, result: TrialResult, negative: int, trials: int,
                quantum_var: float, inject: bool) -> EstimatorSummary:
     done = ~result.omitted
-    estimates = result.estimate[done]
-    variances = result.variance_estimate[done]
+    estimates, variances = result.estimate[done], result.variance_estimate[done]
     if inject:
         if not len(estimates):
-            raise AllTrialsOmitted(f"{name}: injection evaluation failed")
+            why = CAUSES[result.cause[0]] if negative == 0 else "negative W-counts"
+            raise AllTrialsOmitted(f"{name}: injection evaluation omitted: {why}")
         pred = float(variances[0])
-        ratio = math.log10(quantum_var / (2 * pred))
-        return EstimatorSummary(
-            name, float(estimates[0]), 0.0, pred, 0.0, ratio, math.nan, 1,
-        )
+        return EstimatorSummary(name, float(estimates[0]), 0.0, pred, 0.0,
+                                math.log10(quantum_var / (2 * pred)), math.nan, 1)
     if len(estimates) < 2:
         raise AllTrialsOmitted(f"{name}: fewer than 2 trials completed")
     emp_var = float(np.var(estimates, ddof=1))
     pred = float(np.mean(variances))
     ratio = math.log10(quantum_var / (2 * pred))
-    ratio_emp = (
-        math.log10(quantum_var / (2 * emp_var)) if emp_var > 0 else math.inf
-    )
+    ratio_emp = math.log10(quantum_var / (2 * emp_var)) if emp_var > 0 else math.inf
     omitted = negative + int(result.omitted.sum())
-    return EstimatorSummary(
-        name, float(estimates.mean()), emp_var, pred,
-        omitted / trials, ratio, ratio_emp, len(estimates),
-    )
+    return EstimatorSummary(name, float(estimates.mean()), emp_var, pred,
+                            omitted / trials, ratio, ratio_emp, len(estimates))
 
 
 def run_trials(config: TrialConfig) -> TrialSummary:
@@ -489,9 +496,8 @@ def run_trials(config: TrialConfig) -> TrialSummary:
 
     Trials with negative W-counts are dropped and reported through the
     omission rate, never resampled.  With ``inject_expected`` the exact
-    expected counts replace sampling (a single noiseless evaluation).  The
-    measurements, the outcome probabilities and the grid tables are built
-    once per run; every trial is refined in lockstep.
+    expected counts replace sampling (a single noiseless evaluation).  One
+    joint refinement (``_estimate``) serves both estimators of every trial.
     """
     if config.trials < 2:
         raise ValueError("at least 2 trials are required")
@@ -527,21 +533,15 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     quantum_var = 1.0 / (config.n * qfi0)
 
     p_b, p_seq = _outcome_probs(psi0, b), _outcome_probs(psi0, seq)
-    if config.inject_expected:
-        trials = 1
-        tables = expected_counts(p_b, p_seq, config.n)
-    else:
-        trials = config.trials
-        tables = draw_counts(p_b, p_seq, config.n, config.seed, trials)
+    trials = 1 if config.inject_expected else config.trials
+    tables = (expected_counts(p_b, p_seq, config.n) if config.inject_expected
+              else draw_counts(p_b, p_seq, config.n, config.seed, trials))
     negative = tables.negative
     kept = tables[~negative]
 
-    def summarize(name, estimator):
-        result = estimator(kept, config.target, fixed_other, w, domain)
-        return _summarize(name, result, int(negative.sum()), trials,
-                          quantum_var, config.inject_expected)
-
-    return TrialSummary(config, adv, quantum_var,
-                        summarize("mle", mle_estimate),
-                        summarize("lep", lep_estimate))
+    results = _estimate(kept, config.target, fixed_other, w, domain)
+    return TrialSummary(config, adv, quantum_var, *(
+        _summarize(name, result, int(negative.sum()), trials, quantum_var,
+                   config.inject_expected)
+        for name, result in zip(("mle", "lep"), results)))
 

@@ -602,6 +602,29 @@ class TestEstimate:
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [r.split(",")[6] for r in rows] == ["mle", "lep"]
 
+    @pytest.mark.parametrize("argv,why", [
+        (["--target", "theta", "--lambda", "0.5", "--theta", "1.2", "--phi",
+          "2.3", "--domain=0.2:1.2", "--n", "1"],
+         "lep: injection evaluation omitted: standard error wider than the domain"),
+        (["--target", "theta", "--lambda", "0.99", "--theta", "pi", "--phi",
+          "0.5", "--domain=0.7:1.3", "--n", "10000"],
+         "lep: injection evaluation omitted: no positive predicted variance"),
+        (["--target", "phi", "--lambda", "0.3", "--theta", "1.0", "--phi",
+          "2.3", "--domain=-0.5:0.5", "--n", "2000"],
+         "mle: injection evaluation omitted: flat likelihood"),
+        (["--target", "phi", "--lambda", "1.0", "--theta", "pi/2", "--phi",
+          "0", "--domain=0:pi", "--n", "2000"],
+         "mle: injection evaluation omitted: negative W-counts"),
+    ], ids=["too-wide", "no-variance", "flat", "negative"])
+    def test_inject_refusal_names_its_rule(self, capsys, argv, why):
+        # the single noiseless evaluation says which rule omitted it
+        assert main(["estimate", *argv, "--trials", "2",
+                     "--inject-expected"]) == 3
+        out, err = capsys.readouterr()
+        assert err.endswith(f": {why}\n") and err.count("\n") == 1
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert all(r[k] == "" for r in rows for k in ESTIMATE_FIELDS[7:])
+
     def test_inject_expected_matches_advantage(self, tmp_path):
         out = tmp_path / "est.csv"
         main(self.ARGS + ["--inject-expected", "--out", str(out)])

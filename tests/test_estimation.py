@@ -231,6 +231,20 @@ class TestGoldenSection:
         assert peaks[1] == pytest.approx(0.5, abs=1e-8)
 
 
+    def test_brackets_of_unequal_widths_match_one_bracket_runs(self):
+        # the widest bracket keeps refining after the others have stopped,
+        # so the stack takes the all-active steps and then the masked ones
+        def f(x):
+            return -np.square(x - 0.7) + 0.1 * np.sin(3 * x)
+
+        lo = np.array([0.0, 0.2, 0.69, 0.6999, 0.5])
+        hi = np.array([2.0, 0.5, 0.71, 0.7, 0.9])
+        stacked = golden_section_maximize(f, lo, hi, 1e-8)
+        for k in range(len(lo)):
+            alone = golden_section_maximize(f, lo[k:k + 1], hi[k:k + 1], 1e-8)
+            assert stacked[k] == alone[0]
+
+
 class TestRunTrials:
     def test_deterministic(self):
         cfg = TrialConfig(1.2, 1.0, Target.POLAR, 0.85, 2000, 8, 99,
@@ -339,6 +353,39 @@ class TestRunTrials:
                           domain=domain)
         with pytest.raises(ParamOutOfRange, match="phi domain"):
             run_trials(cfg)
+
+    @pytest.mark.parametrize("trials,inject", [(200, False), (7, True)])
+    def test_one_kernel_call_per_stage_for_both_estimators(self, monkeypatch,
+                                                           trials, inject):
+        points, steps = [], []
+        evaluate = estimation.oq_values
+        refine = estimation.golden_section_maximize
+
+        def counted(w, psi):
+            points.append(psi.size // 2)
+            return evaluate(w, psi)
+
+        def counted_refine(f, lo, hi, tol):
+            def step(x):
+                steps.append(len(x))
+                return f(x)
+            return refine(step, lo, hi, tol)
+
+        monkeypatch.setattr(estimation, "oq_values", counted)
+        monkeypatch.setattr(estimation, "golden_section_maximize", counted_refine)
+        # the benchmark's headline run: a 501-point grid
+        cfg = TrialConfig(1.0131710069701012, 2.3038346126325147, Target.POLAR,
+                          0.9, 100_000, trials, 20260823,
+                          domain=(0.7631710069701012, 1.2631710069701012),
+                          inject_expected=inject)
+        run_trials(cfg)
+        kept = steps[0] // 2
+        # the headline point, the grid, the two first golden-section points
+        # and 26 steps over both estimators' brackets, the curvature's three
+        # points and the LEP's finish
+        assert points == [1, 501] + steps + [3 * kept, kept]
+        assert steps == [2 * kept] * 28
+        assert len(points) == 32
 
     @pytest.mark.parametrize("trials,inject", [(2, False), (9, False),
                                                (40, False), (5, True)])
