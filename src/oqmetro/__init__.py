@@ -4,7 +4,6 @@ from .errors import (
     AllTrialsOmitted,
     BlochNormExceeded,
     DerivativeNotTraceless,
-    NegativeCounts,
     NegativeOq,
     NotHermitian,
     NotNormalized,
@@ -20,9 +19,7 @@ from .estimation import (
     TrialConfig,
     TrialResult,
     TrialSummary,
-    lep_estimate,
-    log_likelihood,
-    mle_estimate,
+    estimate_tables,
     run_trials,
 )
 from .fisher import advantage, fisher_discrete, oqfi, qfi_pure

@@ -41,9 +41,5 @@ class ZeroQfi(OqMetroError):
     pass
 
 
-class NegativeCounts(OqMetroError):
-    pass
-
-
 class AllTrialsOmitted(OqMetroError):
     pass

@@ -16,13 +16,15 @@ on integer arrays, in blocks of trials, with numpy's own seeding
 arithmetic; no ``SeedSequence`` is built per trial.
 
 Stacks only: every function takes a ``CountTable`` stack of tables with a
-leading trial axis and returns one array entry per table; an estimator
-marks the tables it refuses in ``TrialResult.cause`` instead of raising.
-A run refines both estimators of every trial in one lockstep: one kernel
-call evaluates the grid for both scans (blocks of at most
-``oq.BLOCK_POINTS`` (trial, grid point) pairs), one per golden-section
-step covers both estimators' brackets, and one the curvature's three
-points, with the per-table arithmetic of refining each table alone.
+leading trial axis and returns one array entry per table.
+``estimate_tables`` is the one estimator entry point: it marks each table
+that an estimator refuses, a negative W-count included, with a
+``TrialResult.cause`` instead of raising.  It refines both estimators of
+every table without a negative W-count in one lockstep: one kernel call
+evaluates the grid for both scans (blocks of at most ``oq.BLOCK_POINTS``
+(trial, grid point) pairs), one per golden-section step covers both
+estimators' brackets, and one the curvature's three points, with the
+per-table arithmetic of refining each table alone.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllTrialsOmitted, NegativeCounts, ParamOutOfRange
+from .errors import AllTrialsOmitted, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
-from .oq import oq_slopes, oq_values, row_blocks
+from .oq import POSITIVITY_TOL, oq_slopes, oq_values, row_blocks
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
@@ -68,8 +70,7 @@ class CountTable:
     assembled W-counts.
 
     ``counts_b`` has shape (trials, 2) and ``counts_seq``, ``counts_w``
-    shape (trials, 2, 2).  Indexing selects tables and keeps the trial
-    axis, so ``table[0]`` is a stack of one.
+    shape (trials, 2, 2).
     """
 
     n: int
@@ -97,19 +98,14 @@ class CountTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def __getitem__(self, index) -> "CountTable":
-        keep = np.atleast_1d(np.arange(len(self.counts_b))[index])
-        return CountTable(self.n, self.counts_b[keep], self.counts_seq[keep],
-                          self.counts_w[keep])
-
     @property
     def negative(self) -> np.ndarray:
         """Whether each table has a negative W-count."""
         return (self.counts_w < 0).any(axis=(-2, -1))
 
 
-KEPT, FLAT, NO_SLOPE, TOO_WIDE, NO_VARIANCE = range(5)
-CAUSES = ("kept", "flat likelihood", "no usable parity slope",
+KEPT, NEGATIVE, FLAT, NO_SLOPE, TOO_WIDE, NO_VARIANCE = range(6)
+CAUSES = ("kept", "negative W-counts", "flat likelihood", "no usable parity slope",
           "standard error wider than the domain", "no positive predicted variance")
 
 
@@ -242,10 +238,16 @@ def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seed: int,
 
 
 def expected_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int) -> CountTable:
-    """A stack of one noise-free table: n times the outcome probabilities."""
+    """A stack of one noise-free table: n times the outcome probabilities.
+
+    A W-count of a cell whose probability is zero may round to a tiny
+    negative; one no deeper than ``n * POSITIVITY_TOL``, the negativity
+    ``advantage`` accepts, is set to 0.
+    """
     counts_b, counts_seq = n * p_b[None], n * p_seq.reshape(1, 2, 2)
-    return CountTable(n, counts_b, counts_seq,
-                      assemble_w_counts(counts_b, counts_seq))
+    counts_w = assemble_w_counts(counts_b, counts_seq)
+    counts_w[(counts_w < 0) & (counts_w >= -n * POSITIVITY_TOL)] = 0.0
+    return CountTable(n, counts_b, counts_seq, counts_w)
 
 
 def _angles(gs, fixed_other: float, target: Target) -> tuple:
@@ -268,22 +270,9 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def _check(counts: CountTable) -> None:
-    if counts.negative.any():
-        raise NegativeCounts("W-counts went negative; trial must be omitted")
-
-
-def _log_likelihood(counts_w: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+def _loglik(counts_w: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) sum c(a,b|W) log W(a,b), the model clamped at ``PROB_CLAMP``."""
     return _cell_sum(counts_w * np.log(np.clip(vals, PROB_CLAMP, None))) / n
-
-
-def log_likelihood(counts: CountTable, g, fixed_other: float,
-                   target: Target, w: Hovm) -> np.ndarray:
-    """(1/n) sum c(a,b|W) log W(a,b) with the model clamped at 1e-12, per
-    table; ``g`` holds one angle per table, or one angle for all."""
-    _check(counts)
-    return _log_likelihood(counts.counts_w, oq_values(
-        w, amplitudes(*_angles(g, fixed_other, target))), counts.n)
 
 
 def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
@@ -333,14 +322,28 @@ def parity_mean(counts: CountTable) -> np.ndarray:
     return _cell_sum(_PARITY * counts.counts_w) / counts.n
 
 
-def _estimate(counts: CountTable, target: Target, fixed_other: float,
-              w: Hovm, domain: tuple) -> tuple:
-    """The MLE and the LEP ``TrialResult`` of a stack: one grid for both
-    scans, then one golden-section stack of the MLE's brackets and the
-    LEP's, so each step is one kernel call for both estimators."""
-    _check(counts)
-    cw, n, trials = counts.counts_w, counts.n, len(counts.counts_w)
-    obs = parity_mean(counts)
+def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
+                    w: Hovm, domain: tuple) -> tuple:
+    """The MLE and the LEP ``TrialResult`` of a stack, one entry per table.
+
+    The MLE scans a grid (the first maximum wins ties, i.e. the smallest
+    angle) and refines by golden section; its error bar is the observed
+    Fisher information, a central second difference of the log-likelihood
+    at the optimum.  It refuses a table whose likelihood is flat there.
+    The LEP inverts the parity mean.  It refuses a table whose parity slope
+    at the estimate is below ``SLOPE_FLOOR``, whose standard error is wider
+    than the search domain, or whose predicted variance is not positive (the
+    model parity mean of a quasiprobability may pass 1 in magnitude).  Both
+    refuse a table with a negative W-count, which is not refined.
+
+    One grid evaluation serves both scans, then one golden-section stack of
+    the MLE's brackets and the LEP's, so each step is one kernel call for
+    both estimators.
+    """
+    keep = ~counts.negative
+    cw, n = counts.counts_w[keep], counts.n
+    trials = len(cw)
+    obs = parity_mean(counts)[keep]
 
     def cells(g):
         return oq_values(w, amplitudes(*_angles(g, fixed_other, target)))
@@ -360,7 +363,7 @@ def _estimate(counts: CountTable, target: Target, fixed_other: float,
 
     def f(g):
         v = cells(g)
-        return np.concatenate((_log_likelihood(cw, v[:trials], n),
+        return np.concatenate((_loglik(cw, v[:trials], n),
                                -_square(_cell_sum(_PARITY * v[trials:]) - obs)))
 
     # one stack of the MLE's brackets, then the LEP's; a bracket spans its
@@ -372,7 +375,7 @@ def _estimate(counts: CountTable, target: Target, fixed_other: float,
 
     h = CURVATURE_H
     three = cells(np.concatenate((mle, mle + h, mle - h)))
-    center, up, down = _log_likelihood(cw, three.reshape(3, trials, 2, 2), n)
+    center, up, down = _loglik(cw, three.reshape(3, trials, 2, 2), n)
     observed_fi = -((up - 2 * center + down) / (h * h))
     # resolution limit: log-likelihood cancellation noise amplified by 1/h^2
     noise = 16 * np.finfo(float).eps * np.maximum(np.abs(center), 1.0) / (h * h)
@@ -390,34 +393,18 @@ def _estimate(counts: CountTable, target: Target, fixed_other: float,
     # lep_var > width**2: the standard error is wider than the search domain
     lep_cause = np.select([np.abs(slope) <= SLOPE_FLOOR, lep_var > width**2,
                            ~(lep_var > 0)], [NO_SLOPE, TOO_WIDE, NO_VARIANCE], KEPT)
-    return (TrialResult(mle, observed_fi, mle_var,
-                        np.where(observed_fi <= noise, FLAT, KEPT)),
-            TrialResult(lep, np.full_like(lep, np.nan), lep_var, lep_cause))
 
+    def whole(*entries, cause):
+        # spread the kept tables' results back over the whole stack
+        values = np.full((len(entries), len(keep)), np.nan)
+        values[:, keep] = entries
+        causes = np.full(len(keep), NEGATIVE)
+        causes[keep] = cause
+        return TrialResult(*values, causes)
 
-def mle_estimate(counts: CountTable, target: Target, fixed_other: float,
-                 w: Hovm, domain: tuple) -> TrialResult:
-    """Maximum-likelihood estimate with observed-Fisher error bar.
-
-    Coarse grid scan (first maximum wins ties, i.e. the smallest angle)
-    followed by golden-section refinement; the curvature at the optimum is a
-    central second difference of the log-likelihood.  A table whose
-    likelihood is flat at the optimum is marked omitted (the MLE half of
-    ``_estimate``, of which ``run_trials`` takes both halves at once).
-    """
-    return _estimate(counts, target, fixed_other, w, domain)[0]
-
-
-def lep_estimate(counts: CountTable, target: Target, fixed_other: float,
-                 w: Hovm, domain: tuple) -> TrialResult:
-    """Linear-error-propagation estimate by inverting the parity mean.
-
-    A table whose parity slope at the estimate is below ``SLOPE_FLOOR``, or
-    whose predicted variance is not positive (the model parity mean of a
-    quasiprobability may pass 1 in magnitude) or has a standard error wider
-    than the search domain, is marked omitted.  The LEP half of ``_estimate``.
-    """
-    return _estimate(counts, target, fixed_other, w, domain)[1]
+    return (whole(mle, observed_fi, mle_var,
+                  cause=np.where(observed_fi <= noise, FLAT, KEPT)),
+            whole(lep, np.full_like(lep, np.nan), lep_var, cause=lep_cause))
 
 
 @dataclass(frozen=True)
@@ -469,35 +456,40 @@ class TrialSummary:
     lep: EstimatorSummary
 
 
-def _summarize(name: str, result: TrialResult, negative: int, trials: int,
+def _summarize(name: str, result: TrialResult, trials: int,
                quantum_var: float, inject: bool) -> EstimatorSummary:
     done = ~result.omitted
     estimates, variances = result.estimate[done], result.variance_estimate[done]
     if inject:
         if not len(estimates):
-            why = CAUSES[result.cause[0]] if negative == 0 else "negative W-counts"
-            raise AllTrialsOmitted(f"{name}: injection evaluation omitted: {why}")
+            raise AllTrialsOmitted(f"{name}: injection evaluation omitted: "
+                                   f"{CAUSES[result.cause[0]]}")
         pred = float(variances[0])
         return EstimatorSummary(name, float(estimates[0]), 0.0, pred, 0.0,
                                 math.log10(quantum_var / (2 * pred)), math.nan, 1)
     if len(estimates) < 2:
-        raise AllTrialsOmitted(f"{name}: fewer than 2 trials completed")
+        why = ", ".join(f"{count} {CAUSES[cause]}"
+                        for cause, count in enumerate(np.bincount(result.cause))
+                        if cause != KEPT and count)
+        raise AllTrialsOmitted(f"{name}: fewer than 2 trials completed ({why})")
     emp_var = float(np.var(estimates, ddof=1))
     pred = float(np.mean(variances))
     ratio = math.log10(quantum_var / (2 * pred))
     ratio_emp = math.log10(quantum_var / (2 * emp_var)) if emp_var > 0 else math.inf
-    omitted = negative + int(result.omitted.sum())
     return EstimatorSummary(name, float(estimates.mean()), emp_var, pred,
-                            omitted / trials, ratio, ratio_emp, len(estimates))
+                            int(result.omitted.sum()) / trials, ratio, ratio_emp,
+                            len(estimates))
 
 
 def run_trials(config: TrialConfig) -> TrialSummary:
     """Run the full Monte-Carlo comparison at one parameter point.
 
-    Trials with negative W-counts are dropped and reported through the
-    omission rate, never resampled.  With ``inject_expected`` the exact
-    expected counts replace sampling (a single noiseless evaluation).  One
-    joint refinement (``_estimate``) serves both estimators of every trial.
+    One ``estimate_tables`` call serves both estimators of every trial.
+    A trial that an estimator refuses, for a negative W-count or any other
+    cause, is left out of that estimator's summary, never resampled, and
+    counts towards its omission rate.  With
+    ``inject_expected`` the exact expected counts replace sampling (a
+    single noiseless evaluation), and a refusal names its ``CAUSES`` entry.
     """
     if config.trials < 2:
         raise ValueError("at least 2 trials are required")
@@ -536,12 +528,8 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     trials = 1 if config.inject_expected else config.trials
     tables = (expected_counts(p_b, p_seq, config.n) if config.inject_expected
               else draw_counts(p_b, p_seq, config.n, config.seed, trials))
-    negative = tables.negative
-    kept = tables[~negative]
-
-    results = _estimate(kept, config.target, fixed_other, w, domain)
+    results = estimate_tables(tables, config.target, fixed_other, w, domain)
     return TrialSummary(config, adv, quantum_var, *(
-        _summarize(name, result, int(negative.sum()), trials, quantum_var,
-                   config.inject_expected)
+        _summarize(name, result, trials, quantum_var, config.inject_expected)
         for name, result in zip(("mle", "lep"), results)))
 

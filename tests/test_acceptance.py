@@ -21,7 +21,7 @@ from conftest import (
     setting_probs,
 )
 from oqmetro.cli import main
-from oqmetro.estimation import TrialConfig, expected_counts, mle_estimate, run_trials
+from oqmetro.estimation import TrialConfig, estimate_tables, expected_counts, run_trials
 from oqmetro.fisher import advantage, oqfi, qfi_pure
 from oqmetro.measurement import (
     build_hovm,
@@ -185,7 +185,7 @@ def test_08_derivative_hygiene():
     lam = 0.9
     a, b, w = mub_hovm(lam)
     table = expected_counts(*setting_probs(math.pi / 2, 0.0, a, b), 10_000)
-    r = mle_estimate(table, Target.POLAR, 0.0, w, (1.0, 2.0))
+    r = estimate_tables(table, Target.POLAR, 0.0, w, (1.0, 2.0))[0]
     truth = oqfi(*cells(w, *probe(math.pi / 2, 0.0)))
     assert r.observed_fi[0] == pytest.approx(truth, rel=1e-3)
     _passed("8 analytic derivatives and likelihood curvature verified")

@@ -555,7 +555,10 @@ class TestEstimate:
             "--domain", "1.2:2.0", "--out", str(out),
         ])
         assert code == 3
-        assert "fewer than 2 trials completed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fewer than 2 trials completed" in err
+        # the omitted trials are counted per cause
+        assert "mle: fewer than 2 trials completed (4 negative W-counts)" in err
         rows = read_csv(out)
         assert [r["estimator"] for r in rows] == ["mle", "lep"]
         assert all(r["mean_estimate"] == r["advantage"] == "" for r in rows)
@@ -614,8 +617,9 @@ class TestEstimate:
          "mle: injection evaluation omitted: flat likelihood"),
         (["--target", "phi", "--lambda", "1.0", "--theta", "pi/2", "--phi",
           "0", "--domain=0:pi", "--n", "2000"],
-         "mle: injection evaluation omitted: negative W-counts"),
-    ], ids=["too-wide", "no-variance", "flat", "negative"])
+         # rounding leaves no negative W-count; the parity mean is +-1
+         "lep: injection evaluation omitted: no positive predicted variance"),
+    ], ids=["too-wide", "no-variance", "flat", "rounding"])
     def test_inject_refusal_names_its_rule(self, capsys, argv, why):
         # the single noiseless evaluation says which rule omitted it
         assert main(["estimate", *argv, "--trials", "2",

@@ -5,17 +5,17 @@ import pytest
 
 from conftest import cells, mub_hovm, probe, setting_probs
 from oqmetro import estimation
-from oqmetro.errors import AllTrialsOmitted, NegativeCounts, ParamOutOfRange
+from oqmetro.errors import AllTrialsOmitted, ParamOutOfRange
 from oqmetro.estimation import (
+    KEPT,
+    NEGATIVE,
     CountTable,
     TrialConfig,
     assemble_w_counts,
     draw_counts,
+    estimate_tables,
     expected_counts,
     golden_section_maximize,
-    lep_estimate,
-    log_likelihood,
-    mle_estimate,
     parity_mean,
     run_trials,
 )
@@ -29,6 +29,14 @@ EQUATOR = (math.pi / 2, 0.0)
 def sample(point, a, b, n, seed, trials=1):
     """A stack of tables drawn at a probe point from one integer seed."""
     return draw_counts(*setting_probs(*point, a, b), n, seed, trials)
+
+
+def mle(*args):
+    return estimate_tables(*args)[0]
+
+
+def lep(*args):
+    return estimate_tables(*args)[1]
 
 
 def flat_table():
@@ -116,15 +124,17 @@ class TestSampling:
                 np.random.default_rng(ss_seq).multinomial(700, p_seq))
 
 
-class TestCountTable:
-    def test_indexing_keeps_the_trial_axis(self):
-        a, b, _ = mub_hovm(0.7)
-        t = sample(EQUATOR, a, b, 500, 0, trials=3)
-        assert t[1].counts_w.shape == (1, 2, 2)
-        assert t[-1].counts_b.shape == (1, 2)
-        assert t[np.array([True, False, True])].counts_seq.shape == (2, 2, 2)
-        np.testing.assert_array_equal(t[2].counts_w[0], t.counts_w[2])
+    def test_expected_counts_clear_rounding_negatives(self):
+        # at full sharpness two cells have probability zero, and assembling
+        # the noiseless counts leaves them at about -1e-13
+        a, b, _ = mub_hovm(1.0)
+        probs = setting_probs(*EQUATOR, a, b)
+        assert (assemble_w_counts(2000 * probs[0], 2000 * probs[1].reshape(2, 2))
+                < 0).any()
+        assert expected_counts(*probs, 2000).negative.tolist() == [False]
 
+
+class TestCountTable:
     def test_one_table_without_trial_axis_is_refused(self):
         with pytest.raises(ValueError, match="stack of tables"):
             CountTable(1000, np.array([500, 500]),
@@ -132,31 +142,32 @@ class TestCountTable:
                        np.full((2, 2), 250.0))
 
 
-class TestLogLikelihood:
-    def test_maximized_at_truth_for_expected_counts(self):
-        a, b, w = mub_hovm(0.9)
-        g0 = 1.9
-        table = expected_counts(*setting_probs(g0, 1.0, a, b), 10_000)
-        (ll0,) = log_likelihood(table, g0, 1.0, Target.POLAR, w)
-        for g in (g0 - 0.2, g0 - 0.05, g0 + 0.05, g0 + 0.2):
-            assert log_likelihood(table, g, 1.0, Target.POLAR, w)[0] < ll0
+def stack(parts, n):
+    """One stack of the tables given as (counts_b, counts_seq) stacks."""
+    counts_b = np.concatenate([b for b, _ in parts]).astype(float)
+    counts_seq = np.concatenate([seq for _, seq in parts]).astype(float)
+    return CountTable(n, counts_b, counts_seq,
+                      assemble_w_counts(counts_b, counts_seq))
 
-    def test_constant_for_flat_model(self):
-        a, b, w = mub_hovm(0.0)
-        table = flat_table()
-        vals = [log_likelihood(table, g, 0.0, Target.POLAR, w)[0]
-                for g in (0.3, 1.0, 2.0)]
-        assert all(v == pytest.approx(math.log(0.25), abs=1e-12) for v in vals)
 
-    def test_negative_counts_rejected(self):
-        _, _, w = mub_hovm(0.5)
-        table = CountTable(
-            100, np.array([[0, 100]]), np.array([[[50, 50], [0, 0]]]),
-            assemble_w_counts([[0, 100]], [[[50, 50], [0, 0]]]),
-        )
-        assert table.negative.tolist() == [True]
-        with pytest.raises(NegativeCounts):
-            log_likelihood(table, 1.0, 0.0, Target.POLAR, w)
+class TestEstimateTables:
+    def test_negative_table_is_marked_and_the_others_unchanged(self):
+        a, b, w = mub_hovm(0.5)
+        parts = [(t.counts_b, t.counts_seq) for t in (
+            expected_counts(*setting_probs(g, 0.0, a, b), 100)
+            for g in (0.9, 1.4, 2.1))]
+        # B never reads 0 yet the sequential setting does: W(1, 0) < 0
+        negative = (np.array([[0, 100]]), np.array([[[50, 50], [0, 0]]]))
+        mixed = stack(parts[:1] + [negative] + parts[1:], 100)
+        assert mixed.negative.tolist() == [False, True, False, False]
+        args = (Target.POLAR, 0.0, w, (0.5, 2.5))
+        others = [0, 2, 3]
+        for got, want in zip(estimate_tables(mixed, *args),
+                             estimate_tables(stack(parts, 100), *args)):
+            assert got.cause[1] == NEGATIVE
+            for field in ("estimate", "observed_fi", "variance_estimate", "cause"):
+                np.testing.assert_array_equal(getattr(got, field)[others],
+                                              getattr(want, field))
 
 
 class TestMle:
@@ -164,7 +175,7 @@ class TestMle:
         a, b, w = mub_hovm(0.9)
         g0 = 1.2345
         table = expected_counts(*setting_probs(g0, 1.2, a, b), 10_000)
-        r = mle_estimate(table, Target.POLAR, 1.2, w, (0.5, 2.0))
+        r = mle(table, Target.POLAR, 1.2, w, (0.5, 2.0))
         assert r.omitted.tolist() == [False]
         assert r.estimate[0] == pytest.approx(g0, abs=1e-6)
 
@@ -173,13 +184,13 @@ class TestMle:
         a, b, w = mub_hovm(lam)
         g0 = math.pi / 2
         table = expected_counts(*setting_probs(g0, 0.0, a, b), 10_000)
-        r = mle_estimate(table, Target.POLAR, 0.0, w, (1.0, 2.0))
+        r = mle(table, Target.POLAR, 0.0, w, (1.0, 2.0))
         truth = oqfi(*cells(w, *probe(g0, 0.0)))
         assert r.observed_fi[0] == pytest.approx(truth, rel=1e-3)
 
     def test_flat_likelihood_is_omitted(self):
         _, _, w = mub_hovm(0.0)
-        r = mle_estimate(flat_table(), Target.POLAR, 0.0, w, (0.5, 2.5))
+        r = mle(flat_table(), Target.POLAR, 0.0, w, (0.5, 2.5))
         assert r.omitted.tolist() == [True]
 
     def test_rmse_shrinks_with_sample_size(self):
@@ -190,9 +201,11 @@ class TestMle:
         rmse = []
         for n in (10**3, 10**4, 10**5):
             t = draw_counts(*probs, n, n, 40)
-            r = mle_estimate(t[~t.negative], Target.POLAR, 1.0, w, (1.5, 2.3))
-            assert not r.omitted.any()
-            rmse.append(float(np.sqrt(np.mean(np.square(r.estimate - g0)))))
+            r = mle(t, Target.POLAR, 1.0, w, (1.5, 2.3))
+            np.testing.assert_array_equal(
+                r.cause, np.where(t.negative, NEGATIVE, KEPT))
+            done = r.estimate[~r.omitted]
+            rmse.append(float(np.sqrt(np.mean(np.square(done - g0)))))
         assert rmse[0] > rmse[1] > rmse[2]
 
 
@@ -201,14 +214,14 @@ class TestLep:
         a, b, w = mub_hovm(0.9)
         g0 = 1.9
         table = expected_counts(*setting_probs(g0, 0.6, a, b), 10_000)
-        r = lep_estimate(table, Target.POLAR, 0.6, w, (1.4, 2.4))
+        r = lep(table, Target.POLAR, 0.6, w, (1.4, 2.4))
         assert r.omitted.tolist() == [False]
         assert r.estimate[0] == pytest.approx(g0, abs=1e-6)
 
     def test_zero_slope_for_flat_model(self):
         a, b, w = mub_hovm(0.0)
         table = expected_counts(*setting_probs(*EQUATOR, a, b), 1000)
-        r = lep_estimate(table, Target.POLAR, 0.0, w, (0.5, 2.5))
+        r = lep(table, Target.POLAR, 0.0, w, (0.5, 2.5))
         assert r.omitted.tolist() == [True]
 
     def test_parity_mean_closed_form(self):
@@ -275,6 +288,20 @@ class TestRunTrials:
                           domain=(1.2, 2.0))
         with pytest.raises(AllTrialsOmitted):
             run_trials(cfg)
+
+    @pytest.mark.parametrize("n,seed,why", [
+        (100, 6, "mle: fewer than 2 trials completed (3 negative W-counts)"),
+        (30, 8, "lep: fewer than 2 trials completed "
+                "(2 negative W-counts, 2 no positive predicted variance)"),
+    ], ids=["one-completed", "two-causes"])
+    def test_omissions_counted_per_cause(self, n, seed, why):
+        # full sharpness at the equator: the refusal counts the omitted
+        # trials of each cause, and not the completed one
+        cfg = TrialConfig(math.pi / 2, 0.0, Target.POLAR, 1.0, n, 4, seed,
+                          domain=(1.2, 2.0))
+        with pytest.raises(AllTrialsOmitted) as refused:
+            run_trials(cfg)
+        assert str(refused.value) == why
 
     def test_trials_floor(self):
         cfg = TrialConfig(1.2, 0.5, Target.POLAR, 0.85, 100, 1, 0)
