@@ -41,7 +41,7 @@ import json
 import math
 import operator
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -375,7 +375,10 @@ def cmd_compat(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="oqmetro",
         description="Quasiprobability metrology with incompatible qubit "

@@ -18,6 +18,9 @@ Operators are checked once per stack, when a ``Povm`` or ``Hovm`` is
 constructed, with one check per condition over all its effects or
 elements; one bad entry refuses the whole stack.
 Everything built from validated measurements relies on those checks.
+The Hermitian and PSD checks are closed forms in the entries of each 2 x 2
+operator (PSD is c0 - |c| >= -HERMITIAN_TOL for c0 I + c.sigma), so
+validation calls no eigensolver.
 """
 
 from __future__ import annotations
@@ -45,16 +48,33 @@ IDENTITY_TOL = 1e-10
 
 
 def _hermitian(stack: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a (..., dim, dim) stack is within
-    HERMITIAN_TOL of its adjoint, entrywise."""
-    adjoint = stack.conj().swapaxes(-1, -2)
-    return np.abs(stack - adjoint).max(axis=(-2, -1)) <= HERMITIAN_TOL
+    """Whether each matrix M of a (..., 2, 2) stack is within HERMITIAN_TOL
+    of its adjoint, entrywise.
+
+    The largest entry of |M - M^dagger| is the largest of its (0,0), (1,1)
+    and (0,1) entries, bit for bit: the (1,0) entry is the exact negative
+    conjugate of the (0,1) entry.  A finite diagonal entry gives
+    |m - conj m| = 2 |Im m|; an infinite or nan one fails the check.
+    """
+    m00, m11 = stack[..., 0, 0], stack[..., 1, 1]
+    skew = np.maximum(np.abs(m00 - m00.conj()), np.abs(m11 - m11.conj()))
+    skew = np.maximum(skew, np.abs(stack[..., 0, 1] - stack[..., 1, 0].conj()))
+    return skew <= HERMITIAN_TOL
 
 
 def _psd(stack: np.ndarray, tol: float) -> np.ndarray:
     """Whether the least eigenvalue of each Hermitian matrix of a
-    (..., dim, dim) stack is >= -tol."""
-    return np.linalg.eigvalsh(stack)[..., 0] >= -tol
+    (..., 2, 2) stack is >= -tol.
+
+    A Hermitian qubit operator is c0 I + c.sigma, with eigenvalues
+    c0 +- |c|; in its entries (diagonal a, d and lower off-diagonal b, the
+    entries a Hermitian eigensolver reads) the least one is
+    (a + d) / 2 - hypot((a - d) / 2, |b|); hypot keeps huge entries from
+    overflowing.
+    """
+    a, d = stack[..., 0, 0].real, stack[..., 1, 1].real
+    least = (a + d) / 2 - np.hypot((a - d) / 2, np.abs(stack[..., 1, 0]))
+    return least >= -tol
 
 
 def _sqrt(m: np.ndarray) -> np.ndarray:

@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -775,3 +779,55 @@ class TestExitCodeContract:
         out = tmp_path / "missing" / "x.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert "No such file or directory" in capsys.readouterr().err
+
+
+class TestOneParserPerProcess:
+    """``build_parser`` is cached, so every ``main`` call of a process
+    shares one parser; parsing must leave nothing in it."""
+
+    ESTIMATE = ["estimate", "--lambda", "0.85", "--theta", "1.2", "--phi",
+                "1.0", "--n", "2000", "--trials", "4", "--domain", "0.8:1.6"]
+    SEQUENCE = [
+        ESTIMATE + ["--seed", "5"],
+        ESTIMATE,  # the default seed again, not the 5 of the call before
+        ["fi-sweep", "--format", "json"],
+        ["fi-sweep"],
+        ["fi-sweep", "--lambda", "1.5"],  # refused by main: exit 2
+        ["fi-sweep", "--format", "xml"],  # refused by argparse: exit 2
+        ["fi-sweep", "--lambda", "0.5", "--target", "phi"],
+    ]
+
+    @staticmethod
+    def run(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def test_shared_parser_carries_no_state(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(self.run(capsys, argv))
+        build_parser.cache_clear()
+        parser = build_parser()
+        shared = [self.run(capsys, argv) for argv in self.SEQUENCE]
+        assert build_parser() is parser
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 2, 0]
+        assert shared == fresh
+        assert shared[0][1] != shared[1][1]  # the two seeds draw differently
+
+
+def test_import_leaves_numpy_random_unimported():
+    # numpy.random costs about 13 ms of import; only estimate needs it
+    src = Path(oqmetro.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, oqmetro.cli; "
+            "print('numpy.random' in sys.modules, oqmetro.cli.__file__)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, path = proc.stdout.split()
+    assert Path(path).resolve() == Path(oqmetro.cli.__file__).resolve()
+    assert loaded == "False"
