@@ -17,17 +17,17 @@ evaluates at every probe point.  The cells, their slopes and the quantum
 information then go to ``fisher`` as arrays.
 
 Each subcommand hands ``_write_table`` its table as blocks of columns of
-plain Python values: one block per theta row for ``advantage-map`` and
-per sharpness value for ``fi-sweep``, each formatted as soon as its
-kernel call is done, and one per probe point for ``estimate``.  One
-writer serves both formats with two cell rules: a CSV cell is Python's
-shortest round-trip text for a float (``inf``/``-inf`` for infinities),
-``str`` for a bool, int or token, and empty for None, never quoted; a
-JSON cell is ``json.dumps`` of the value, with the strings ``"inf"``/
-``"-inf"`` for infinities, framed as ``json.dumps(..., indent=1)`` frames
-the row objects.  Nothing is written before the last block is done, so a
-refused block leaves no partial table, and ``_emit`` is the one place
-output is written.
+plain Python values, each formatted as soon as it is computed: one block
+per theta row for ``advantage-map``, one per kernel call for ``fi-sweep``
+(a grid of its sharpness values by the probe points), and one per probe
+point for ``estimate``.  One writer serves both formats with two cell
+rules: a CSV cell is Python's shortest round-trip text for a float
+(``inf``/``-inf`` for infinities), ``str`` for a bool, int or token, and
+empty for None, never quoted; a JSON cell is ``json.dumps`` of the value,
+with the strings ``"inf"``/``"-inf"`` for infinities, framed as
+``json.dumps(..., indent=1)`` frames the row objects.  Nothing is written
+before the last block is done, so a refused block leaves no partial
+table, and ``_emit`` is the one place output is written.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
 failure.
@@ -142,13 +142,6 @@ def _gapped(values: np.ndarray, present: np.ndarray) -> list:
     return col.tolist()
 
 
-def _block_length(block: list) -> int:
-    """Rows in a block: the length of its list columns; any other column
-    is one cell repeated down the block, and a block of such cells alone
-    is one row."""
-    return next((len(col) for col in block if isinstance(col, list)), 1)
-
-
 def _csv_cells(col: list) -> list:
     """CSV text of a column of Python values: ``str``, which is the
     shortest round-trip text for a float and 'inf'/'-inf' for infinities,
@@ -175,15 +168,19 @@ def _emit(path: str | None, parts: list) -> None:
 
 def _write_table(path: str | None, fmt: str, name: str, header: list,
                  blocks) -> None:
-    """Write a table given as an iterable of blocks of equal-length columns.
+    """Write a table given as an iterable of blocks of columns.
 
-    A column is a list of Python values, None for an empty cell, or a
-    single value repeated down its block.  Blocks are consumed one at a
-    time, so a subcommand may compute each block as it is asked for; each
-    is turned into text before the next is asked for, and nothing is
-    written until the last one is done.  Each column is turned into text
-    once, and a list passed again as the same object at the same position
-    keeps the text it had, so it must not change in between.
+    A block's rows are a row-major grid of outer rows, as many as its
+    tuple columns are long (one without any), by inner points, as many as
+    its shortest list is long (one without any).  A column holds Python
+    values, None for an empty cell: a tuple one per outer row, a list that
+    short one per inner point (tiled down the outer rows), a longer list
+    one per row, and any other value is one cell for the whole block.
+    Blocks are consumed one at a time, and each is turned into text before
+    the next is asked for, so a subcommand may compute them lazily;
+    nothing is written until the last one is done.  A list passed again as
+    the same object at the same position keeps its text, so it must not
+    change in between.
     """
     if fmt == "csv":
         head = f"# {SCHEMA_VERSION} {name}\n" + ",".join(header) + "\n"
@@ -202,15 +199,20 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
     parts = [head]
     held = {}  # column position -> (list column, its text)
     for block in blocks:
-        n = _block_length(block)
+        outer = next((len(c) for c in block if isinstance(c, tuple)), 1)
+        inner = min((len(c) for c in block if isinstance(c, list)), default=1)
+        n = outer * inner
         cols = []
         for j, col in enumerate(block):
-            if not isinstance(col, list):
+            if isinstance(col, list):
+                if j not in held or held[j][0] is not col:
+                    held[j] = (col, rules[j](col))
+                text = held[j][1]
+                cols.append(text * outer if len(col) < n else text)
+            elif isinstance(col, tuple):
+                cols.append([t for t in rules[j](col) for _ in range(inner)])
+            else:
                 cols.append(rules[j]([col]) * n)
-                continue
-            if j not in held or held[j][0] is not col:
-                held[j] = (col, rules[j](col))
-            cols.append(held[j][1])
         if n:
             first = row_join if len(parts) > 1 else ""  # after earlier rows
             parts.append(first + row_open
@@ -245,11 +247,10 @@ def cmd_fi_sweep(args) -> int:
             positive = neg <= POSITIVITY_TOL
             slopes = oq_slopes(w, psi, dpsi)
             info = oqfi(values[positive], slopes[positive])
-            for lam, info_row, neg_row, pos_row in zip(
-                    lams[rows], _gapped(info, positive), neg.tolist(),
-                    positive.tolist()):
-                yield [lam, thetas, phis, args.target, info_row, qfi,
-                       neg_row, pos_row]
+            positive = positive.ravel()
+            yield [tuple(lams[rows]), thetas, phis, args.target,
+                   _gapped(info, positive), qfi, neg.ravel().tolist(),
+                   positive.tolist()]
 
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",

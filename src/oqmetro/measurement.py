@@ -204,12 +204,25 @@ def hovm_is_povm(w: Hovm) -> bool:
 
 
 def busch_compatible(mu, nu) -> bool:
-    """Qubit two-outcome compatibility: |mu+nu| + |mu-nu| <= 2."""
+    """Qubit two-outcome compatibility: |mu+nu| + |mu-nu| <= 2 (Busch).
+
+    Busch's criterion and the pair 1 + mu.nu >= |mu + nu|,
+    1 - mu.nu >= |mu - nu| each square to
+    (1 - |mu|^2)(1 - |nu|^2) >= |mu x nu|^2, so they are one criterion.
+    The pair's slacks 1 +- mu.nu - |mu +- nu|, over 4, are the least
+    eigenvalues of the elements (1 + ab mu.nu + (a mu + b nu).sigma) / 4
+    of the HOVM that ``build_hovm`` assembles from ``sequential_povm``; so
+    this checks them against the same -HERMITIAN_TOL as ``hovm_is_povm``,
+    and the two verdicts can part only within rounding of that tolerance.
+    """
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     if not (np.linalg.norm(mu) <= 1 + 1e-12 and np.linalg.norm(nu) <= 1 + 1e-12):
         raise BlochNormExceeded("Bloch norms must be <= 1")
-    return np.linalg.norm(mu + nu) + np.linalg.norm(mu - nu) <= 2 + 1e-12
+    dot = mu @ nu
+    least = min(1 + dot - np.linalg.norm(mu + nu),
+                1 - dot - np.linalg.norm(mu - nu)) / 4
+    return least >= -HERMITIAN_TOL
 
 
 def sharpness_threshold(mu_dir, nu_dir) -> float | None:

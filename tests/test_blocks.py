@@ -14,9 +14,11 @@ import io
 
 import pytest
 
+import oqmetro.cli
 import oqmetro.oq
 from oqmetro.cli import _fields, build_parser, main, parse_values
 from oqmetro.estimation import GRID_STEP, _grid
+from oqmetro.oq import row_blocks
 
 CASES = {
     "smoke-map": ["advantage-map", "--lambda", "0.995",
@@ -33,6 +35,9 @@ CASES = {
                    "--phi", "1:0:0.1"],
     "sweep": ["fi-sweep", "--lambda", "0:1:0.05", "--theta", "0:pi:0.3",
               "--phi", "0:6.2:0.4"],
+    # one probe point and more sharpness values than one call takes
+    "one-point-sweep": ["fi-sweep", "--theta", "pi/2", "--phi", "0",
+                        "--lambda", "0:1:0.0002"],
     # the examples of test_lockstep's lockstep test, as estimate commands
     "headline-point": ["estimate", "--lambda", "0.9",
                        "--theta", "1.0131710069701012",
@@ -80,3 +85,28 @@ def test_output_does_not_depend_on_the_block_budget(monkeypatch, name):
     for budget in (1, width - 1, width, width + 1, 5 * width + 3, 10**9):
         monkeypatch.setattr(oqmetro.oq, "BLOCK_POINTS", max(budget, 1))
         assert _run(argv) == want, f"BLOCK_POINTS={budget}"
+
+
+@pytest.mark.parametrize("argv, rows, width, calls", [
+    # the benchmark's fi-sweep: 200 sharpness values at one probe point
+    (["--theta", "pi/2", "--phi", "0", "--lambda", "0:0.995:0.005"],
+     200, 1, 1),
+    (["--theta", "pi/2", "--phi", "0", "--lambda", "0:1:0.0002"],
+     5001, 1, 2),
+    (["--theta", "0:pi:0.3", "--phi", "0:6.2:0.4", "--lambda", "0:1:0.05"],
+     21, 176, 1),
+    (["--theta", "0:3:0.01", "--phi", "0:6:0.2", "--lambda", "0.2,0.5,0.9"],
+     3, 9331, 3),
+], ids=["benchmark", "two-calls", "one-call", "call-per-lambda"])
+def test_fi_sweep_hands_the_writer_one_block_per_kernel_call(
+        monkeypatch, argv, rows, width, calls):
+    blocks = []
+    write = oqmetro.cli._write_table
+
+    def counted(path, fmt, name, header, table):
+        write(path, fmt, name, header,
+              (blocks.append(block) or block for block in table))
+
+    monkeypatch.setattr(oqmetro.cli, "_write_table", counted)
+    assert _run(["fi-sweep", "--target", "theta"] + argv)[0] == 0
+    assert len(blocks) == len(row_blocks(rows, width)) == calls

@@ -238,8 +238,10 @@ class TestFiSweepStack:
         ["--lambda", "0.5", "--theta", "0.2:3:0.7", "--phi", "1.1"],
         ["--lambda", "1:0:0.1", "--theta", "0.2,0.4"],
         ["--lambda", "0.3,0.9", "--theta", "1:0:0.1"],
+        # more sharpness values than one kernel call takes
+        ["--lambda", "0:1:0.0002", "--theta", "pi/2", "--phi", "0"],
     ], ids=["ranges", "edges", "one-point", "one-lambda", "no-lambda",
-            "no-point"])
+            "no-point", "chunk-edge"])
     def test_matches_per_lambda_loop(self, capsys, grid, target, fmt):
         argv = ["fi-sweep", "--target", target, "--format", fmt] + grid
         per_lambda_sweep(argv)
@@ -675,6 +677,14 @@ class TestCompat:
             assert main(["compat", f"--mu={mu}", f"--nu={nu}"]) == 0
             verdict = json.loads(capsys.readouterr().out)
             assert verdict["busch"] == verdict["hovm_povm"]
+
+    @pytest.mark.parametrize("lam", ["0.70710678119", "0.7071067812",
+                                     "0.7071067813"])
+    def test_just_past_the_boundary_agrees(self, capsys, lam):
+        # within the PSD tolerance of 1/sqrt(2): both predicates accept
+        assert main(["compat", "--mu", f"0,0,{lam}", "--nu", f"{lam},0,0"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["busch"] is True and verdict["hovm_povm"] is True
 
     def test_norm_violation_exits_2(self):
         assert main(["compat", "--mu", "1.2,0,0", "--nu", "0,0,0.5"]) == 2

@@ -220,6 +220,20 @@ class TestCompatibility:
             for t in np.linspace(0.02, 1.0, 50):
                 assert busch_equiv_hovm_check((0, 0, s), (t, 0, 0))
 
+    @pytest.mark.parametrize("mu, nu", [
+        ((0, 0, 1), (1, 0, 0)),
+        ((0, 0, 1), (0.5, 0, 0.866)),
+        ((0.3, -0.2, 0.9), (-0.7, 0.4, 0.1)),
+    ])
+    def test_predicates_agree_across_the_tolerance_band(self, mu, nu):
+        # the HOVM accepts a least eigenvalue down to -HERMITIAN_TOL, some
+        # 1e-10 past the boundary; Busch's criterion must accept as far
+        mu = np.array(mu) / np.linalg.norm(mu)
+        nu = np.array(nu) / np.linalg.norm(nu)
+        thr = sharpness_threshold(mu, nu)
+        for lam in thr + np.linspace(-2e-10, 2e-9, 67):
+            assert busch_equiv_hovm_check(lam * mu, lam * nu), lam
+
     def test_sharpness_threshold_is_inverse_sqrt2(self):
         thr = sharpness_threshold((0, 0, 1), (1, 0, 0))
         assert thr == pytest.approx(1 / math.sqrt(2), abs=1e-9)

@@ -84,12 +84,83 @@ def tables(draw):
     return header, blocks, rows
 
 
+@st.composite
+def grid_tables(draw):
+    """A header, grid blocks handed to the writer and the rows they stand
+    for.
+
+    A grid block has ``outer`` rows of ``inner`` points each, row-major.
+    A column is a tuple with one cell per outer row, a list with one cell
+    per inner point (tiled down the outer rows), a flat list with one cell
+    per row, one cell repeated down the block, or the very list the block
+    before had at that position, in whichever list role its length fits.
+    The writer reads the inner points off the shortest list, so a block
+    of more than one outer row and point holds an inner list whenever it
+    holds a flat one, and a block without lists is one point per row.
+    """
+    header = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=5,
+                           unique=True))
+    previous = [None] * len(header)
+    blocks, rows = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        kinds = [draw(st.sampled_from(("outer", "inner", "grid", "cell",
+                                       "again"))) for _ in header]
+        outer = draw(st.integers(0, 3)) if "outer" in kinds else 1
+        inner = draw(st.integers(0, 4))
+        roles, reused = [], []
+        for kind, before in zip(kinds, previous):
+            again = (kind == "again" and isinstance(before, list)
+                     and len(before) in (inner, outer * inner))
+            if kind == "again":  # a fresh inner list when none fits
+                kind = "grid" if again and len(before) != inner else "inner"
+            roles.append(kind)
+            reused.append(again)
+        if "grid" in roles and "inner" not in roles and outer * inner != inner:
+            first = roles.index("grid")
+            roles[first], reused[first] = "inner", False
+        if "inner" not in roles and "grid" not in roles:
+            inner = 1
+        sizes = {"outer": outer, "inner": inner, "grid": outer * inner}
+        block = []
+        for role, again, before in zip(roles, reused, previous):
+            if again:
+                block.append(before)
+            elif role == "cell":
+                block.append(draw(CELLS))
+            else:
+                cells = draw(st.lists(CELLS, min_size=sizes[role],
+                                      max_size=sizes[role]))
+                block.append(tuple(cells) if role == "outer" else cells)
+        for o in range(outer):
+            for p in range(inner):
+                rows.append(tuple(
+                    col[o] if role == "outer" else col[p] if role == "inner"
+                    else col[o * inner + p] if role == "grid" else col
+                    for col, role in zip(block, roles)))
+        blocks.append(block)
+        previous = block
+    return header, blocks, rows
+
+
+def _written(fmt, header, blocks):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_table(None, fmt, "t", header, iter(blocks))
+    return out.getvalue()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(table=tables(), fmt=st.sampled_from(("csv", "json")))
 def test_block_writer_matches_the_row_writer(table, fmt):
     header, blocks, rows = table
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _write_table(None, fmt, "t", header, iter(blocks))
-    assert out.getvalue() == reference_table(fmt, "t", header, rows)
+    assert _written(fmt, header, blocks) == reference_table(fmt, "t", header,
+                                                            rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=grid_tables(), fmt=st.sampled_from(("csv", "json")))
+def test_grid_blocks_match_the_row_writer(table, fmt):
+    header, blocks, rows = table
+    assert _written(fmt, header, blocks) == reference_table(fmt, "t", header,
+                                                            rows)
 
