@@ -14,7 +14,9 @@ kernel calls of at most ``oq.BLOCK_POINTS`` points (``oq.row_blocks``):
 ``advantage-map`` one call per block of theta rows, ``fi-sweep`` one per
 block of sharpness values, whose measurements it builds as one stack and
 evaluates at every probe point.  The cells, their slopes and the quantum
-information then go to ``fisher`` as arrays.
+information then go to ``fisher`` as arrays; ``advantage-map`` computes
+slopes and quantum information only at the positive points, the only
+ones where its advantage is defined.
 
 Each subcommand hands ``_write_table`` its table as blocks of columns of
 plain Python values, each formatted as soon as it is computed: one block
@@ -278,13 +280,17 @@ def cmd_advantage_map(args) -> int:
             psi = amplitudes(theta_col, phi)
             dpsi = amplitude_slopes(theta_col, phi, target)
             values = oq_values(w, psi)
-            qfi = qfi_pure(psi, dpsi)
-            slopes = oq_slopes(w, psi, dpsi)
             neg = negativity(values)
             # the advantage is undefined at negative points and where the
-            # quantum information vanishes: those cells stay empty
-            defined = (neg <= POSITIVITY_TOL) & (qfi > 0)
-            adv = advantage(values[defined], slopes[defined], qfi[defined])
+            # quantum information vanishes: those cells stay empty, and
+            # the information chain runs at the positive points only
+            defined = neg <= POSITIVITY_TOL
+            psi, dpsi, values = psi[defined], dpsi[defined], values[defined]
+            qfi = qfi_pure(psi, dpsi)
+            slopes = oq_slopes(w, psi, dpsi)
+            nonzero = qfi > 0
+            defined[defined] = nonzero
+            adv = advantage(values[nonzero], slopes[nonzero], qfi[nonzero])
             for theta, adv_row, neg_row in zip(
                     thetas[rows], _gapped(adv, defined), neg.tolist()):
                 yield [theta, phis, adv_row, neg_row]

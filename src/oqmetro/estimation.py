@@ -251,9 +251,11 @@ def expected_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int) -> CountTable:
 
 
 def _angles(gs, fixed_other: float, target: Target) -> tuple:
-    """(theta, phi) arrays, shape (N,), over target-angle values gs."""
+    """(theta, phi) over target-angle values gs: the target angle an array
+    of shape (N,), the fixed one a 0-d float that broadcasts against it, so
+    ``probe`` computes its factor once per call."""
     gs = np.atleast_1d(np.asarray(gs, dtype=float))
-    other = np.full_like(gs, fixed_other)
+    other = float(fixed_other)
     return (gs, other) if target is Target.POLAR else (other, gs)
 
 

@@ -9,6 +9,16 @@ qubit measurement by construction, so its 2 x 2 elements always match the
 amplitudes.  The batch axes of a stacked HOVM broadcast against those of
 the amplitudes.
 
+One kernel (``_cells``) evaluates every cell.  It sums over the 2 x 2
+amplitude and element indices with the probe-point axes innermost, so
+einsum's inner loop runs over the points rather than over a length-2
+index, about twice as fast on a block of points.  Each cell is the same
+sum of the same triple products, in the same order, as with the points
+outermost.  The kernel makes its own C-contiguous component-first
+operands, copying wherever the caller's arrays are not already laid out
+so: einsum picks its iteration order from the operands' strides, so a
+strided view of the caller's arrays can move the last bit of a cell.
+
 Callers evaluate a grid in blocks of at most ``BLOCK_POINTS`` probe points
 per kernel call (``row_blocks``): large enough that per-call overhead does
 not dominate, small enough to keep the working set small.
@@ -25,7 +35,7 @@ POSITIVITY_TOL = 1e-10
 # the most probe points one kernel call evaluates
 BLOCK_POINTS = 4096
 
-_CELLS = "...i,...abij,...j->...ab"
+_CELLS = "i...,abij...,j...->ab..."
 
 
 def row_blocks(rows: int, width: int) -> list:
@@ -36,14 +46,29 @@ def row_blocks(rows: int, width: int) -> list:
     return [slice(s, s + step) for s in range(0, rows, step)]
 
 
+def _front(x: np.ndarray, k: int) -> np.ndarray:
+    """x with its last k axes moved to the front, C-contiguous (a copy
+    unless x already is)."""
+    n = x.ndim - k
+    return np.ascontiguousarray(x.transpose([*range(n, x.ndim), *range(n)]))
+
+
+def _cells(w: Hovm, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Re <bra|W_ab|ket> for amplitudes ``_front(psi, 1)``, as a C-contiguous
+    array of shape (..., d, d)."""
+    out = np.real(np.einsum(_CELLS, bra.conj(), _front(w.elements, 4), ket))
+    return _front(out, out.ndim - 2)
+
+
 def oq_values(w: Hovm, psi: np.ndarray) -> np.ndarray:
     """Cells W(a,b) = Re <psi|W_ab|psi>."""
-    return np.real(np.einsum(_CELLS, psi.conj(), w.elements, psi))
+    psi = _front(psi, 1)
+    return _cells(w, psi, psi)
 
 
 def oq_slopes(w: Hovm, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Cell derivatives d W(a,b) / dg = 2 Re <d_g psi|W_ab|psi>."""
-    return 2 * np.real(np.einsum(_CELLS, dpsi.conj(), w.elements, psi))
+    return 2 * _cells(w, _front(dpsi, 1), _front(psi, 1))
 
 
 def negativity(values: np.ndarray) -> np.ndarray:

@@ -387,6 +387,20 @@ class TestAdvantageMap:
         assert main(argv) == 0
         assert calls == {"oq_values": 2, "qfi_pure": 2, "oq_slopes": 2}
 
+    def test_information_only_at_positive_points(self, monkeypatch, capsys):
+        # slopes and quantum information are computed only where the
+        # advantage can be defined: 8,051 of the benchmark map's 24,336
+        points = dict.fromkeys(("qfi_pure", "oq_slopes"), 0)
+        for name in points:
+
+            def counted(*args, name=name, fn=getattr(oqmetro.cli, name)):
+                points[name] += math.prod(args[-1].shape[:-1])  # dpsi
+                return fn(*args)
+
+            monkeypatch.setattr(oqmetro.cli, name, counted)
+        assert main(list(OUTPUT_COMMANDS["advantage-map"])) == 0
+        assert points == {"qfi_pure": 8051, "oq_slopes": 8051}
+
     def test_empty_phi_range_writes_the_header(self, capsys):
         assert main(["advantage-map", "--theta", "0.2,0.4",
                      "--phi", "1:0:0.1"]) == 0

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
-from oqmetro.measurement import Hovm, build_hovm
-from oqmetro.oq import POSITIVITY_TOL, negativity, oq_values
-from oqmetro.probe import amplitudes
+from oqmetro.measurement import (
+    Hovm,
+    build_hovm,
+    mutually_unbiased_pair,
+    sequential_povm,
+)
+from oqmetro.oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values
+from oqmetro.probe import Target, amplitude_slopes, amplitudes
 
 
 def is_positive(values, tol=POSITIVITY_TOL):
@@ -110,3 +117,75 @@ def test_qutrit_hovm_rejected():
     # probes are qubits, so a HOVM of 3x3 elements is refused when built
     with pytest.raises(ValueError, match=r"\(\.\.\., d, d, 2, 2\)"):
         Hovm(np.array([[np.eye(3)]], dtype=complex))
+
+
+def reference_cells(w, bra, ket):
+    """Re <bra|W_ab|ket> summed with the 2 x 2 indices innermost, as the
+    kernel first did, on C-contiguous operands."""
+    bra, el, ket = map(np.ascontiguousarray, (bra, w.elements, ket))
+    return np.real(np.einsum("...i,...abij,...j->...ab", bra.conj(), el, ket))
+
+
+# how a caller may lay out its amplitudes; each acts on the batch axes
+LAYOUTS = {
+    "contiguous": lambda x: x,
+    "reversed": lambda x: x[..., ::-1, :],
+    "step-2": lambda x: x[::2],
+    "subset": lambda x: x[np.arange(len(x)) % 3 != 1],
+    "fortran": np.asfortranarray,
+}
+
+
+def kernel_inputs(kind, lams, thetas, phis, target):
+    """(w, psi, dpsi) for one shape kind: a point, a line of (theta, phi)
+    pairs, a theta-by-phi grid, or a (lambda, 1) stack of HOVMs over a
+    line of points."""
+    if kind == "point":
+        theta, phi = thetas[0], phis[0]
+    elif kind == "grid":
+        theta, phi = np.array(thetas)[:, None], np.array(phis)
+    else:
+        theta, phi = np.resize(thetas, len(phis)), np.array(phis)
+    lam = np.array(lams)[:, None] if kind == "stack" else lams[0]
+    a, b = mutually_unbiased_pair(lam)
+    w = build_hovm(a, b, sequential_povm(a, b))
+    return w, amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+
+
+angles = st.lists(st.floats(0, math.pi), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["point", "line", "grid", "stack"]),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    target=st.sampled_from(Target),
+    lams=st.lists(st.floats(0, 1), min_size=1, max_size=4),
+    thetas=angles,
+    phis=st.lists(st.floats(0, 2 * math.pi, exclude_max=True),
+                  min_size=1, max_size=12),
+)
+# the positive points of the smoke map's first theta row, as advantage-map
+# hands them to the kernel: one that sums over a strided view of its
+# operands moves the last bit of the slope at phi 1.58
+@example(kind="line", layout="contiguous", target=Target.POLAR, lams=[0.995],
+         thetas=[0.02], phis=np.arange(0.02, 3.13, 0.26)[5:7].tolist())
+def test_kernel_bits_independent_of_layout_and_batching(kind, layout, target,
+                                                        lams, thetas, phis):
+    """Cells and slopes equal, bit for bit, the kernel's first formula on
+    contiguous operands and one call per point, whatever the shape and
+    memory layout of the amplitudes."""
+    w, psi, dpsi = kernel_inputs(kind, lams, thetas, phis, target)
+    if psi.ndim > 1:
+        psi, dpsi = LAYOUTS[layout](psi), LAYOUTS[layout](dpsi)
+    values, slopes = oq_values(w, psi), oq_slopes(w, psi, dpsi)
+    assert values.flags.c_contiguous and slopes.flags.c_contiguous
+    assert np.array_equal(values, reference_cells(w, psi, psi))
+    assert np.array_equal(slopes, 2 * reference_cells(w, dpsi, psi))
+    batch = values.shape[:-2]
+    el = np.broadcast_to(w.elements, batch + w.elements.shape[-4:])
+    psi, dpsi = (np.broadcast_to(x, batch + (2,)) for x in (psi, dpsi))
+    for i in np.ndindex(batch):
+        one = Hovm(el[i])
+        assert np.array_equal(values[i], oq_values(one, psi[i]))
+        assert np.array_equal(slopes[i], oq_slopes(one, psi[i], dpsi[i]))

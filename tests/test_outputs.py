@@ -1,5 +1,6 @@
 """Byte-identity guard: the benchmark's headline commands must print
-exactly the tables captured in ``perfbench/reference/``.
+exactly the tables captured in ``perfbench/reference/``, and the phi
+target's commands those captured in ``tests/reference/``.
 
 The arguments and the seed are copied from ``perfbench/workloads.py``,
 not imported, so this test only reads that directory.
@@ -15,6 +16,7 @@ import pytest
 from oqmetro.cli import main
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+PHI_REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
 DEFAULT_SEED = 20260823
 
 _ESTIMATE = (
@@ -47,4 +49,28 @@ def test_output_is_byte_identical_to_the_reference(stem):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(list(COMMANDS[stem])) == 0
+    assert out.getvalue().encode() == reference
+
+
+# reference file stem -> command: the azimuthal target's paths, which the
+# benchmark's commands do not take
+PHI_COMMANDS = {
+    "phi-estimate": ("estimate", "--target", "phi", "--lambda", "0.9",
+                     "--theta", "1.1", "--phi", "1.9", "--domain", "1.5:2.3",
+                     "--n", "20000", "--trials", "50", "--seed", "4"),
+    "phi-advantage-map": ("advantage-map", "--target", "phi",
+                          "--lambda", "0.995", "--theta", "0.02:3.12:0.1",
+                          "--phi", "0.02:6.2:0.1"),
+    "phi-fi-sweep": ("fi-sweep", "--target", "phi", "--lambda", "0:1:0.01",
+                     "--theta", "0.1:3.1:0.3", "--phi", "0:6.2:0.4"),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(PHI_COMMANDS))
+def test_phi_target_output_is_byte_identical_to_the_reference(stem):
+    with lzma.open(PHI_REFERENCE_DIR / f"{stem}.csv.xz", "rb") as fh:
+        reference = fh.read()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(PHI_COMMANDS[stem])) == 0
     assert out.getvalue().encode() == reference
