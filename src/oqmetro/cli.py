@@ -15,21 +15,25 @@ kernel calls of at most ``oq.BLOCK_POINTS`` points (``oq.row_blocks``):
 block of sharpness values, whose measurements it builds as one stack and
 evaluates at every probe point.  The cells, their slopes and the quantum
 information then go to ``fisher`` as arrays; ``advantage-map`` computes
-slopes and quantum information only at the positive points, the only
-ones where its advantage is defined.
+amplitude slopes, cell slopes and quantum information only at the
+positive points, the only ones where its advantage is defined.
 
-Each subcommand hands ``_write_table`` its table as blocks of columns of
-plain Python values, each formatted as soon as it is computed: one block
-per theta row for ``advantage-map``, one per kernel call for ``fi-sweep``
-(a grid of its sharpness values by the probe points), and one per probe
-point for ``estimate``.  One writer serves both formats with two cell
-rules: a CSV cell is Python's shortest round-trip text for a float
-(``inf``/``-inf`` for infinities), ``str`` for a bool, int or token, and
-empty for None, never quoted; a JSON cell is ``json.dumps`` of the value,
-with the strings ``"inf"``/``"-inf"`` for infinities, framed as
-``json.dumps(..., indent=1)`` frames the row objects.  Nothing is written
-before the last block is done, so a refused block leaves no partial
-table, and ``_emit`` is the one place output is written.
+Each subcommand hands ``_write_table`` its table as blocks of columns,
+each formatted as soon as it is computed: one block per kernel call for
+``advantage-map`` (a grid of its theta rows by the phi points) and for
+``fi-sweep`` (its sharpness values by the probe points), and one per
+probe point for ``estimate``.  Columns hold plain Python values, except
+the map's negativity: the kernel's flat float array, whose cells the
+writer formats once per distinct value (on the benchmark map a third of
+them repeat one of six rounding-noise values).  One writer serves both
+formats with two cell rules: a CSV cell is Python's shortest round-trip
+text for a float (``inf``/``-inf`` for infinities), ``str`` for a bool,
+int or token, and empty for None, never quoted; a JSON cell is
+``json.dumps`` of the value, with the strings ``"inf"``/``"-inf"`` for
+infinities, framed as ``json.dumps(..., indent=1)`` frames the row
+objects.  Nothing is written before the last block is done, so a refused
+block leaves no partial table, and ``_emit`` is the one place output is
+written.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
 failure.
@@ -159,6 +163,20 @@ def _json_cells(key: str, col: list) -> list:
                              "-inf" if v == -math.inf else v) for v in col]
 
 
+def _texts(rule, col) -> list:
+    """The cell texts of a column under ``rule``: of a tuple or list cell
+    by cell, of a 1-d float ndarray once per distinct bit pattern, so 0.0
+    and -0.0, or NaNs of different payloads, never share a text."""
+    if not isinstance(col, np.ndarray):
+        return rule(col)
+    # return_index makes np.unique sort stably, and the stable sort pages
+    # in less code than its default quicksort: a lower peak RSS
+    bits, _, inverse = np.unique(col.view(np.int64), return_index=True,
+                                 return_inverse=True)
+    texts = np.array(rule(bits.view(float).tolist()), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _emit(path: str | None, parts: list) -> None:
     """Write text parts to the file at path, or to stdout without a path."""
     if not path:
@@ -177,12 +195,13 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
     its shortest list is long (one without any).  A column holds Python
     values, None for an empty cell: a tuple one per outer row, a list that
     short one per inner point (tiled down the outer rows), a longer list
-    one per row, and any other value is one cell for the whole block.
-    Blocks are consumed one at a time, and each is turned into text before
-    the next is asked for, so a subcommand may compute them lazily;
-    nothing is written until the last one is done.  A list passed again as
-    the same object at the same position keeps its text, so it must not
-    change in between.
+    one per row, and any other value is one cell for the whole block.  A
+    1-d float ndarray takes a list's roles; its cells are formatted once
+    per distinct value (``_texts``).  Blocks are consumed one at a time,
+    and each is turned into text before the next is asked for, so a
+    subcommand may compute them lazily; nothing is written until the last
+    one is done.  A list or array passed again as the same object at the
+    same position keeps its text, so it must not change in between.
     """
     if fmt == "csv":
         head = f"# {SCHEMA_VERSION} {name}\n" + ",".join(header) + "\n"
@@ -200,26 +219,40 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
     between = row_close + row_join + row_open
     parts = [head]
     held = {}  # column position -> (list column, its text)
-    for block in blocks:
+
+    def rows_text(block) -> str:
+        """The text of a block's rows, after any earlier rows; '' without
+        rows.  Nothing of the block outlives the call but ``held``."""
         outer = next((len(c) for c in block if isinstance(c, tuple)), 1)
-        inner = min((len(c) for c in block if isinstance(c, list)), default=1)
+        inner = min((len(c) for c in block if isinstance(c, (list, np.ndarray))),
+                    default=1)
         n = outer * inner
+        if not n:
+            return ""
         cols = []
         for j, col in enumerate(block):
-            if isinstance(col, list):
+            if isinstance(col, (list, np.ndarray)):
                 if j not in held or held[j][0] is not col:
-                    held[j] = (col, rules[j](col))
+                    held[j] = (col, _texts(rules[j], col))
                 text = held[j][1]
                 cols.append(text * outer if len(col) < n else text)
             elif isinstance(col, tuple):
                 cols.append([t for t in rules[j](col) for _ in range(inner)])
             else:
                 cols.append(rules[j]([col]) * n)
-        if n:
-            first = row_join if len(parts) > 1 else ""  # after earlier rows
-            parts.append(first + row_open
-                         + between.join(map(sep.join, zip(*cols)))
-                         + row_close)
+        # the cells interleaved with the text between them, joined once
+        k = 2 * len(cols)
+        flat = [sep] * (k * n + 1)
+        flat[0] = (row_join if len(parts) > 1 else "") + row_open
+        for j, col in enumerate(cols):
+            flat[2 * j + 1::k] = col
+        flat[k::k] = [between] * n
+        flat[-1] = row_close
+        return "".join(flat)
+
+    for block in blocks:
+        if text := rows_text(block):
+            parts.append(text)
     parts.append(tails[len(parts) > 1])
     _emit(path, parts)
 
@@ -273,27 +306,27 @@ def cmd_advantage_map(args) -> int:
 
     def blocks():
         # one kernel call per block of theta rows keeps the working set
-        # small, and a block's rows are formatted before the next block is
-        # computed
+        # small, and a block (its theta rows by the phi points) is
+        # formatted before the next block is computed
         for rows in row_blocks(len(thetas), len(phis)):
             theta_col = np.array(thetas[rows], dtype=float)[:, None]
             psi = amplitudes(theta_col, phi)
-            dpsi = amplitude_slopes(theta_col, phi, target)
             values = oq_values(w, psi)
             neg = negativity(values)
             # the advantage is undefined at negative points and where the
             # quantum information vanishes: those cells stay empty, and
             # the information chain runs at the positive points only
             defined = neg <= POSITIVITY_TOL
-            psi, dpsi, values = psi[defined], dpsi[defined], values[defined]
+            at = (np.broadcast_to(g, neg.shape)[defined] for g in (theta_col, phi))
+            psi, values = psi[defined], values[defined]
+            dpsi = amplitude_slopes(*at, target)
             qfi = qfi_pure(psi, dpsi)
             slopes = oq_slopes(w, psi, dpsi)
             nonzero = qfi > 0
             defined[defined] = nonzero
             adv = advantage(values[nonzero], slopes[nonzero], qfi[nonzero])
-            for theta, adv_row, neg_row in zip(
-                    thetas[rows], _gapped(adv, defined), neg.tolist()):
-                yield [theta, phis, adv_row, neg_row]
+            yield [tuple(thetas[rows]), phis, _gapped(adv, defined.ravel()),
+                   neg.ravel()]
 
     _write_table(args.out, args.format, "advantage-map",
                  ["theta", "phi", "advantage", "negativity"], blocks())

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import AllTrialsOmitted, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
-from .oq import POSITIVITY_TOL, oq_slopes, oq_values, row_blocks
+from .oq import POSITIVITY_TOL, _cell_sum, oq_slopes, oq_values, row_blocks
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
@@ -259,13 +259,6 @@ def _angles(gs, fixed_other: float, target: Target) -> tuple:
     return (gs, other) if target is Target.POLAR else (other, gs)
 
 
-def _cell_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the 2x2 cells of each table, in the order ``.sum()`` takes
-    on one contiguous 2x2 array, so a stack sums each table bit for bit as
-    a single table would."""
-    return ((x[..., 0, 0] + x[..., 0, 1]) + x[..., 1, 0]) + x[..., 1, 1]
-
-
 def _square(x: np.ndarray) -> np.ndarray:
     """x**2 through libm ``pow`` like a scalar ``x ** 2``; an array ``** 2``
     is x*x, which differs in the last digit on about 0.1% of inputs."""
@@ -354,7 +347,7 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     vals = cells(gs)
     # contiguous per-cell columns; the scan sums products in _cell_sum's order
     log_cells = np.log(np.clip(vals, PROB_CLAMP, None)).reshape(-1, 4).T.copy()
-    means = (_PARITY[None, :, :] * vals).sum(axis=(1, 2))
+    means = _cell_sum(_PARITY * vals)
     best = np.empty((2, trials), dtype=np.intp)
     for rows in row_blocks(trials, len(gs)):
         c = cw.reshape(-1, 4)[rows, :, None]

@@ -9,7 +9,8 @@ shape (..., 2).  Each returns one value per probe point: a plain float
 for a single point, an array for a grid.  Infinite information (a
 vanishing cell with a nonzero slope) is ``inf``.  This module evaluates
 no measurement; its callers evaluate each probe point once and hand the
-cells on.
+cells on.  Sums over a model's outcomes follow ``oq``'s one cell-sum
+rule, and ``advantage`` takes ``math.log10`` of the positive ratios only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DerivativeNotTraceless, NegativeOq, NotNormalized, ZeroQfi
-from .oq import POSITIVITY_TOL, negativity
+from .oq import POSITIVITY_TOL, _cell_sum, negativity
 
 PROB_FLOOR = 1e-12
 DERIV_FLOOR = 1e-9
@@ -39,11 +40,11 @@ def fisher_discrete(probs, derivs):
     derivs = np.asarray(derivs, dtype=float)
     if probs.shape != derivs.shape:
         raise ValueError("probs and derivs must have equal length")
-    total_p = probs.sum(axis=-1)
+    total_p = _cell_sum(probs, 1)
     bad = np.abs(total_p - 1.0) > 1e-9
     if bad.any():
         raise NotNormalized(f"probabilities sum to {total_p[bad].flat[0]:.12f}")
-    total_d = derivs.sum(axis=-1)
+    total_d = _cell_sum(derivs, 1)
     bad = np.abs(total_d) > 1e-9
     if bad.any():
         raise DerivativeNotTraceless(
@@ -52,7 +53,7 @@ def fisher_discrete(probs, derivs):
     diverged = (vanishing & (np.abs(derivs) > DERIV_FLOOR)).any(axis=-1)
     terms = np.where(vanishing, 0.0,
                      derivs * derivs / np.where(vanishing, 1.0, probs))
-    return _per_point(np.where(diverged, math.inf, terms.sum(axis=-1)))
+    return _per_point(np.where(diverged, math.inf, _cell_sum(terms, 1)))
 
 
 def _cells(x: np.ndarray) -> np.ndarray:
@@ -102,7 +103,10 @@ def advantage(values, slopes, qfi):
     if np.any(qfi <= 0):
         raise ZeroQfi("quantum Fisher information vanishes; advantage undefined")
     ratios = np.divide(oqfi(values, slopes), 2 * qfi)
-    # math.log10 keeps the last digit independent of numpy's SIMD dispatch
-    logs = [math.log10(r) if r > 0 else -math.inf for r in ratios.flat]
-    return _per_point(np.reshape(logs, ratios.shape))
+    # math.log10 keeps the last digit independent of numpy's SIMD dispatch;
+    # a ratio that is not positive (nan included) gives -inf
+    positive = ratios > 0
+    logs = np.full(np.shape(ratios), -math.inf)
+    logs[positive] = list(map(math.log10, ratios[positive].tolist()))
+    return _per_point(logs)
 

@@ -25,7 +25,7 @@ validation calls no eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,9 +119,13 @@ class Hovm:
     """Hermitian operator-valued measure on a d x d outcome grid.
 
     ``elements`` has shape (..., d, d, 2, 2); elements may fail positivity.
+    ``front`` holds the same elements component first, with shape
+    (d, d, 2, 2, ...), C-contiguous and read-only: the operand the cell
+    kernel takes, laid out once per measurement rather than per call.
     """
 
     elements: np.ndarray
+    front: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         el = np.array(self.elements, dtype=complex)
@@ -136,6 +140,10 @@ class Hovm:
             raise ValueError("HOVM elements do not sum to the identity")
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
+        n = el.ndim - 4
+        front = np.ascontiguousarray(el.transpose([*range(n, el.ndim), *range(n)]))
+        front.setflags(write=False)
+        object.__setattr__(self, "front", front)
 
     @property
     def d(self) -> int:

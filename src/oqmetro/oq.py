@@ -14,10 +14,19 @@ amplitude and element indices with the probe-point axes innermost, so
 einsum's inner loop runs over the points rather than over a length-2
 index, about twice as fast on a block of points.  Each cell is the same
 sum of the same triple products, in the same order, as with the points
-outermost.  The kernel makes its own C-contiguous component-first
-operands, copying wherever the caller's arrays are not already laid out
-so: einsum picks its iteration order from the operands' strides, so a
-strided view of the caller's arrays can move the last bit of a cell.
+outermost.  The kernel takes C-contiguous component-first operands: the
+HOVM's ``front``, laid out once when the HOVM is built, and amplitudes it
+copies wherever the caller's are not already laid out so.  einsum picks
+its iteration order from the operands' strides, so a strided view of the
+caller's arrays can move the last bit of a cell.
+
+Cells are summed by one rule (``_cell_sum``), which ``fisher`` and
+``estimation`` share: one cell after another, in C order.  For fewer than
+8 cells (every qubit pair has 4) that is the order numpy's ``.sum()``
+takes on a C-contiguous array, bit for bit, at about a quarter of its
+cost.  From 8 cells on numpy interleaves partial sums (pairwise beyond
+128), so a d >= 3 HOVM's negativity or a model of 8 or more outcomes
+may differ from ``.sum()`` in the last digit.
 
 Callers evaluate a grid in blocks of at most ``BLOCK_POINTS`` probe points
 per kernel call (``row_blocks``): large enough that per-call overhead does
@@ -25,6 +34,8 @@ not dominate, small enough to keep the working set small.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,8 +67,20 @@ def _front(x: np.ndarray, k: int) -> np.ndarray:
 def _cells(w: Hovm, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """Re <bra|W_ab|ket> for amplitudes ``_front(psi, 1)``, as a C-contiguous
     array of shape (..., d, d)."""
-    out = np.real(np.einsum(_CELLS, bra.conj(), _front(w.elements, 4), ket))
+    out = np.real(np.einsum(_CELLS, bra.conj(), w.front, ket))
     return _front(out, out.ndim - 2)
+
+
+def _cell_sum(x: np.ndarray, axes: int = 2) -> np.ndarray:
+    """Sum over the last ``axes`` axes, one cell after another in C order,
+    starting from +0.0 as numpy's reduction does (so cells that are all
+    -0.0 sum to +0.0)."""
+    batch = x.shape[:x.ndim - axes]
+    x = x.reshape(batch + (math.prod(x.shape[len(batch):]),))
+    total = np.zeros(batch)
+    for k in range(x.shape[-1]):
+        total += x[..., k]
+    return total
 
 
 def oq_values(w: Hovm, psi: np.ndarray) -> np.ndarray:
@@ -73,5 +96,5 @@ def oq_slopes(w: Hovm, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
 
 def negativity(values: np.ndarray) -> np.ndarray:
     """sum |W(a,b)| - 1 over the last two axes."""
-    return np.sum(np.abs(values), axis=(-2, -1)) - 1.0
+    return _cell_sum(np.abs(values)) - 1.0
 

@@ -38,8 +38,7 @@ def check_angles(theta, phi) -> None:
 
 
 def _empty(theta, phi) -> np.ndarray:
-    return np.empty(np.broadcast_shapes(np.shape(theta), np.shape(phi)) + (2,),
-                    dtype=complex)
+    return np.empty(np.broadcast(theta, phi).shape + (2,), dtype=complex)
 
 
 def amplitudes(theta, phi) -> np.ndarray:

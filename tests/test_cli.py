@@ -388,18 +388,40 @@ class TestAdvantageMap:
         assert calls == {"oq_values": 2, "qfi_pure": 2, "oq_slopes": 2}
 
     def test_information_only_at_positive_points(self, monkeypatch, capsys):
-        # slopes and quantum information are computed only where the
-        # advantage can be defined: 8,051 of the benchmark map's 24,336
-        points = dict.fromkeys(("qfi_pure", "oq_slopes"), 0)
+        # amplitude slopes, cell slopes and quantum information are
+        # computed only where the advantage can be defined: 8,051 of the
+        # benchmark map's 24,336 points
+        points = dict.fromkeys(("qfi_pure", "oq_slopes", "amplitude_slopes"), 0)
         for name in points:
 
             def counted(*args, name=name, fn=getattr(oqmetro.cli, name)):
-                points[name] += math.prod(args[-1].shape[:-1])  # dpsi
+                # the polar angles of amplitude_slopes, else dpsi's points
+                points[name] += (args[0].size if name == "amplitude_slopes"
+                                 else math.prod(args[-1].shape[:-1]))
                 return fn(*args)
 
             monkeypatch.setattr(oqmetro.cli, name, counted)
         assert main(list(OUTPUT_COMMANDS["advantage-map"])) == 0
-        assert points == {"qfi_pure": 8051, "oq_slopes": 8051}
+        assert points == {"qfi_pure": 8051, "oq_slopes": 8051,
+                          "amplitude_slopes": 8051}
+
+    def test_one_writer_block_per_kernel_call(self, monkeypatch, capsys):
+        # the benchmark map's 156 theta rows of 156 points make 6 kernel
+        # calls of at most 26 rows, and each hands the writer one block
+        sizes = []
+        write_table = oqmetro.cli._write_table
+
+        def counted(path, fmt, name, header, blocks):
+            def seen():
+                for block in blocks:
+                    sizes.append(len(block[0]) * len(block[1]))
+                    yield block
+
+            return write_table(path, fmt, name, header, seen())
+
+        monkeypatch.setattr(oqmetro.cli, "_write_table", counted)
+        assert main(list(OUTPUT_COMMANDS["advantage-map"])) == 0
+        assert sizes == [26 * 156] * 6
 
     def test_empty_phi_range_writes_the_header(self, capsys):
         assert main(["advantage-map", "--theta", "0.2,0.4",

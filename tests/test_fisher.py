@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cells, mub_hovm, probe
+import oqmetro.fisher
 from oqmetro.errors import (
     DerivativeNotTraceless,
     NegativeOq,
@@ -141,6 +142,17 @@ class TestAdvantage:
         _, _, w = mub_hovm(0.0)
         p = probe(math.pi / 2, 0.0)
         assert advantage(*cells(w, *p), qfi_pure(*p)) == -math.inf
+
+    def test_ratio_not_positive_gives_minus_inf(self, monkeypatch):
+        # a zero, a negative and a nan ratio of the two informations
+        infos = np.array([0.0, -1.0, math.nan, 20.0, math.inf])
+        monkeypatch.setattr(oqmetro.fisher, "oqfi", lambda values, slopes: infos)
+        logs = advantage(None, None, np.full(5, 5.0))
+        assert logs.tolist() == [-math.inf] * 3 + [math.log10(2.0), math.inf]
+        for info in (0.0, -1.0, math.nan):
+            monkeypatch.setattr(oqmetro.fisher, "oqfi",
+                                lambda values, slopes, info=info: info)
+            assert advantage(None, None, 1.0) == -math.inf
 
     def test_advantage_region_exists_at_high_sharpness(self):
         _, _, w = mub_hovm(0.99)

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,13 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
+import oqmetro.oq
 from oqmetro.measurement import (
     Hovm,
     build_hovm,
     mutually_unbiased_pair,
     sequential_povm,
 )
-from oqmetro.oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values
+from oqmetro.oq import (
+    POSITIVITY_TOL,
+    _cell_sum,
+    negativity,
+    oq_slopes,
+    oq_values,
+)
 from oqmetro.probe import Target, amplitude_slopes, amplitudes
 
 
@@ -189,3 +197,67 @@ def test_kernel_bits_independent_of_layout_and_batching(kind, layout, target,
         one = Hovm(el[i])
         assert np.array_equal(values[i], oq_values(one, psi[i]))
         assert np.array_equal(slopes[i], oq_slopes(one, psi[i], dpsi[i]))
+
+
+@pytest.mark.parametrize("lam", [0.7, np.array([[0.2], [0.9]])],
+                         ids=["one", "stack"])
+def test_kernel_takes_the_hovms_component_first_elements(monkeypatch, lam):
+    """``_cells`` einsums the operand the HOVM laid out once when built."""
+    a, b = mutually_unbiased_pair(lam)
+    w = build_hovm(a, b, sequential_povm(a, b))
+    n = w.elements.ndim - 4
+    assert np.array_equal(
+        w.front, w.elements.transpose([*range(n, n + 4), *range(n)]))
+    assert w.front.flags.c_contiguous and not w.front.flags.writeable
+    operands = []
+    einsum = np.einsum
+
+    def spy(subscripts, *ops):
+        operands.append(ops[1])
+        return einsum(subscripts, *ops)
+
+    monkeypatch.setattr(oqmetro.oq.np, "einsum", spy)
+    psi = amplitudes(np.array([0.3, 1.2]), 0.5)
+    oq_values(w, psi)
+    oq_slopes(w, psi, amplitude_slopes(np.array([0.3, 1.2]), 0.5, Target.POLAR))
+    assert len(operands) == 2 and all(op is w.front for op in operands)
+
+
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+SUM_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan,
+                     _float(0xFFF8_0000_0000_0001),  # -nan, payload 1
+                     5e-324, -5e-324, 2.225073858507201e-308,
+                     -1.5e-310, 1e308, -1e308)),
+)
+
+
+@st.composite
+def cell_grids(draw):
+    """A C-contiguous stack of 2 x 2 grids with 0 to 3 batch axes."""
+    shape = (*draw(st.lists(st.integers(0, 3), max_size=3)), 2, 2)
+    cells = draw(st.lists(SUM_FLOATS, min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    return np.array(cells, dtype=float).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=cell_grids())
+@example(x=np.full((2, 2), -0.0))  # numpy's sum is +0.0 here
+@example(x=np.array([[[-0.0, -0.0], [-0.0, 0.0]], [[-0.0] * 2] * 2]))
+def test_cell_sum_is_numpys_sum_bit_for_bit(x):
+    """Over 2 x 2 grids of any batch shape (0-d and empty included), the
+    one cell-sum rule gives the bits ``np.sum`` gives, signed zeros,
+    infinities and subnormals alike, and nan where it gives nan.  Which
+    nan survives when two meet is up to the compiled add loop, and every
+    nan prints the same."""
+    with np.errstate(all="ignore"):
+        ours, theirs = _cell_sum(x), np.sum(x, axis=(-2, -1))
+    assert np.array_equal(ours, theirs, equal_nan=True)
+    number = ~np.isnan(theirs)
+    assert np.array_equal(np.asarray(ours)[number].view(np.int64),
+                          np.asarray(theirs)[number].view(np.int64))

@@ -1,6 +1,7 @@
 """Byte-identity guard: the benchmark's headline commands must print
 exactly the tables captured in ``perfbench/reference/``, and the phi
-target's commands those captured in ``tests/reference/``.
+target's commands and the smoke maps' JSON those captured in
+``tests/reference/``.
 
 The arguments and the seed are copied from ``perfbench/workloads.py``,
 not imported, so this test only reads that directory.
@@ -73,4 +74,20 @@ def test_phi_target_output_is_byte_identical_to_the_reference(stem):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(list(PHI_COMMANDS[stem])) == 0
+    assert out.getvalue().encode() == reference
+
+
+# reference file stem -> command: the JSON writer, which no other
+# reference pins to bytes
+JSON_COMMANDS = {stem: COMMANDS[stem] + ("--format", "json")
+                 for stem in ("smoke-advantage-map", "smoke-fi-sweep")}
+
+
+@pytest.mark.parametrize("stem", sorted(JSON_COMMANDS))
+def test_json_output_is_byte_identical_to_the_reference(stem):
+    with lzma.open(PHI_REFERENCE_DIR / f"{stem}.json.xz", "rb") as fh:
+        reference = fh.read()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(JSON_COMMANDS[stem])) == 0
     assert out.getvalue().encode() == reference
