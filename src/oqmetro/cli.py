@@ -233,6 +233,8 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
         for j, col in enumerate(block):
             if isinstance(col, (list, np.ndarray)):
                 if j not in held or held[j][0] is not col:
+                    # the text it replaces is dropped before it is made
+                    held.pop(j, None)
                     held[j] = (col, _texts(rules[j], col))
                 text = held[j][1]
                 cols.append(text * outer if len(col) < n else text)

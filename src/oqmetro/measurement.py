@@ -20,7 +20,10 @@ elements; one bad entry refuses the whole stack.
 Everything built from validated measurements relies on those checks.
 The Hermitian and PSD checks are closed forms in the entries of each 2 x 2
 operator (PSD is c0 - |c| >= -HERMITIAN_TOL for c0 I + c.sigma), so
-validation calls no eigensolver.
+validation calls no eigensolver.  Matrix products are explicit sums of
+entry products in index order (``_mul``), one array pass per term instead
+of one BLAS call per matrix; the one LAPACK call left is ``_sqrt``'s
+``eigh``.
 """
 
 from __future__ import annotations
@@ -77,12 +80,24 @@ def _psd(stack: np.ndarray, tol: float) -> np.ndarray:
     return least >= -tol
 
 
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix products of two broadcast (..., n, n) stacks, each entry the
+    sum of its n entry products added in index order.
+
+    One array pass per term, where ``@`` makes one BLAS call per matrix.
+    """
+    out = x[..., :, 0, None] * y[..., None, 0, :]
+    for k in range(1, x.shape[-1]):
+        out += x[..., :, k, None] * y[..., None, k, :]
+    return out
+
+
 def _sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square roots of a (..., dim, dim) stack of validated POVM
     effects; eigenvalues in [-HERMITIAN_TOL, 0) are clamped to 0 first."""
     vals, vecs = np.linalg.eigh(m)
     vals = np.where(vals < 0.0, 0.0, vals)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _mul(vecs * np.sqrt(vals)[..., None, :], vecs.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -156,11 +171,17 @@ def bloch_povm(bloch) -> Povm:
     v = np.asarray(bloch, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError("bloch vector must have 3 components")
-    norm = np.linalg.norm(v, axis=-1)
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, and > 1
+        norm = np.linalg.norm(v, axis=-1)
     # written so that a vector with a nan or inf entry fails it too
     bad = ~(norm <= 1 + 1e-12)
     if bad.any():
-        raise BlochNormExceeded(f"Bloch norm {norm[bad].flat[0]:.6f} > 1")
+        first, shown = v[bad][0], norm[bad].flat[0]
+        scale = np.abs(first).max()
+        if shown == np.inf and scale < np.inf:
+            # a finite vector whose squares overflowed: scale them down
+            shown = scale * np.linalg.norm(first / scale)
+        raise BlochNormExceeded(f"Bloch norm {shown:.6f} > 1")
     vs = sum(v[..., k, None, None] * p for k, p in enumerate(PAULI))
     eye = np.eye(2, dtype=complex)
     return Povm(np.stack(((eye + vs) / 2, (eye - vs) / 2), axis=-3))
@@ -182,7 +203,7 @@ def sequential_povm(first: Povm, second: Povm) -> Povm:
     The marginal over b reproduces ``first`` exactly.
     """
     roots = _sqrt(first.effects)[..., :, None, :, :]
-    effects = (roots @ second.effects[..., None, :, :, :]) @ roots
+    effects = _mul(_mul(roots, second.effects[..., None, :, :, :]), roots)
     return Povm(effects.reshape(effects.shape[:-4] + (
         first.outcomes * second.outcomes, 2, 2)))
 

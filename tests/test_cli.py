@@ -725,6 +725,15 @@ class TestCompat:
     def test_norm_violation_exits_2(self):
         assert main(["compat", "--mu", "1.2,0,0", "--nu", "0,0,0.5"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compat", "--mu", "1e200,0,0", "--nu", "0,0,1"],
+        ["fi-sweep", "--lambda", "1e200"],
+    ])
+    def test_overflowed_norm_is_refused_with_its_value(self, capsys, argv):
+        # the squares overflow; the refusal still shows the finite norm
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: Bloch norm {1e200:.6f} > 1\n")
+
     @pytest.mark.parametrize("mu, nu", [("0,0,0.9", "0.9,0"),
                                         ("0,0", "0.9,0,0")])
     def test_unequal_lengths_are_refused_by_name(self, capsys, mu, nu):

@@ -61,6 +61,14 @@ class TestBlochPovm:
         with pytest.raises(BlochNormExceeded):
             bloch_povm(bloch)
 
+    @pytest.mark.parametrize("bloch", [(1e200, 0, 0), (1e200, -1e200, 1e200),
+                                       (1e308, 1e308, 0), (0, 3e160, 4e160)])
+    def test_overflowed_norm_is_shown_finite(self, bloch):
+        with pytest.raises(BlochNormExceeded) as refused:
+            bloch_povm(bloch)
+        shown = float(str(refused.value).split()[2])
+        assert shown == pytest.approx(math.hypot(*bloch), rel=1e-15)
+
     def test_random_instances_are_valid(self, rng):
         for _ in range(1000):
             p = random_qubit_povm(rng)
@@ -328,6 +336,7 @@ class TestChecks:
 # square root that validates its input, and the double loops of the HOVM
 # assembly.  The stacked checks must accept and reject exactly the same
 # inputs, with the same exception class, and build bit-identical operators.
+# Products are explicit entry sums (``ref_mul``), one matrix at a time.
 
 REF_TOL = 1e-10
 
@@ -344,13 +353,22 @@ def ref_is_psd(m, tol=REF_TOL):
     return float(np.linalg.eigvalsh(a)[0]) >= -tol
 
 
+def ref_mul(x, y):
+    """The product of two matrices, each entry's products added in index
+    order."""
+    out = x[:, 0, None] * y[None, 0, :]
+    for k in range(1, x.shape[1]):
+        out = out + x[:, k, None] * y[None, k, :]
+    return out
+
+
 def ref_psd_sqrt(m, tol=REF_TOL):
     a = np.asarray(m, dtype=complex)
     if not ref_is_psd(a, tol):
         raise NotPsd("matrix is not positive semidefinite to tolerance")
     vals, vecs = np.linalg.eigh(a)
     vals = np.where(vals < 0.0, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return ref_mul(vecs * np.sqrt(vals), vecs.conj().T)
 
 
 def ref_povm_error(effects):
@@ -384,7 +402,7 @@ def ref_sequential(first, second):
     for ea in first:
         root = ref_psd_sqrt(ea)
         for eb in second:
-            effects.append(root @ eb @ root)
+            effects.append(ref_mul(ref_mul(root, eb), root))
     return effects
 
 
@@ -570,6 +588,68 @@ def test_stacked_builds_match_per_sharpness_builds(lams, column):
             assert np.array_equal(entries(got.effects, n, 3)[k], want.effects)
         assert np.array_equal(entries(w.elements, n, 4)[k], w1.elements)
         assert povm_verdicts[k] == hovm_is_povm(w1)
+
+
+# --- explicit products against numpy's matmul ---
+#
+# For the mutually unbiased pair the z effects and their roots are real and
+# diagonal and the x effects real, so every entry of sqrt(A) B sqrt(A) is
+# one real product plus exact zeros: the explicit sums keep the bits of
+# ``@`` (BLAS), but for the sign of one zero at lambda = -1 and at 1.  For
+# general pairs only the rounding of the sums may differ.
+
+
+def matmul_sequential(a, b):
+    """``sequential_povm``'s effects with ``@`` products."""
+    vals, vecs = np.linalg.eigh(a.effects)
+    vals = np.where(vals < 0.0, 0.0, vals)
+    roots = (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    roots = roots[..., :, None, :, :]
+    effects = (roots @ b.effects[..., None, :, :, :]) @ roots
+    return effects.reshape(effects.shape[:-4] + (a.outcomes * b.outcomes, 2, 2))
+
+
+MUB_LAMBDAS = np.concatenate((
+    [-1.0, -0.0, 0.0, 1.0, 0.995, -0.995,
+     np.nextafter(_BOUNDARY, 0), _BOUNDARY, np.nextafter(_BOUNDARY, 2)],
+    np.linspace(-1, 1, 2001),
+    np.random.default_rng(19).uniform(-1, 1, 2000),
+))
+# lambda -> the sequential effect (a, b) whose (0, 1) entry is +0.0 where
+# ``@`` gives -0.0: sqrt(A_a) = diag(1, 0), and (0.5 * 0) + (-0.5 * 0)
+SIGNED_ZEROS = {-1.0: 2, 1.0: 1}
+
+
+@pytest.mark.parametrize("column", [False, True])
+def test_mub_sequential_effects_keep_the_matmul_bits(column):
+    n = len(MUB_LAMBDAS)
+    a, b = mutually_unbiased_pair(MUB_LAMBDAS[:, None] if column else MUB_LAMBDAS)
+    seq = sequential_povm(a, b)
+    want = matmul_sequential(a, b)
+    got, ref = entries(seq.effects, n, 3), entries(want, n, 3).copy()
+    for lam, effect in SIGNED_ZEROS.items():
+        at = MUB_LAMBDAS == lam
+        zero = got[at, effect, 0, 1]
+        assert at.sum() == 2 and (zero == 0).all()
+        assert (ref[at, effect, 0, 1] == 0).all()
+        assert not np.signbit(zero.real).any() and not np.signbit(zero.imag).any()
+        ref[at, effect, 0, 1] = zero
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # the signed zero does not reach the HOVM
+    w, w_ref = build_hovm(a, b, seq), build_hovm(a, b, Povm(want))
+    assert np.array_equal(w.elements.view(np.int64), w_ref.elements.view(np.int64))
+
+
+def test_general_pair_effects_stay_near_matmul(rng):
+    bloch = rng.normal(size=(2, 500, 3))
+    bloch *= rng.uniform(0, 1, size=(2, 500, 1)) / np.linalg.norm(
+        bloch, axis=-1, keepdims=True)
+    pairs = [(bloch_povm(bloch[0]), bloch_povm(bloch[1]))]
+    pairs += [(random_conjunction(rng), random_conjunction(rng, 3))
+              for _ in range(50)]
+    for a, b in pairs:
+        got = sequential_povm(a, b).effects
+        assert np.abs(got - matmul_sequential(a, b)).max() <= 1e-15
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,7 +1,8 @@
 """Byte-identity guard: the benchmark's headline commands must print
 exactly the tables captured in ``perfbench/reference/``, and the phi
 target's commands and the smoke maps' JSON those captured in
-``tests/reference/``.
+``tests/reference/``; a sweep over signed sharpness values and
+``compat`` on general pairs are pinned the same way.
 
 The arguments and the seed are copied from ``perfbench/workloads.py``,
 not imported, so this test only reads that directory.
@@ -91,3 +92,39 @@ def test_json_output_is_byte_identical_to_the_reference(stem):
     with contextlib.redirect_stdout(out):
         assert main(list(JSON_COMMANDS[stem])) == 0
     assert out.getvalue().encode() == reference
+
+
+# a sweep through every sign of the sharpness: -1, -0.0, 0 and 1 are where
+# the sequential effects hold exact zeros of either sign
+SIGNED_LAMBDAS = ",".join([str(k / 20) for k in range(-20, 21)] + ["-0.0"])
+
+
+def test_signed_sharpness_sweep_is_byte_identical_to_the_reference():
+    with lzma.open(PHI_REFERENCE_DIR / "signed-fi-sweep.json.xz", "rb") as fh:
+        reference = fh.read()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["fi-sweep", f"--lambda={SIGNED_LAMBDAS}",
+                     "--theta", "0.3,pi/2,2.6", "--phi", "0,1.1",
+                     "--format", "json"]) == 0
+    assert out.getvalue().encode() == reference
+
+
+# general (not mutually unbiased) pairs: compatible, incompatible, and
+# compatible just below the boundary of its directions (0.75 < 0.75199)
+COMPAT_OUTPUTS = {
+    ("0.3,0.4,0.5", "-0.6,0.2,0.1"):
+        '{"busch": true, "hovm_povm": true, "boundary_lambda": 0.7081904805652576}\n',
+    ("0.1,-0.7,0.2", "0.5,0.5,-0.3"):
+        '{"busch": false, "hovm_povm": false, "boundary_lambda": 0.7516018707288051}\n',
+    ("0.45,0,0.6", "0,0.45,0.6"):
+        '{"busch": true, "hovm_povm": true, "boundary_lambda": 0.7519913204715831}\n',
+}
+
+
+@pytest.mark.parametrize("mu, nu", sorted(COMPAT_OUTPUTS))
+def test_compat_on_general_pairs_is_byte_identical(mu, nu):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["compat", f"--mu={mu}", f"--nu={nu}"]) == 0
+    assert out.getvalue() == COMPAT_OUTPUTS[mu, nu]
