@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import math
 import operator
 import sys
@@ -159,6 +158,8 @@ def _json_cells(key: str, col: list) -> list:
     """JSON text of a column of Python values, each cell after the text
     ``key``: ``json.dumps`` of the value, with the strings 'inf'/'-inf'
     for infinities."""
+    import json
+
     return [key + json.dumps("inf" if v == math.inf else
                              "-inf" if v == -math.inf else v) for v in col]
 
@@ -209,6 +210,10 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
         sep, row_open, row_close, row_join = ",", "", "\n", ""
         tails = ("", "")  # without rows, after rows
     else:
+        # json is imported only where JSON is written (here, _json_cells
+        # and cmd_compat), so a CSV run never loads it
+        import json
+
         # the bytes of json.dumps({"schema": ..., "rows": [...]}, indent=1)
         head = ('{\n "schema": ' + json.dumps(f"{SCHEMA_VERSION} {name}")
                 + ',\n "rows": [')
@@ -401,6 +406,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compat(args) -> int:
+    import json
+
     mu = np.array([_eval_number(t) for t in args.mu.split(",")])
     nu = np.array([_eval_number(t) for t in args.nu.split(",")])
     # bloch_povm refuses a vector of the wrong length by name
@@ -410,7 +417,8 @@ def cmd_compat(args) -> int:
     if busch != povm:
         raise OqMetroError("compatibility predicates disagree")
     boundary = None
-    if np.linalg.norm(mu) > 0 and np.linalg.norm(nu) > 0:
+    # any() and not a norm: the norm of a 1e-200 vector underflows to 0
+    if mu.any() and nu.any():
         boundary = sharpness_threshold(mu, nu)
     verdict = {"busch": busch, "hovm_povm": povm, "boundary_lambda": boundary}
     _emit(args.out, [json.dumps(verdict) + "\n"])

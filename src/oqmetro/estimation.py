@@ -25,6 +25,13 @@ evaluates the grid for both scans (blocks of at most ``oq.BLOCK_POINTS``
 (trial, grid point) pairs), one per golden-section step covers both
 estimators' brackets, and one the curvature's three points, with the
 per-table arithmetic of refining each table alone.
+
+Layout: the estimators read the kernel's native cells (``oq._cells``),
+component-first, as 4 rows of one point axis, and lay the W-counts out
+the same way once per call.  Every sum over a table's 4 cells is one
+reduction over the rows (``_row_sum``), which adds them in order from
++0.0, as ``oq._cell_sum`` does, so each sum keeps the bits it has when
+the cells are laid out last.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 from .errors import AllTrialsOmitted, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
-from .oq import POSITIVITY_TOL, _cell_sum, oq_slopes, oq_values, row_blocks
+from .oq import POSITIVITY_TOL, _cells, oq_slopes, oq_values, row_blocks
 from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
@@ -47,8 +54,8 @@ REFINE_TOL = 1e-8
 CURVATURE_H = 1e-4
 SLOPE_FLOOR = 1e-9
 
-# parity labels (-1)^(a*b) on the 2x2 outcome grid
-_PARITY = np.array([[1.0, 1.0], [1.0, -1.0]])
+# parity labels (-1)^(a*b) of the 2x2 outcome grid, one per component row
+_PARITY = np.array([[1.0], [1.0], [1.0], [-1.0]])
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
 
@@ -221,17 +228,22 @@ def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seed: int,
     depends on the seed and its index only.
     """
     run_words = _run_words(seed)
-    counts_b = np.empty((trials, 2), dtype=np.int64)
+    first_b = np.empty(trials, dtype=np.int64)
     counts_seq = np.empty((trials, 4), dtype=np.int64)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     for rows in row_blocks(trials, 1):
-        states = _pcg64_states(run_words, rows.start, min(rows.stop, trials))
-        for k, (state_b, state_seq) in enumerate(states, rows.start):
+        block_b, block_seq = [], []
+        for state_b, state_seq in _pcg64_states(run_words, rows.start,
+                                                min(rows.stop, trials)):
+            # B has two outcomes, for which multinomial draws exactly this
             bitgen.state = state_b
-            counts_b[k] = rng.multinomial(n, p_b)
+            block_b.append(rng.binomial(n, p_b[0]))
             bitgen.state = state_seq
-            counts_seq[k] = rng.multinomial(n, p_seq)
+            block_seq.append(rng.multinomial(n, p_seq))
+        # one array conversion per block of draws
+        first_b[rows], counts_seq[rows] = block_b, block_seq
+    counts_b = np.stack((first_b, n - first_b), axis=-1)
     counts_seq = counts_seq.reshape(trials, 2, 2)
     return CountTable(n, counts_b, counts_seq,
                       assemble_w_counts(counts_b, counts_seq))
@@ -265,9 +277,19 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2)
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis of component-first rows x of shape (4, ...):
+    row after row from +0.0, the order and bits of ``oq._cell_sum`` on the
+    same cells laid out last (numpy adds whole rows when the summed axis is
+    outermost, and a pairwise sum of fewer than 8 terms is sequential)."""
+    return np.add.reduce(x, axis=0, initial=0.0)
+
+
 def _loglik(counts_w: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """(1/n) sum c(a,b|W) log W(a,b), the model clamped at ``PROB_CLAMP``."""
-    return _cell_sum(counts_w * np.log(np.clip(vals, PROB_CLAMP, None))) / n
+    """(1/n) sum c(a,b|W) log W(a,b) over component-first rows, the model
+    clamped at ``PROB_CLAMP`` (``np.maximum``, which is what ``np.clip``
+    with no upper bound calls)."""
+    return _row_sum(counts_w * np.log(np.maximum(vals, PROB_CLAMP))) / n
 
 
 def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
@@ -280,7 +302,8 @@ def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
     stops moving once it is no wider than ``tol`` while the others go on.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    step = _INV_PHI * (hi - lo)
+    c, d = hi - step, lo + step
     fc, fd = f(c), f(d)
     active = hi - lo > tol
     while active.any():
@@ -288,8 +311,8 @@ def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
         # a left step keeps [lo, d] and probes a new c; a right step keeps
         # [c, hi] and probes a new d
         new_lo, new_hi = np.where(left, lo, c), np.where(left, d, hi)
-        x = np.where(left, new_hi - _INV_PHI * (new_hi - new_lo),
-                     new_lo + _INV_PHI * (new_hi - new_lo))
+        step = _INV_PHI * (new_hi - new_lo)
+        x = np.where(left, new_hi - step, new_lo + step)
         fx = f(x)
         new = (new_lo, new_hi, np.where(left, x, d), np.where(left, c, x),
                np.where(left, fx, fd), np.where(left, fc, fx))
@@ -314,7 +337,7 @@ def _grid(domain: tuple, step: float) -> np.ndarray:
 
 def parity_mean(counts: CountTable) -> np.ndarray:
     """Observed mean of the parity observable (-1)^(ab) W_ab, per table."""
-    return _cell_sum(_PARITY * counts.counts_w) / counts.n
+    return _row_sum(_PARITY * counts.counts_w.reshape(-1, 4).T) / counts.n
 
 
 def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
@@ -336,30 +359,39 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     both estimators.
     """
     keep = ~counts.negative
-    cw, n = counts.counts_w[keep], counts.n
-    trials = len(cw)
+    n = counts.n
+    # the kept W-counts as contiguous component rows, like the kernel's cells
+    cw = np.ascontiguousarray(counts.counts_w[keep].reshape(-1, 4).T)
+    trials = cw.shape[1]
     obs = parity_mean(counts)[keep]
 
     def cells(g):
-        return oq_values(w, amplitudes(*_angles(g, fixed_other, target)))
+        psi = amplitudes(*_angles(g, fixed_other, target))
+        return _cells(w, psi).reshape(4, -1)
 
     gs = _grid(domain, GRID_STEP)
     vals = cells(gs)
-    # contiguous per-cell columns; the scan sums products in _cell_sum's order
-    log_cells = np.log(np.clip(vals, PROB_CLAMP, None)).reshape(-1, 4).T.copy()
-    means = _cell_sum(_PARITY * vals)
+    log_cells = np.log(np.maximum(vals, PROB_CLAMP))
+    means = _row_sum(_PARITY * vals)
     best = np.empty((2, trials), dtype=np.intp)
     for rows in row_blocks(trials, len(gs)):
-        c = cw.reshape(-1, 4)[rows, :, None]
-        ll = ((c[:, 0] * log_cells[0] + c[:, 1] * log_cells[1])
-              + c[:, 2] * log_cells[2]) + c[:, 3] * log_cells[3]
-        best[0, rows] = np.argmax(ll / n, axis=1)
-        best[1, rows] = np.argmin((means[None] - obs[rows, None]) ** 2, axis=1)
+        # the scan sums products in _row_sum's order, in place
+        c = cw[:, rows, None]
+        ll = c[0] * log_cells[0]
+        for k in range(1, 4):
+            ll += c[k] * log_cells[k]
+        ll /= n
+        best[0, rows] = ll.argmax(axis=1)
+        gap = means - obs[rows, None]
+        gap *= gap  # the bits of an array ** 2, which is x*x
+        best[1, rows] = gap.argmin(axis=1)
 
     def f(g):
         v = cells(g)
-        return np.concatenate((_loglik(cw, v[:trials], n),
-                               -_square(_cell_sum(_PARITY * v[trials:]) - obs)))
+        out = np.empty(len(g))
+        out[:trials] = _loglik(cw, v[:, :trials], n)
+        out[trials:] = -_square(_row_sum(_PARITY * v[:, trials:]) - obs)
+        return out
 
     # one stack of the MLE's brackets, then the LEP's; a bracket spans its
     # best grid point's neighbours, one step wide at the ends of the grid
@@ -370,7 +402,7 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
 
     h = CURVATURE_H
     three = cells(np.concatenate((mle, mle + h, mle - h)))
-    center, up, down = _loglik(cw, three.reshape(3, trials, 2, 2), n)
+    center, up, down = _loglik(cw[:, None], three.reshape(4, 3, trials), n)
     observed_fi = -((up - 2 * center + down) / (h * h))
     # resolution limit: log-likelihood cancellation noise amplified by 1/h^2
     noise = 16 * np.finfo(float).eps * np.maximum(np.abs(center), 1.0) / (h * h)
@@ -379,8 +411,9 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
 
     theta, phi = _angles(lep, fixed_other, target)
     psi = amplitudes(theta, phi)
-    mean_at = _cell_sum(_PARITY * oq_values(w, psi))
-    slope = _cell_sum(_PARITY * oq_slopes(w, psi, amplitude_slopes(theta, phi, target)))
+    mean_at = _row_sum(_PARITY * _cells(w, psi).reshape(4, -1))
+    dpsi = amplitude_slopes(theta, phi, target)
+    slope = _row_sum(_PARITY * _cells(w, psi, dpsi).reshape(4, -1))
     # the parity observable has eigenvalue labels +-1, so <O^2> = 1
     with np.errstate(divide="ignore"):
         lep_var = (1.0 - _square(mean_at)) / (n * _square(slope))

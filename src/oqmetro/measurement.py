@@ -254,20 +254,29 @@ def busch_compatible(mu, nu) -> bool:
     return least >= -HERMITIAN_TOL
 
 
+def _direction(v) -> np.ndarray:
+    """v / |v| for a nonzero vector v, which is first scaled by a power of
+    two that brings its largest entry into [0.5, 1), so no square under- or
+    overflows (1e-160 or 1e200 entries included).  Such a scaling is exact,
+    so a vector whose squares do not under- or overflow keeps the bits of
+    ``v / np.linalg.norm(v)``."""
+    v = np.asarray(v, dtype=float)
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    return v / np.linalg.norm(v)
+
+
 def sharpness_threshold(mu_dir, nu_dir) -> float | None:
     """The common sharpness where the sequential HOVM stops being a POVM.
 
-    Directions are normalized.  The pair ``lam * mu``, ``lam * nu`` meets
-    the Busch boundary at lam = 2 / (|mu + nu| + |mu - nu|); since
+    Directions of any nonzero length are normalized (``_direction``).  The
+    pair ``lam * mu``, ``lam * nu`` meets the Busch boundary at
+    lam = 2 / (|mu + nu| + |mu - nu|); since
     (|mu + nu| + |mu - nu|)^2 = 4 (1 + |mu x nu|) for unit vectors, that is
     sqrt(1 / (1 + |mu x nu|)), which stays accurate for nearly parallel
     and orthogonal pairs alike.  Returns None when the boundary is not
     below full sharpness (parallel or antiparallel directions).
     """
-    mu_dir = np.asarray(mu_dir, dtype=float)
-    nu_dir = np.asarray(nu_dir, dtype=float)
-    mu_dir = mu_dir / np.linalg.norm(mu_dir)
-    nu_dir = nu_dir / np.linalg.norm(nu_dir)
+    mu_dir, nu_dir = _direction(mu_dir), _direction(nu_dir)
     sine = np.linalg.norm(np.cross(mu_dir, nu_dir))
     boundary = float(np.sqrt(1.0 / (1.0 + sine)))
     return None if boundary >= 1.0 else boundary

@@ -4,7 +4,8 @@ The table W(a,b) = <psi|W_ab|psi> is real (the elements are Hermitian) but
 may be negative; negativity sum|W| - 1 quantifies by how much it fails to
 be a probability distribution.  This module is the only place that
 evaluates HOVM cells: every function works on whole arrays of amplitudes
-of shape (..., 2) and returns cells of shape (..., d, d).  A ``Hovm`` is a
+of shape (..., 2), and the public ones return cells of shape (..., d, d).
+A ``Hovm`` is a
 qubit measurement by construction, so its 2 x 2 elements always match the
 amplitudes.  The batch axes of a stacked HOVM broadcast against those of
 the amplitudes.
@@ -18,15 +19,23 @@ outermost.  The kernel takes C-contiguous component-first operands: the
 HOVM's ``front``, laid out once when the HOVM is built, and amplitudes it
 copies wherever the caller's are not already laid out so.  einsum picks
 its iteration order from the operands' strides, so a strided view of the
-caller's arrays can move the last bit of a cell.
+caller's arrays can move the last bit of a cell.  Its output is
+component-first too: the private entry point ``_cells`` returns the real
+cells in shape (d, d, ...), which ``estimation`` reads as they are, and
+``oq_values``/``oq_slopes`` are thin wrappers that move the cell axes
+last (a C-contiguous copy).
 
-Cells are summed by one rule (``_cell_sum``), which ``fisher`` and
-``estimation`` share: one cell after another, in C order.  For fewer than
-8 cells (every qubit pair has 4) that is the order numpy's ``.sum()``
-takes on a C-contiguous array, bit for bit, at about a quarter of its
-cost.  From 8 cells on numpy interleaves partial sums (pairwise beyond
-128), so a d >= 3 HOVM's negativity or a model of 8 or more outcomes
-may differ from ``.sum()`` in the last digit.
+Cells are summed by one rule, one cell after another in C order from
++0.0.  ``_cell_sum``, which ``fisher`` shares, applies it to cells laid
+out last.  For fewer than 8 cells (every qubit pair has 4) that is the
+order numpy's ``.sum()`` takes on a C-contiguous array, bit for bit, at
+about a quarter of its cost.  From 8 cells on numpy interleaves partial
+sums (pairwise beyond 128), so a d >= 3 HOVM's negativity or a model of 8
+or more outcomes may differ from ``.sum()`` in the last digit.  On the
+kernel's component-first cells ``estimation`` applies the same rule as
+one reduction, ``np.add.reduce(rows, axis=0, initial=0.0)`` over the 4
+rows of a qubit table: with the summed axis outermost numpy adds whole
+rows in order, so each sum has ``_cell_sum``'s bits.
 
 Callers evaluate a grid in blocks of at most ``BLOCK_POINTS`` probe points
 per kernel call (``row_blocks``): large enough that per-call overhead does
@@ -64,11 +73,15 @@ def _front(x: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(x.transpose([*range(n, x.ndim), *range(n)]))
 
 
-def _cells(w: Hovm, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Re <bra|W_ab|ket> for amplitudes ``_front(psi, 1)``, as a C-contiguous
-    array of shape (..., d, d)."""
-    out = np.real(np.einsum(_CELLS, bra.conj(), w.front, ket))
-    return _front(out, out.ndim - 2)
+def _cells(w: Hovm, psi: np.ndarray, dpsi: np.ndarray | None = None) -> np.ndarray:
+    """The kernel: cells Re <psi|W_ab|psi>, or with ``dpsi`` their slopes
+    2 Re <dpsi|W_ab|psi>, for amplitudes of shape (..., 2), component-first
+    in shape (d, d, ...).  The cells are the real view of the einsum's
+    complex output (strided, not a copy), the slopes a new array."""
+    ket = _front(psi, 1)
+    bra = ket if dpsi is None else _front(dpsi, 1)
+    cells = np.real(np.einsum(_CELLS, bra.conj(), w.front, ket))
+    return cells if dpsi is None else 2 * cells
 
 
 def _cell_sum(x: np.ndarray, axes: int = 2) -> np.ndarray:
@@ -85,13 +98,14 @@ def _cell_sum(x: np.ndarray, axes: int = 2) -> np.ndarray:
 
 def oq_values(w: Hovm, psi: np.ndarray) -> np.ndarray:
     """Cells W(a,b) = Re <psi|W_ab|psi>."""
-    psi = _front(psi, 1)
-    return _cells(w, psi, psi)
+    cells = _cells(w, psi)
+    return _front(cells, cells.ndim - 2)
 
 
 def oq_slopes(w: Hovm, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Cell derivatives d W(a,b) / dg = 2 Re <d_g psi|W_ab|psi>."""
-    return 2 * _cells(w, _front(dpsi, 1), _front(psi, 1))
+    slopes = _cells(w, psi, dpsi)
+    return _front(slopes, slopes.ndim - 2)
 
 
 def negativity(values: np.ndarray) -> np.ndarray:

@@ -722,6 +722,14 @@ class TestCompat:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["busch"] is True and verdict["hovm_povm"] is True
 
+    @pytest.mark.parametrize("size", ["1e-160", "1e-200", "1e-300"])
+    def test_boundary_of_tiny_vectors(self, capsys, size):
+        # the squares of these entries underflow; the boundary depends on
+        # the directions only
+        assert main(["compat", "--mu", f"{size},0,0", "--nu", f"0,{size},0"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["boundary_lambda"] == math.sqrt(0.5)
+
     def test_norm_violation_exits_2(self):
         assert main(["compat", "--mu", "1.2,0,0", "--nu", "0,0,0.5"]) == 2
 
@@ -874,15 +882,26 @@ class TestOneParserPerProcess:
         assert shared[0][1] != shared[1][1]  # the two seeds draw differently
 
 
-def test_import_leaves_numpy_random_unimported():
-    # numpy.random costs about 13 ms of import; only estimate needs it
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after
+    ``import oqmetro.cli`` from this checkout."""
     src = Path(oqmetro.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, oqmetro.cli; "
-            "print('numpy.random' in sys.modules, oqmetro.cli.__file__)")
+            f"print({module!r} in sys.modules, oqmetro.cli.__file__)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded, path = proc.stdout.split()
     assert Path(path).resolve() == Path(oqmetro.cli.__file__).resolve()
-    assert loaded == "False"
+    return loaded == "True"
+
+
+def test_import_leaves_numpy_random_unimported():
+    # numpy.random costs about 13 ms of import; only estimate needs it
+    assert not loaded_by_cli_import("numpy.random")
+
+
+def test_import_leaves_json_unimported():
+    # json costs about 2 ms of import; only JSON output and compat need it
+    assert not loaded_by_cli_import("json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cells, mub_hovm, probe, setting_probs
+import oqmetro.oq
 from oqmetro import estimation
 from oqmetro.errors import AllTrialsOmitted, ParamOutOfRange
 from oqmetro.estimation import (
@@ -108,6 +109,21 @@ class TestSampling:
         want = [tuple(np.random.PCG64(np.random.SeedSequence(
             seed, spawn_key=(last, j))).state for j in range(2))]
         assert estimation._pcg64_states(words, last, last + 1) == want
+
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.5, 1 - 1e-12, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 29, 31, 1000, 10**6, 10**9])
+    def test_binomial_draws_what_multinomial_draws_for_two_outcomes(self, p, n):
+        # draw_counts draws B's first count as binomial(n, p[0]): from the
+        # same state it is multinomial(n, p)[0], and leaves the same state
+        for state, _ in estimation._pcg64_states(estimation._run_words(5), 0, 4):
+            draws = []
+            for draw in (lambda rng: rng.binomial(n, p),
+                         lambda rng: rng.multinomial(n, [p, 1 - p])[0]):
+                bitgen = np.random.PCG64(0)
+                bitgen.state = state
+                draws.append((int(draw(np.random.Generator(bitgen))),
+                              bitgen.state))
+            assert draws[0] == draws[1]
 
     def test_draws_match_numpys_across_a_block_boundary(self):
         a, b, _ = mub_hovm(0.8)
@@ -384,13 +400,13 @@ class TestRunTrials:
     @pytest.mark.parametrize("trials,inject", [(200, False), (7, True)])
     def test_one_kernel_call_per_stage_for_both_estimators(self, monkeypatch,
                                                            trials, inject):
-        points, steps = [], []
-        evaluate = estimation.oq_values
+        points, slope_points, steps = [], [], []
+        evaluate = oqmetro.oq._cells
         refine = estimation.golden_section_maximize
 
-        def counted(w, psi):
-            points.append(psi.size // 2)
-            return evaluate(w, psi)
+        def counted(w, psi, dpsi=None):
+            (points if dpsi is None else slope_points).append(psi.size // 2)
+            return evaluate(w, psi, dpsi)
 
         def counted_refine(f, lo, hi, tol):
             def step(x):
@@ -398,7 +414,9 @@ class TestRunTrials:
                 return f(x)
             return refine(step, lo, hi, tol)
 
-        monkeypatch.setattr(estimation, "oq_values", counted)
+        # the kernel under every name: oq's public wrappers and estimation
+        monkeypatch.setattr(oqmetro.oq, "_cells", counted)
+        monkeypatch.setattr(estimation, "_cells", counted)
         monkeypatch.setattr(estimation, "golden_section_maximize", counted_refine)
         # the benchmark's headline run: a 501-point grid
         cfg = TrialConfig(1.0131710069701012, 2.3038346126325147, Target.POLAR,
@@ -413,6 +431,8 @@ class TestRunTrials:
         assert points == [1, 501] + steps + [3 * kept, kept]
         assert steps == [2 * kept] * 28
         assert len(points) == 32
+        # slopes at the headline point and at the LEP's finish
+        assert slope_points == [1, kept]
 
     @pytest.mark.parametrize("trials,inject", [(2, False), (9, False),
                                                (40, False), (5, True)])

@@ -31,6 +31,7 @@ from oqmetro.measurement import (
     mutually_unbiased_pair,
     sequential_povm,
     sharpness_threshold,
+    _direction,
     _psd,
 )
 
@@ -245,6 +246,21 @@ class TestCompatibility:
     def test_sharpness_threshold_is_inverse_sqrt2(self):
         thr = sharpness_threshold((0, 0, 1), (1, 0, 0))
         assert thr == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+
+    def test_direction_keeps_the_bits_of_a_plain_normalization(self):
+        # the power-of-two scaling is exact: where no square under- or
+        # overflows, the direction is v / |v| to the last bit
+        rng = np.random.default_rng(3)
+        vs = rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-100, 100, (500, 1))
+        for v in vs:
+            assert np.array_equal(_direction(v), v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("size", [1e-200, 1e-160, 1e200, 1e300])
+    def test_sharpness_threshold_of_tiny_and_huge_directions(self, size):
+        # their squares under- or overflow; only the directions matter
+        thr = sharpness_threshold((size, 0, 0), (0, size, 0))
+        assert thr == math.sqrt(0.5)
+        assert sharpness_threshold((size, 0, 0), (-size, 0, 0)) is None
 
     def test_sharpness_threshold_none_for_parallel(self):
         assert sharpness_threshold((0, 0, 1), (0, 0, 1)) is None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
 import oqmetro.oq
+from oqmetro.estimation import _row_sum
 from oqmetro.measurement import (
     Hovm,
     build_hovm,
@@ -257,6 +258,46 @@ def test_cell_sum_is_numpys_sum_bit_for_bit(x):
     nan prints the same."""
     with np.errstate(all="ignore"):
         ours, theirs = _cell_sum(x), np.sum(x, axis=(-2, -1))
+    assert np.array_equal(ours, theirs, equal_nan=True)
+    number = ~np.isnan(theirs)
+    assert np.array_equal(np.asarray(ours)[number].view(np.int64),
+                          np.asarray(theirs)[number].view(np.int64))
+
+
+@st.composite
+def component_rows(draw):
+    """Cells of shape (..., 2, 2) with 0 to 2 batch axes, and the same cells
+    as component-first rows of shape (4, ...) in one of three layouts:
+    C-contiguous, a strided view of the cells-last array, or the real view
+    of a complex array (as the kernel returns them)."""
+    batch = tuple(draw(st.lists(st.integers(0, 4), max_size=2)))
+    size = 4 * math.prod(batch)
+    cells = np.array(draw(st.lists(SUM_FLOATS, min_size=size, max_size=size)),
+                     dtype=float).reshape(batch + (2, 2))
+    rows = np.moveaxis(cells.reshape(batch + (4,)), -1, 0)
+    layout = draw(st.sampled_from(["contiguous", "strided", "complex"]))
+    if layout == "contiguous":
+        rows = np.ascontiguousarray(rows)
+    elif layout == "complex":
+        z = np.empty(rows.shape, dtype=complex)
+        z.real, z.imag = rows, draw(SUM_FLOATS)
+        rows = np.real(z)
+    return cells, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=component_rows())
+@example(case=(np.full((3, 2, 2), -0.0), np.full((4, 3), -0.0)))
+@example(case=(np.full((2, 2), -0.0), np.full(4, -0.0)))
+def test_row_sum_is_the_cell_sum_bit_for_bit(case):
+    """``estimation._row_sum`` over component-first rows, one reduction
+    from +0.0, gives ``_cell_sum``'s bits on the same cells laid out last,
+    signed zeros, infinities and subnormals alike, and nan where it gives
+    nan, whatever the rows' layout and however many points they hold."""
+    cells, rows = case
+    with np.errstate(all="ignore"):
+        ours, theirs = _row_sum(rows), _cell_sum(cells)
+    assert np.shape(ours) == np.shape(theirs)
     assert np.array_equal(ours, theirs, equal_nan=True)
     number = ~np.isnan(theirs)
     assert np.array_equal(np.asarray(ours)[number].view(np.int64),

@@ -1,8 +1,8 @@
 """Byte-identity guard: the benchmark's headline commands must print
 exactly the tables captured in ``perfbench/reference/``, and the phi
-target's commands and the smoke maps' JSON those captured in
-``tests/reference/``; a sweep over signed sharpness values and
-``compat`` on general pairs are pinned the same way.
+target's commands, the smoke maps' JSON and three more ``estimate``
+paths those captured in ``tests/reference/``; a sweep over signed
+sharpness values and ``compat`` on general pairs are pinned the same way.
 
 The arguments and the seed are copied from ``perfbench/workloads.py``,
 not imported, so this test only reads that directory.
@@ -76,6 +76,39 @@ def test_phi_target_output_is_byte_identical_to_the_reference(stem):
     with contextlib.redirect_stdout(out):
         assert main(list(PHI_COMMANDS[stem])) == 0
     assert out.getvalue().encode() == reference
+
+
+# reference file name -> (command, exit code, stderr): estimate's paths
+# with many omissions (JSON), a segment whose last point is negative, and
+# injected expected counts
+ESTIMATE_COMMANDS = {
+    "omissions-estimate.json": (
+        ("estimate", "--target", "theta", "--lambda", "0.97", "--theta", "pi/2",
+         "--phi", "0.1", "--n", "60", "--trials", "2000", "--seed", "9",
+         "--domain", "1.2:2.0", "--format", "json"), 0, ""),
+    "segment-estimate.csv": (
+        ("estimate", "--target", "theta", "--lambda", "0.9",
+         "--theta", "0.95:1.05:0.05", "--phi", "2.2:2.4:0.1",
+         "--domain", "0.7:1.3", "--n", "20000", "--trials", "40",
+         "--seed", "11"), 3,
+        "point theta=1.05 phi=2.4: negativity 1.174e-02 exceeds 1.0e-10\n"),
+    "inject-estimate.csv": (
+        ("estimate", "--target", "phi", "--lambda", "0.9", "--theta", "1.2",
+         "--phi", "1.0,1.3", "--n", "50000", "--domain", "0.6:1.8",
+         "--inject-expected"), 0, ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_COMMANDS))
+def test_estimate_paths_are_byte_identical_to_the_reference(name):
+    with lzma.open(PHI_REFERENCE_DIR / f"{name}.xz", "rb") as fh:
+        reference = fh.read()
+    command, code, stderr = ESTIMATE_COMMANDS[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(list(command)) == code
+    assert out.getvalue().encode() == reference
+    assert err.getvalue() == stderr
 
 
 # reference file stem -> command: the JSON writer, which no other
