@@ -28,10 +28,9 @@ per-table arithmetic of refining each table alone.
 
 Layout: the estimators read the kernel's native cells (``oq._cells``),
 component-first, as 4 rows of one point axis, and lay the W-counts out
-the same way once per call.  Every sum over a table's 4 cells is one
-reduction over the rows (``_row_sum``), which adds them in order from
-+0.0, as ``oq._cell_sum`` does, so each sum keeps the bits it has when
-the cells are laid out last.
+the same way once per call.  Every sum over a table's 4 cells adds them
+in order from +0.0 like ``oq._cell_sum``, with the bits of cells laid out
+last: one row reduction (``_row_sum``), or one contraction per scan block.
 """
 
 from __future__ import annotations
@@ -281,15 +280,23 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the leading axis of component-first rows x of shape (4, ...):
     row after row from +0.0, the order and bits of ``oq._cell_sum`` on the
     same cells laid out last (numpy adds whole rows when the summed axis is
-    outermost, and a pairwise sum of fewer than 8 terms is sequential)."""
+    outermost, and a pairwise sum of fewer than 8 terms is sequential).
+    Not einsum: on one table its dot kernel adds (x0 + x2) + (x1 + x3)."""
     return np.add.reduce(x, axis=0, initial=0.0)
 
 
 def _loglik(counts_w: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """(1/n) sum c(a,b|W) log W(a,b) over component-first rows, the model
     clamped at ``PROB_CLAMP`` (``np.maximum``, which is what ``np.clip``
-    with no upper bound calls)."""
+    with no upper bound calls).  Paired, not contracted: see ``_row_sum``."""
     return _row_sum(counts_w * np.log(np.maximum(vals, PROB_CLAMP))) / n
+
+
+def _scan_loglik(cw: np.ndarray, log_cells: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) cw.T log_cells, shape (tables, grid points), as one einsum: it adds
+    the 4 products row by row from +0.0 like ``_row_sum`` (``@`` fuses them)."""
+    ll = np.einsum("kt,kg->tg", cw, log_cells)
+    return np.divide(ll, n, out=ll)
 
 
 def golden_section_maximize(f, lo, hi, tol: float) -> np.ndarray:
@@ -375,13 +382,7 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     means = _row_sum(_PARITY * vals)
     best = np.empty((2, trials), dtype=np.intp)
     for rows in row_blocks(trials, len(gs)):
-        # the scan sums products in _row_sum's order, in place
-        c = cw[:, rows, None]
-        ll = c[0] * log_cells[0]
-        for k in range(1, 4):
-            ll += c[k] * log_cells[k]
-        ll /= n
-        best[0, rows] = ll.argmax(axis=1)
+        best[0, rows] = _scan_loglik(cw[:, rows], log_cells, n).argmax(axis=1)
         gap = means - obs[rows, None]
         gap *= gap  # the bits of an array ** 2, which is x*x
         best[1, rows] = gap.argmin(axis=1)

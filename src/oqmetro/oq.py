@@ -5,10 +5,9 @@ may be negative; negativity sum|W| - 1 quantifies by how much it fails to
 be a probability distribution.  This module is the only place that
 evaluates HOVM cells: every function works on whole arrays of amplitudes
 of shape (..., 2), and the public ones return cells of shape (..., d, d).
-A ``Hovm`` is a
-qubit measurement by construction, so its 2 x 2 elements always match the
-amplitudes.  The batch axes of a stacked HOVM broadcast against those of
-the amplitudes.
+A ``Hovm`` is a qubit measurement by construction, so its 2 x 2 elements
+always match the amplitudes.  The batch axes of a stacked HOVM broadcast
+against those of the amplitudes.
 
 One kernel (``_cells``) evaluates every cell.  It sums over the 2 x 2
 amplitude and element indices with the probe-point axes innermost, so
@@ -33,9 +32,9 @@ about a quarter of its cost.  From 8 cells on numpy interleaves partial
 sums (pairwise beyond 128), so a d >= 3 HOVM's negativity or a model of 8
 or more outcomes may differ from ``.sum()`` in the last digit.  On the
 kernel's component-first cells ``estimation`` applies the same rule as
-one reduction, ``np.add.reduce(rows, axis=0, initial=0.0)`` over the 4
-rows of a qubit table: with the summed axis outermost numpy adds whole
-rows in order, so each sum has ``_cell_sum``'s bits.
+one reduction over the 4 rows of a qubit table (``np.add.reduce`` with
+the summed axis outermost adds whole rows in order) or, in its grid scan,
+one einsum outer contraction, so each sum has ``_cell_sum``'s bits.
 
 Callers evaluate a grid in blocks of at most ``BLOCK_POINTS`` probe points
 per kernel call (``row_blocks``): large enough that per-call overhead does

@@ -843,6 +843,19 @@ class TestExitCodeContract:
         assert main(argv + ["--out", str(out)]) == 2
         assert "No such file or directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compat", "--mu", "0,0,0.9", "--nu", "-0.9,0,0"],
+        ["fi-sweep", "--lambda", "-1:1:0.5"],
+        ["fi-sweep", "--theta", "-pi/2"],
+    ])
+    def test_detached_value_starting_with_minus_exits_2(self, capsys, argv):
+        """argparse reads a detached value that starts with "-" and is not a
+        plain number as an option, so the README asks for ``--nu=-0.9,0,0``."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
 
 class TestOneParserPerProcess:
     """``build_parser`` is cached, so every ``main`` call of a process

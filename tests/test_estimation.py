@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cells, mub_hovm, probe, setting_probs
 import oqmetro.oq
 from oqmetro import estimation
 from oqmetro.errors import AllTrialsOmitted, ParamOutOfRange
 from oqmetro.estimation import (
+    FLAT,
+    GRID_STEP,
     KEPT,
     NEGATIVE,
+    NO_SLOPE,
+    PROB_CLAMP,
     CountTable,
     TrialConfig,
     assemble_w_counts,
@@ -184,6 +190,101 @@ class TestEstimateTables:
             for field in ("estimate", "observed_fi", "variance_estimate", "cause"):
                 np.testing.assert_array_equal(getattr(got, field)[others],
                                               getattr(want, field))
+
+    def test_each_table_refines_alone_as_inside_a_stack(self):
+        """Every entry of a table's MLE and LEP ``TrialResult`` has the same
+        bits whether the table is refined alone or in a 9-table stack, which
+        crosses one 8-row block of the 501-point scan.  The one-table runs
+        also pin the reduction rule: a paired einsum adds a single table's 4
+        cells as (x0 + x2) + (x1 + x3), not in order as a stack's."""
+        # the benchmark's headline estimate
+        theta0, phi0, lam = 1.0131710069701012, 2.3038346126325147, 0.9
+        domain = (0.7631710069701012, 1.2631710069701012)
+        a, b, w = mub_hovm(lam)
+        tables = draw_counts(*setting_probs(theta0, phi0, a, b), 100_000,
+                             20260823, 9)
+        args = (Target.POLAR, phi0, w, domain)
+        assert len(estimation._grid(domain, GRID_STEP)) == 501
+        assert len(oqmetro.oq.row_blocks(9, 501)) == 2
+        stacked = estimate_tables(tables, *args)
+        assert (stacked[0].cause == KEPT).sum() >= 5
+        for k in range(9):
+            alone = estimate_tables(stack([(tables.counts_b[k:k + 1],
+                                            tables.counts_seq[k:k + 1])],
+                                          tables.n), *args)
+            for got, want in zip(alone, stacked):
+                for field in ("estimate", "observed_fi",
+                              "variance_estimate", "cause"):
+                    bits = getattr(got, field).view(np.int64)[0]
+                    assert bits == getattr(want, field).view(np.int64)[k], (k, field)
+
+    def test_first_maximum_wins_ties(self):
+        """At theta = 0 the probe does not depend on phi, so every grid
+        point of a phi scan has the same cells, bit for bit, and both scans
+        tie everywhere: each keeps the first grid point, whose bracket is
+        [gs[0], gs[1]].  (lambda = 0 is not exactly flat: its cells vary in
+        the last bits.)"""
+        a, b, w = mub_hovm(0.9)
+        domain = (0.5, 2.5)
+        gs = estimation._grid(domain, GRID_STEP)
+        vals = oq_values(w, amplitudes(0.0, gs))
+        assert (vals.view(np.int64) == vals[:1].view(np.int64)).all()
+        tables = draw_counts(*setting_probs(0.0, 0.0, a, b), 1000, 5, 3)
+        assert not tables.negative.any()
+        for result, cause in zip(
+                estimate_tables(tables, Target.AZIMUTHAL, 0.0, w, domain),
+                (FLAT, NO_SLOPE)):
+            assert ((gs[0] <= result.estimate)
+                    & (result.estimate <= gs[1])).all(), result.estimate
+            assert result.cause.tolist() == [cause] * 3
+
+
+def elementwise_scan(cw, log_cells, n):
+    """The grid scan's sum written out: each row's products added in place,
+    row after row, from +0.0 as a reduction starts (which turns only the
+    -0.0 of a table of zero counts, a table no n >= 1 draws, into +0.0)."""
+    c = cw[:, :, None]
+    ll = np.zeros((cw.shape[1], log_cells.shape[1]))
+    for k in range(4):
+        ll += c[k] * log_cells[k]
+    ll /= n
+    return ll
+
+
+class TestScan:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tables=st.integers(1, 8), points=st.integers(2, 5000),
+           seed=st.integers(0, 2**32 - 1), half=st.booleans(),
+           zero=st.sampled_from([None, "table", 0, 1, 2, 3]),
+           clamped=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    @example(tables=1, points=501, seed=0, half=True, zero=None, clamped=0.1)
+    @example(tables=1, points=2, seed=1, half=False, zero=2, clamped=1.0)
+    @example(tables=8, points=5000, seed=2, half=True, zero="table", clamped=0.5)
+    def test_scan_is_the_elementwise_sum_bit_for_bit(self, tables, points, seed,
+                                                     half, zero, clamped):
+        """``_scan_loglik`` against the in-place elementwise sum, bit for
+        bit: one or more tables, integer and half-integer counts (W-counts
+        are halves), a zero row of counts (one cell) or a table of zero
+        counts, and log-cells at the clamp ``log(PROB_CLAMP)`` and at 0."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10**6))
+        # the scan reads a block of columns of the stack's count rows
+        rows = rng.integers(0, n + 1, (4, tables + 3)).astype(float)
+        if half:
+            rows += rng.integers(0, 2, rows.shape) / 2
+        cw = rows[:, 1:tables + 1]
+        if zero == "table":
+            cw[:, 0] = 0.0
+        elif zero is not None:
+            cw[zero] = 0.0
+        vals = rng.random((4, points)) ** rng.uniform(1, 40)
+        vals[rng.random(vals.shape) < clamped] = 0.0
+        vals[:, 0] = 1.0
+        log_cells = np.log(np.maximum(vals, PROB_CLAMP))
+        got = estimation._scan_loglik(cw, log_cells, n)
+        want = elementwise_scan(cw, log_cells, n)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestMle:
