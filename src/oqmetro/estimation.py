@@ -11,9 +11,11 @@ parity observable, error bar from the propagation formula).
 Randomness: setting j of trial k draws from the PCG64 stream of
 ``numpy.random.SeedSequence(seed).spawn(trials)[k].spawn(2)[j]``, so every
 table is reproducible from the run's seed and its index, and trials are
-independent.  The PCG64 states of all those streams are derived at once
-on integer arrays, in blocks of trials, with numpy's own seeding
-arithmetic; no ``SeedSequence`` is built per trial.
+independent.  The PCG64 states of all those streams are derived with
+numpy's own seeding arithmetic, and no ``SeedSequence`` is built per
+trial: the seed's entropy is hashed and mixed into the pool once per run
+on Python ints (``_run_words``), and per block of trials only the spawn
+keys are hashed, on integer arrays (``_pcg64_states``).
 
 Stacks only: every function takes a ``CountTable`` stack of tables with a
 leading trial axis and returns one array entry per table.
@@ -26,9 +28,11 @@ evaluates the grid for both scans (blocks of at most ``oq.BLOCK_POINTS``
 estimators' brackets, and one the curvature's three points, with the
 per-table arithmetic of refining each table alone.
 
-Layout: the estimators read the kernel's native cells (``oq._cells``),
-component-first, as 4 rows of one point axis, and lay the W-counts out
-the same way once per call.  Every sum over a table's 4 cells adds them
+Layout: the estimators hand the kernel (``oq._cells``) the
+component-first kets of ``probe.TargetKets``, built once per call with
+the fixed angle's factor, and read its native cells, component-first,
+as 4 rows of one point axis; they lay the W-counts out the same way once
+per call.  Every sum over a table's 4 cells adds them
 in order from +0.0 like ``oq._cell_sum``, with the bits of cells laid out
 last: one row reduction (``_row_sum``), or one contraction per scan block.
 """
@@ -45,7 +49,7 @@ from .errors import AllTrialsOmitted, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
 from .oq import POSITIVITY_TOL, _cells, oq_slopes, oq_values, row_blocks
-from .probe import Target, amplitude_slopes, amplitudes, check_angles
+from .probe import Target, TargetKets, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
 GRID_STEP = 1e-3
@@ -147,66 +151,98 @@ def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
     return p / p.sum()
 
 
-def _run_words(seed) -> list:
-    """The 32-bit entropy words of an integer seed, least significant
-    first, as ``SeedSequence`` splits it (0 is one word)."""
+def _hash_consts(init: int, mult: int, count: int) -> list:
+    """The first ``count`` + 1 values of a ``SeedSequence`` hash constant:
+    ``init``, then each one times ``mult``."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _WORD)
+    return consts
+
+
+def _hashed(value, xor, mult):
+    """``SeedSequence``'s hashmix of a 32-bit value, in the call that finds
+    the hash constant at ``xor`` and leaves it at ``mult``; for Python ints
+    and, broadcasting, for uint32 arrays (where the mask is a no-op)."""
+    value = (value ^ xor) * mult & _WORD
+    return value ^ value >> _XSHIFT
+
+
+def _mixed(x, y):
+    """``SeedSequence``'s mix of a hashed word y into a pool word x."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
+    return result ^ result >> _XSHIFT
+
+
+# generate_state's 8 words (4 uint64) cycle twice over the pool, each
+# hashed under its own constants
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+_STATE_XOR = np.array(_STATE_CONSTS[:-1], dtype=np.uint32)
+_STATE_MULT = np.array(_STATE_CONSTS[1:], dtype=np.uint32)
+
+
+def _run_words(seed) -> tuple:
+    """The run's seeding words, computed once per run on Python ints.
+
+    These are ``SeedSequence(seed)``'s pool with the seed's 32-bit entropy
+    words (least significant first; 0 is one word) hashed and mixed in, as
+    numpy mixes them ahead of a spawn key (k, j), and what that key meets
+    next: the hash constants of k's four hashes, one per pool word, and the
+    hashes of j = 0 and 1, which are the same for every table.
+    """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return [seed >> shift & _WORD
-            for shift in range(0, max(seed.bit_length(), 1), 32)]
-
-
-def _pcg64_states(run_words: list, start: int, stop: int) -> list:
-    """PCG64 states of the settings of tables ``start:stop``, one pair of
-    ``state`` dicts per table k: the states that
-    ``PCG64(SeedSequence(seed).spawn(stop)[k].spawn(2)[j])`` starts from,
-    for j = 0, 1, where ``run_words`` are ``_run_words(seed)``.
-
-    Every table's ``mix_entropy`` and ``generate_state(4, uint64)`` run at
-    once on uint32 arrays of shape (stop - start, 2), so only the 128-bit
-    PCG64 seeding step is per setting.  ``stop`` must be at most 2**32:
-    a larger spawn key is two words.
-    """
-    # run entropy is zero-padded to the pool size when a spawn key follows;
-    # the spawn key (k, j) adds two words, so the entropy fills the pool
-    keys = np.arange(start, stop, dtype=np.uint32)[:, None]
-    words = [np.broadcast_to(np.asarray(w, dtype=np.uint32), (stop - start, 2))
-             for w in run_words + [0] * (_POOL - len(run_words))
-             + [keys, np.arange(2)]]
-    hash_const = _INIT_A
+    words = [seed >> shift & _WORD
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # run entropy is zero-padded to the pool size when a spawn key follows
+    words += [0] * (_POOL - len(words))
+    # the (xor, mult) constants of each hashmix call in turn: the pool's
+    # fill and cross-mixes take 4 per pool word, then 4 per word beyond
+    # the pool, 4 for k and 4 for j
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + 2))
+    calls = zip(consts, consts[1:])
 
     def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _WORD
-        value = value * hash_const
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
+        return _hashed(value, *next(calls))
 
     pool = [hashmix(w) for w in words[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                pool[dst] = _mixed(pool[dst], hashmix(pool[src]))
     for w in words[_POOL:]:
         for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(w))
+            pool[dst] = _mixed(pool[dst], hashmix(w))
+    key_xor, key_mult = np.array([next(calls) for _ in range(_POOL)],
+                                 dtype=np.uint32).T
+    j_calls = [next(calls) for _ in range(_POOL)]
+    hashed_j = np.array([[_hashed(j, *c) for c in j_calls] for j in range(2)],
+                        dtype=np.uint32)
+    return np.array(pool, dtype=np.uint32), key_xor, key_mult, hashed_j
 
-    out = []
-    hash_const = _INIT_B
-    for i in range(8):
-        value = pool[i % _POOL] ^ hash_const
-        hash_const = hash_const * _MULT_B & _WORD
-        value = value * hash_const
-        out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    # generate_state's uint64 words pair uint32 words low word first; PCG64
-    # takes words 0-1 as the seed and 2-3 as the increment, high word first
+
+def _pcg64_states(run_words: tuple, start: int, stop: int) -> list:
+    """PCG64 states of the settings of tables ``start:stop``, one pair of
+    ``state`` dicts per table k: the states that
+    ``PCG64(SeedSequence(seed).spawn(stop)[k].spawn(2)[j])`` starts from,
+    for j = 0, 1, where ``run_words`` are ``_run_words(seed)``.
+
+    Only the spawn key is hashed per table: k into all four pool words in
+    one array op, then the run's hashes of j, then ``generate_state(4,
+    uint64)``'s eight words in one, on uint32 arrays of shape
+    (stop - start, 2, ...); the 128-bit PCG64 seeding step is per setting.
+    ``stop`` must be at most 2**32: a larger spawn key is two words.
+    """
+    pool, key_xor, key_mult, hashed_j = run_words
+    keys = np.arange(start, stop, dtype=np.uint32)[:, None]
+    pool = _mixed(pool, _hashed(keys, key_xor, key_mult))
+    pool = _mixed(pool[:, None], hashed_j)
+    words = _hashed(np.concatenate((pool, pool), axis=-1), _STATE_XOR, _STATE_MULT)
+    # generate_state pairs uint32 words into uint64 low word first; PCG64
+    # takes uint64 words 0-1 as the seed and 2-3 as the increment, high first
     seed_hi, seed_lo, inc_hi, inc_lo = (
-        (out[2 * i] | out[2 * i + 1] << 32).ravel().tolist() for i in range(4))
+        words.astype("<u4", copy=False).view("<u8").reshape(-1, 4).T.tolist())
     incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(inc_hi, inc_lo)]
     states = [{"bit_generator": "PCG64",
                "state": {"state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc)
@@ -259,15 +295,6 @@ def expected_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int) -> CountTable:
     counts_w = assemble_w_counts(counts_b, counts_seq)
     counts_w[(counts_w < 0) & (counts_w >= -n * POSITIVITY_TOL)] = 0.0
     return CountTable(n, counts_b, counts_seq, counts_w)
-
-
-def _angles(gs, fixed_other: float, target: Target) -> tuple:
-    """(theta, phi) over target-angle values gs: the target angle an array
-    of shape (N,), the fixed one a 0-d float that broadcasts against it, so
-    ``probe`` computes its factor once per call."""
-    gs = np.atleast_1d(np.asarray(gs, dtype=float))
-    other = float(fixed_other)
-    return (gs, other) if target is Target.POLAR else (other, gs)
 
 
 def _square(x: np.ndarray) -> np.ndarray:
@@ -371,10 +398,10 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     cw = np.ascontiguousarray(counts.counts_w[keep].reshape(-1, 4).T)
     trials = cw.shape[1]
     obs = parity_mean(counts)[keep]
+    kets = TargetKets(target, fixed_other)
 
     def cells(g):
-        psi = amplitudes(*_angles(g, fixed_other, target))
-        return _cells(w, psi).reshape(4, -1)
+        return _cells(w, kets(g)).reshape(4, -1)
 
     gs = _grid(domain, GRID_STEP)
     vals = cells(gs)
@@ -410,11 +437,9 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     with np.errstate(divide="ignore"):
         mle_var = 1.0 / (n * observed_fi)
 
-    theta, phi = _angles(lep, fixed_other, target)
-    psi = amplitudes(theta, phi)
-    mean_at = _row_sum(_PARITY * _cells(w, psi).reshape(4, -1))
-    dpsi = amplitude_slopes(theta, phi, target)
-    slope = _row_sum(_PARITY * _cells(w, psi, dpsi).reshape(4, -1))
+    ket = kets(lep)
+    mean_at = _row_sum(_PARITY * _cells(w, ket).reshape(4, -1))
+    slope = _row_sum(_PARITY * _cells(w, ket, kets.slopes(lep)).reshape(4, -1))
     # the parity observable has eigenvalue labels +-1, so <O^2> = 1
     with np.errstate(divide="ignore"):
         lep_var = (1.0 - _square(mean_at)) / (n * _square(slope))

@@ -17,7 +17,12 @@ say) is built in one array pass.  A single measurement has batch shape
 Operators are checked once per stack, when a ``Povm`` or ``Hovm`` is
 constructed, with one check per condition over all its effects or
 elements; one bad entry refuses the whole stack.
-Everything built from validated measurements relies on those checks.
+Everything built from validated measurements relies on those checks:
+``sequential_povm`` and ``build_hovm`` keep their results unchecked
+(``_derived``).  Checking them again could refuse valid inputs: an
+effect's square root is taken with its eigenvalues in
+[-HERMITIAN_TOL, 0) clamped to 0, which moves the sequential effects'
+sum off the identity by up to HERMITIAN_TOL per clamped effect.
 The Hermitian and PSD checks are closed forms in the entries of each 2 x 2
 operator (PSD is c0 - |c| >= -HERMITIAN_TOL for c0 I + c.sigma), so
 validation calls no eigensolver.  Matrix products are explicit sums of
@@ -120,6 +125,9 @@ class Povm:
             raise NotPsd("POVM effect is not PSD")
         if (np.abs(stack.sum(axis=-3) - np.eye(2)) > IDENTITY_TOL).any():
             raise ValueError("POVM effects do not sum to the identity")
+        self._keep(stack)
+
+    def _keep(self, stack: np.ndarray) -> None:
         # a read-only private copy keeps the checks valid for good
         stack.setflags(write=False)
         object.__setattr__(self, "effects", stack)
@@ -153,6 +161,9 @@ class Hovm:
         total = el.sum(axis=(-4, -3))
         if (np.abs(total - np.eye(2)) > IDENTITY_TOL).any():
             raise ValueError("HOVM elements do not sum to the identity")
+        self._keep(el)
+
+    def _keep(self, el: np.ndarray) -> None:
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
         n = el.ndim - 4
@@ -163,6 +174,14 @@ class Hovm:
     @property
     def d(self) -> int:
         return self.elements.shape[-3]
+
+
+def _derived(cls, array: np.ndarray):
+    """A ``Povm`` or ``Hovm`` holding ``array``, a new array built from
+    validated measurements, without checking it again."""
+    measurement = object.__new__(cls)
+    measurement._keep(array)
+    return measurement
 
 
 def bloch_povm(bloch) -> Povm:
@@ -204,7 +223,7 @@ def sequential_povm(first: Povm, second: Povm) -> Povm:
     """
     roots = _sqrt(first.effects)[..., :, None, :, :]
     effects = _mul(_mul(roots, second.effects[..., None, :, :, :]), roots)
-    return Povm(effects.reshape(effects.shape[:-4] + (
+    return _derived(Povm, effects.reshape(effects.shape[:-4] + (
         first.outcomes * second.outcomes, 2, 2)))
 
 
@@ -224,7 +243,8 @@ def build_hovm(a: Povm, b: Povm, c: Povm) -> Hovm:
     marg_b = grid.sum(axis=-4)  # sum over a, indexed by b
     fix_a = (a.effects - marg_a) / d
     fix_b = (b.effects - marg_b) / d
-    return Hovm((grid + fix_a[..., :, None, :, :]) + fix_b[..., None, :, :, :])
+    return _derived(Hovm, (grid + fix_a[..., :, None, :, :])
+                    + fix_b[..., None, :, :, :])
 
 
 def hovm_is_povm(w: Hovm) -> bool:

@@ -3,8 +3,8 @@
 The table W(a,b) = <psi|W_ab|psi> is real (the elements are Hermitian) but
 may be negative; negativity sum|W| - 1 quantifies by how much it fails to
 be a probability distribution.  This module is the only place that
-evaluates HOVM cells: every function works on whole arrays of amplitudes
-of shape (..., 2), and the public ones return cells of shape (..., d, d).
+evaluates HOVM cells: the public functions work on whole arrays of
+amplitudes of shape (..., 2) and return cells of shape (..., d, d).
 A ``Hovm`` is a qubit measurement by construction, so its 2 x 2 elements
 always match the amplitudes.  The batch axes of a stacked HOVM broadcast
 against those of the amplitudes.
@@ -15,14 +15,15 @@ einsum's inner loop runs over the points rather than over a length-2
 index, about twice as fast on a block of points.  Each cell is the same
 sum of the same triple products, in the same order, as with the points
 outermost.  The kernel takes C-contiguous component-first operands: the
-HOVM's ``front``, laid out once when the HOVM is built, and amplitudes it
-copies wherever the caller's are not already laid out so.  einsum picks
-its iteration order from the operands' strides, so a strided view of the
-caller's arrays can move the last bit of a cell.  Its output is
+HOVM's ``front``, laid out once when the HOVM is built, and kets of shape
+(2, ...).  einsum picks its iteration order from the operands' strides,
+so a strided view could move the last bit of a cell.  ``estimation``
+hands it the kets ``probe.TargetKets`` writes in that layout, and
+``oq_values``/``oq_slopes``, thin wrappers over it, lay out their
+amplitudes of shape (..., 2) first (a C-contiguous copy).  Its output is
 component-first too: the private entry point ``_cells`` returns the real
 cells in shape (d, d, ...), which ``estimation`` reads as they are, and
-``oq_values``/``oq_slopes`` are thin wrappers that move the cell axes
-last (a C-contiguous copy).
+the wrappers move the cell axes last (another copy).
 
 Cells are summed by one rule, one cell after another in C order from
 +0.0.  ``_cell_sum``, which ``fisher`` shares, applies it to cells laid
@@ -72,15 +73,15 @@ def _front(x: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(x.transpose([*range(n, x.ndim), *range(n)]))
 
 
-def _cells(w: Hovm, psi: np.ndarray, dpsi: np.ndarray | None = None) -> np.ndarray:
-    """The kernel: cells Re <psi|W_ab|psi>, or with ``dpsi`` their slopes
-    2 Re <dpsi|W_ab|psi>, for amplitudes of shape (..., 2), component-first
-    in shape (d, d, ...).  The cells are the real view of the einsum's
-    complex output (strided, not a copy), the slopes a new array."""
-    ket = _front(psi, 1)
-    bra = ket if dpsi is None else _front(dpsi, 1)
+def _cells(w: Hovm, ket: np.ndarray, dket: np.ndarray | None = None) -> np.ndarray:
+    """The kernel: cells Re <ket|W_ab|ket>, or with ``dket`` their slopes
+    2 Re <dket|W_ab|ket>, for C-contiguous component-first kets of shape
+    (2, ...), returned component-first in shape (d, d, ...).  The cells
+    are the real view of the einsum's complex output (strided, not a
+    copy), the slopes a new array."""
+    bra = ket if dket is None else dket
     cells = np.real(np.einsum(_CELLS, bra.conj(), w.front, ket))
-    return cells if dpsi is None else 2 * cells
+    return cells if dket is None else 2 * cells
 
 
 def _cell_sum(x: np.ndarray, axes: int = 2) -> np.ndarray:
@@ -97,13 +98,13 @@ def _cell_sum(x: np.ndarray, axes: int = 2) -> np.ndarray:
 
 def oq_values(w: Hovm, psi: np.ndarray) -> np.ndarray:
     """Cells W(a,b) = Re <psi|W_ab|psi>."""
-    cells = _cells(w, psi)
+    cells = _cells(w, _front(psi, 1))
     return _front(cells, cells.ndim - 2)
 
 
 def oq_slopes(w: Hovm, psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """Cell derivatives d W(a,b) / dg = 2 Re <d_g psi|W_ab|psi>."""
-    slopes = _cells(w, psi, dpsi)
+    slopes = _cells(w, _front(psi, 1), _front(dpsi, 1))
     return _front(slopes, slopes.ndim - 2)
 
 

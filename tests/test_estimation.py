@@ -27,7 +27,7 @@ from oqmetro.estimation import (
     run_trials,
 )
 from oqmetro.fisher import oqfi
-from oqmetro.oq import BLOCK_POINTS, oq_values
+from oqmetro.oq import BLOCK_POINTS, oq_values, row_blocks
 from oqmetro.probe import Target, amplitudes
 
 EQUATOR = (math.pi / 2, 0.0)
@@ -144,6 +144,50 @@ class TestSampling:
             np.testing.assert_array_equal(
                 t.counts_seq[k].ravel(),
                 np.random.default_rng(ss_seq).multinomial(700, p_seq))
+
+    @pytest.mark.parametrize("seed", [7, 2**32 + 7, 2**130 + 3],
+                             ids=["1-word", "2-word", "5-word"])
+    def test_derived_states_across_the_first_draw_block_cut(self, seed):
+        # draw_counts derives states per row_blocks(trials, 1) block, whose
+        # first cut is at table 4,096
+        assert row_blocks(4098, 1)[0] == slice(0, 4096)
+        words = estimation._run_words(seed)
+        want = [tuple(np.random.PCG64(ss).state for ss in child.spawn(2))
+                for child in np.random.SeedSequence(seed).spawn(4098)[4094:]]
+        assert estimation._pcg64_states(words, 4094, 4098) == want
+
+    def test_draws_match_numpys_at_the_first_block_cut(self):
+        a, b, _ = mub_hovm(0.8)
+        p_b, p_seq = setting_probs(1.9, 0.6, a, b)
+        trials = BLOCK_POINTS + 1
+        t = draw_counts(p_b, p_seq, 700, 31, trials)
+        children = np.random.SeedSequence(31).spawn(trials)
+        for k in (BLOCK_POINTS - 1, BLOCK_POINTS):
+            ss_b, ss_seq = children[k].spawn(2)
+            np.testing.assert_array_equal(
+                t.counts_b[k], np.random.default_rng(ss_b).multinomial(700, p_b))
+            np.testing.assert_array_equal(
+                t.counts_seq[k].ravel(),
+                np.random.default_rng(ss_seq).multinomial(700, p_seq))
+
+    @pytest.mark.parametrize("seed,words", [(31, 1), (2**130 + 3, 5)])
+    def test_entropy_pool_mixed_once_per_run(self, monkeypatch, seed, words):
+        # the run's pool mixes are on Python ints, a block's on arrays
+        mixes = []
+        mixed = estimation._mixed
+
+        def counted(x, y):
+            mixes.append(np.ndim(y))
+            return mixed(x, y)
+
+        monkeypatch.setattr(estimation, "_mixed", counted)
+        a, b, _ = mub_hovm(0.8)
+        draw_counts(*setting_probs(1.9, 0.6, a, b), 50, seed,
+                    2 * BLOCK_POINTS + 3)
+        # once per run: the pool's 12 cross-mixes and 4 per entropy word
+        # beyond its 4; per block of tables: k into the pool, then j
+        assert mixes.count(0) == 12 + 4 * max(words - 4, 0)
+        assert mixes[mixes.count(0):] == [2, 2] * 3
 
 
     def test_expected_counts_clear_rounding_negatives(self):

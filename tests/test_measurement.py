@@ -20,6 +20,7 @@ from oqmetro.errors import (
 )
 from oqmetro.measurement import (
     HERMITIAN_TOL,
+    IDENTITY_TOL,
     PAULI_X,
     PAULI_Z,
     Hovm,
@@ -555,6 +556,24 @@ def test_construction_matches_reference(data, dim):
     assert np.array_equal(w.elements, want_w)
     assert hovm_is_povm(w) == all(ref_is_psd(m) for m in want_w.reshape(-1, dim, dim))
     assert marginality_defect(w, pa, pb) == ref_marginality_defect(want_w, a, b)
+
+
+def test_construction_keeps_effects_at_the_psd_tolerance():
+    # rest / 2 has the eigenvalue -8e-11, inside the PSD tolerance, which
+    # its square root clamps to 0: the sequential effects then sum to the
+    # identity only within 1.6e-10, and checking them again refused them
+    e = np.diag([1 + 1.6e-10, 0.0]).astype(complex)
+    rest = np.eye(2) - e
+    a = (e, rest / 2, rest / 2)
+    b = (np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+    pa, pb = Povm(a), Povm(b)
+    seq = sequential_povm(pa, pb)
+    want = ref_sequential(a, b)
+    assert np.abs(sum(want) - np.eye(2)).max() > IDENTITY_TOL
+    assert all(np.array_equal(g, r) for g, r in zip(seq.effects, want, strict=True))
+    w = build_hovm(pa, pb, seq)
+    assert np.array_equal(w.elements, ref_build_hovm(a, b, want))
+    assert not seq.effects.flags.writeable and not w.elements.flags.writeable
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
+from test_probe import bits, target_kets_case
 import oqmetro.oq
 from oqmetro.estimation import _row_sum
 from oqmetro.measurement import (
@@ -198,6 +199,23 @@ def test_kernel_bits_independent_of_layout_and_batching(kind, layout, target,
         one = Hovm(el[i])
         assert np.array_equal(values[i], oq_values(one, psi[i]))
         assert np.array_equal(slopes[i], oq_slopes(one, psi[i], dpsi[i]))
+
+
+@pytest.mark.parametrize("target", list(Target))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), lam=st.floats(0, 1))
+def test_kernel_on_target_kets_gives_the_amplitudes_cells(target, data, lam):
+    """The kernel on ``TargetKets``' component-first kets gives, bit for
+    bit, the cells and slopes of the amplitudes at the same angles."""
+    kets, g, theta, phi = target_kets_case(data, target)
+    _, _, w = mub_hovm(lam)
+    psi, dpsi = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    cells = oqmetro.oq._cells(w, kets(g))
+    slopes = oqmetro.oq._cells(w, kets(g), kets.slopes(g))
+    assert np.array_equal(bits(cells), bits(np.moveaxis(oq_values(w, psi),
+                                                        (-2, -1), (0, 1))))
+    assert np.array_equal(bits(slopes), bits(np.moveaxis(
+        oq_slopes(w, psi, dpsi), (-2, -1), (0, 1))))
 
 
 @pytest.mark.parametrize("lam", [0.7, np.array([[0.2], [0.9]])],

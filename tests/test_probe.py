@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqmetro.errors import ParamOutOfRange
 from oqmetro.probe import (
     Target,
+    TargetKets,
     amplitude_slopes,
     amplitudes,
     check_angles,
@@ -110,3 +113,41 @@ def test_analytic_derivative_matches_finite_difference(target):
         else:
             fd = (_amplitudes(theta, phi + h) - _amplitudes(theta, phi - h)) / (2 * h)
         np.testing.assert_allclose(d, fd, atol=1e-8)
+
+
+# the values a run of each target evaluates: theta in [0, pi], and phi over
+# a domain that may start below 0 and spans at most 2*pi; the fixed angle
+# lies in its check_angles range
+TARGET_VALUES = {Target.POLAR: st.floats(0, math.pi),
+                 Target.AZIMUTHAL: st.floats(-2 * math.pi, 2 * math.pi)}
+FIXED_VALUES = {Target.POLAR: st.floats(0, 2 * math.pi, exclude_max=True),
+                Target.AZIMUTHAL: st.floats(0, math.pi)}
+DOMAIN_ENDS = {Target.POLAR: (0.0, math.pi),
+               Target.AZIMUTHAL: (0.0, math.nextafter(2 * math.pi, 0))}
+
+
+def target_kets_case(data, target):
+    """(kets, g, theta, phi): a builder, its target values with 0, pi and
+    the domain ends, and the angles ``amplitudes`` takes for them."""
+    other = data.draw(FIXED_VALUES[target], label="other")
+    g = np.array(data.draw(st.lists(TARGET_VALUES[target], max_size=12),
+                           label="g") + [0.0, math.pi, *DOMAIN_ENDS[target]])
+    theta, phi = (g, other) if target is Target.POLAR else (other, g)
+    return TargetKets(target, other), g, theta, phi
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("target", list(Target))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_target_kets_are_the_amplitudes_component_first(target, data):
+    kets, g, theta, phi = target_kets_case(data, target)
+    ket, dket = kets(g), kets.slopes(g)
+    assert ket.shape == dket.shape == (2, len(g))
+    assert ket.flags.c_contiguous and dket.flags.c_contiguous
+    assert np.array_equal(bits(ket), bits(np.moveaxis(amplitudes(theta, phi), -1, 0)))
+    assert np.array_equal(bits(dket), bits(np.moveaxis(
+        amplitude_slopes(theta, phi, target), -1, 0)))

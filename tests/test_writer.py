@@ -10,9 +10,14 @@ import csv
 import io
 import json
 import math
+import os
+import select
+import stat
 import struct
+import tty
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,3 +202,61 @@ def test_distinct_negativity_values_formatted_once(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert oqmetro.cli.main(list(COMMANDS["advantage-map"])) == 0
     assert len(seen) == 6 and sum(seen) == 16315
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_is_replaced_whole_or_left_as_it_was(tmp_path, fmt):
+    """With a path, blocks go to a temporary file beside the target: a
+    block that raises leaves the target as it was and no temporary file,
+    and a finished table replaces the target with the stdout bytes."""
+    target = tmp_path / f"table.{fmt}"
+    target.write_text("earlier output\n")
+    header, blocks = ["x", "y"], [[(1.0, 2.0), [3.0, -0.0]], [("a",), [None]]]
+
+    def refused():
+        yield blocks[0]
+        # the first block's text has gone to a temporary file, not memory
+        assert [p.suffix for p in tmp_path.iterdir() if p != target] == [".tmp"]
+        raise ValueError("refused block")
+
+    with pytest.raises(ValueError, match="refused block"):
+        _write_table(str(target), fmt, "t", header, refused())
+    assert target.read_text() == "earlier output\n"
+    assert list(tmp_path.iterdir()) == [target]
+    _write_table(str(target), fmt, "t", header, iter(blocks))
+    assert target.read_text() == _written(fmt, header, blocks)
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_through_a_symlink_replaces_the_file_it_names(tmp_path):
+    """The link stays a link, and the file keeps its permission bits."""
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("earlier output\n")
+    real.chmod(0o640)
+    link.symlink_to(real)
+    blocks = [[(1.0, 2.0), [3.0]]]
+    _write_table(str(link), "csv", "t", ["x", "y"], iter(blocks))
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == _written("csv", ["x", "y"], blocks)
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_out_to_a_device_is_written_in_place():
+    """A device cannot be replaced by a file: its text is written to it."""
+    master, terminal = os.openpty()
+    try:
+        tty.setraw(terminal)
+        name = os.ttyname(terminal)
+        blocks = [[(1.0, 2.0), [3.0]]]
+        _write_table(name, "csv", "t", ["x", "y"], iter(blocks))
+        assert stat.S_ISCHR(os.stat(name).st_mode)
+        want = _written("csv", ["x", "y"], blocks).encode()
+        got = b""
+        while len(got) < len(want) and select.select([master], [], [], 5)[0]:
+            got += os.read(master, len(want))
+    finally:
+        os.close(master)
+        os.close(terminal)
+    assert got == want
+
