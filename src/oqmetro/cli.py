@@ -328,7 +328,7 @@ def cmd_fi_sweep(args) -> int:
     def blocks():
         # the measurements of a block of sharpness values in one stack of
         # batch shape (lambda, 1), which broadcasts against the probe
-        # points: cells have shape (lambda, point)
+        # points: cells have shape (d, d, lambda, point)
         for rows in row_blocks(len(lams), len(thetas)):
             a, b = mutually_unbiased_pair(np.array(lams[rows])[:, None])
             w = build_hovm(a, b, sequential_povm(a, b))
@@ -336,7 +336,7 @@ def cmd_fi_sweep(args) -> int:
             neg = negativity(values)
             positive = neg <= POSITIVITY_TOL
             slopes = oq_slopes(w, psi, dpsi)
-            info = oqfi(values[positive], slopes[positive])
+            info = oqfi(values[..., positive], slopes[..., positive])
             positive = positive.ravel()
             yield [tuple(lams[rows]), thetas, phis, args.target,
                    _gapped(info, positive), qfi, neg.ravel().tolist(),
@@ -370,16 +370,18 @@ def cmd_advantage_map(args) -> int:
             neg = negativity(values)
             # the advantage is undefined at negative points and where the
             # quantum information vanishes: those cells stay empty, and
-            # the information chain runs at the positive points only
+            # the information chain runs at the positive points only, on
+            # kets built anew there (C-contiguous, unlike psi[:, defined])
             defined = neg <= POSITIVITY_TOL
-            at = (np.broadcast_to(g, neg.shape)[defined] for g in (theta_col, phi))
-            psi, values = psi[defined], values[defined]
-            dpsi = amplitude_slopes(*at, target)
+            at = [np.broadcast_to(g, neg.shape)[defined] for g in (theta_col, phi)]
+            values = values[..., defined]
+            psi, dpsi = amplitudes(*at), amplitude_slopes(*at, target)
             qfi = qfi_pure(psi, dpsi)
             slopes = oq_slopes(w, psi, dpsi)
             nonzero = qfi > 0
             defined[defined] = nonzero
-            adv = advantage(values[nonzero], slopes[nonzero], qfi[nonzero])
+            adv = advantage(values[..., nonzero], slopes[..., nonzero],
+                            qfi[nonzero])
             yield [tuple(thetas[rows]), phis, _gapped(adv, defined.ravel()),
                    neg.ravel()]
 

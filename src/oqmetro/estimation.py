@@ -28,13 +28,11 @@ evaluates the grid for both scans (blocks of at most ``oq.BLOCK_POINTS``
 estimators' brackets, and one the curvature's three points, with the
 per-table arithmetic of refining each table alone.
 
-Layout: the estimators hand the kernel (``oq._cells``) the
-component-first kets of ``probe.TargetKets``, built once per call with
-the fixed angle's factor, and read its native cells, component-first,
-as 4 rows of one point axis; they lay the W-counts out the same way once
-per call.  Every sum over a table's 4 cells adds them
-in order from +0.0 like ``oq._cell_sum``, with the bits of cells laid out
-last: one row reduction (``_row_sum``), or one contraction per scan block.
+Layout: the estimators read the kernel's component-first cells as 4 rows
+of one point axis, and lay the W-counts out the same way once per call.
+Every sum over a table's 4 cells is ``oq.cell_sum`` over those rows, in
+order from +0.0, or, in the grid scan, one contraction per block that
+adds them in that order.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ import numpy as np
 from .errors import AllTrialsOmitted, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
-from .oq import POSITIVITY_TOL, _cells, oq_slopes, oq_values, row_blocks
-from .probe import Target, TargetKets, amplitude_slopes, amplitudes, check_angles
+from .oq import POSITIVITY_TOL, cell_sum, oq_slopes, oq_values, row_blocks
+from .probe import Target, amplitude_slopes, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
 GRID_STEP = 1e-3
@@ -303,25 +301,18 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis of component-first rows x of shape (4, ...):
-    row after row from +0.0, the order and bits of ``oq._cell_sum`` on the
-    same cells laid out last (numpy adds whole rows when the summed axis is
-    outermost, and a pairwise sum of fewer than 8 terms is sequential).
-    Not einsum: on one table its dot kernel adds (x0 + x2) + (x1 + x3)."""
-    return np.add.reduce(x, axis=0, initial=0.0)
-
-
 def _loglik(counts_w: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """(1/n) sum c(a,b|W) log W(a,b) over component-first rows, the model
     clamped at ``PROB_CLAMP`` (``np.maximum``, which is what ``np.clip``
-    with no upper bound calls).  Paired, not contracted: see ``_row_sum``."""
-    return _row_sum(counts_w * np.log(np.maximum(vals, PROB_CLAMP))) / n
+    with no upper bound calls).  Paired, not contracted: on one table
+    einsum's dot kernel adds (x0 + x2) + (x1 + x3)."""
+    return cell_sum(counts_w * np.log(np.maximum(vals, PROB_CLAMP)), 1) / n
 
 
 def _scan_loglik(cw: np.ndarray, log_cells: np.ndarray, n: int) -> np.ndarray:
     """(1/n) cw.T log_cells, shape (tables, grid points), as one einsum: it adds
-    the 4 products row by row from +0.0 like ``_row_sum`` (``@`` fuses them)."""
+    the 4 products row by row from +0.0 like ``oq.cell_sum`` (``@`` fuses
+    them)."""
     ll = np.einsum("kt,kg->tg", cw, log_cells)
     return np.divide(ll, n, out=ll)
 
@@ -371,7 +362,8 @@ def _grid(domain: tuple, step: float) -> np.ndarray:
 
 def parity_mean(counts: CountTable) -> np.ndarray:
     """Observed mean of the parity observable (-1)^(ab) W_ab, per table."""
-    return _row_sum(_PARITY * counts.counts_w.reshape(-1, 4).T) / counts.n
+    rows = counts.counts_w.reshape(len(counts.counts_w), 4).T
+    return cell_sum(_PARITY * rows, 1) / counts.n
 
 
 def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
@@ -395,18 +387,21 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     keep = ~counts.negative
     n = counts.n
     # the kept W-counts as contiguous component rows, like the kernel's cells
-    cw = np.ascontiguousarray(counts.counts_w[keep].reshape(-1, 4).T)
-    trials = cw.shape[1]
+    trials = int(keep.sum())
+    cw = np.ascontiguousarray(counts.counts_w[keep].reshape(trials, 4).T)
     obs = parity_mean(counts)[keep]
-    kets = TargetKets(target, fixed_other)
+
+    def angles(g):
+        # the probe angles (theta, phi) at values g of the target angle
+        return (g, fixed_other) if target is Target.POLAR else (fixed_other, g)
 
     def cells(g):
-        return _cells(w, kets(g)).reshape(4, -1)
+        return oq_values(w, amplitudes(*angles(g))).reshape(4, len(g))
 
     gs = _grid(domain, GRID_STEP)
     vals = cells(gs)
     log_cells = np.log(np.maximum(vals, PROB_CLAMP))
-    means = _row_sum(_PARITY * vals)
+    means = cell_sum(_PARITY * vals, 1)
     best = np.empty((2, trials), dtype=np.intp)
     for rows in row_blocks(trials, len(gs)):
         best[0, rows] = _scan_loglik(cw[:, rows], log_cells, n).argmax(axis=1)
@@ -418,7 +413,7 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
         v = cells(g)
         out = np.empty(len(g))
         out[:trials] = _loglik(cw, v[:, :trials], n)
-        out[trials:] = -_square(_row_sum(_PARITY * v[:, trials:]) - obs)
+        out[trials:] = -_square(cell_sum(_PARITY * v[:, trials:], 1) - obs)
         return out
 
     # one stack of the MLE's brackets, then the LEP's; a bracket spans its
@@ -437,9 +432,10 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     with np.errstate(divide="ignore"):
         mle_var = 1.0 / (n * observed_fi)
 
-    ket = kets(lep)
-    mean_at = _row_sum(_PARITY * _cells(w, ket).reshape(4, -1))
-    slope = _row_sum(_PARITY * _cells(w, ket, kets.slopes(lep)).reshape(4, -1))
+    ket = amplitudes(*angles(lep))
+    mean_at = cell_sum(_PARITY * oq_values(w, ket).reshape(4, trials), 1)
+    dket = amplitude_slopes(*angles(lep), target)
+    slope = cell_sum(_PARITY * oq_slopes(w, ket, dket).reshape(4, trials), 1)
     # the parity observable has eigenvalue labels +-1, so <O^2> = 1
     with np.errstate(divide="ignore"):
         lep_var = (1.0 - _square(mean_at)) / (n * _square(slope))

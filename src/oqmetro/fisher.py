@@ -1,16 +1,19 @@
 """Fisher information: discrete models, quasiprobability FI, pure-state
 quantum FI and the two-setting advantage figure.
 
-Arrays in, numbers out: ``oqfi`` and ``advantage`` take quasiprobability
-cells ``values`` and their target-angle slopes ``slopes`` of shape
-(..., d, d), as ``oq.oq_values`` and ``oq.oq_slopes`` return them;
-``qfi_pure`` takes probe amplitudes ``psi`` and their slope ``dpsi`` of
-shape (..., 2).  Each returns one value per probe point: a plain float
-for a single point, an array for a grid.  Infinite information (a
-vanishing cell with a nonzero slope) is ``inf``.  This module evaluates
-no measurement; its callers evaluate each probe point once and hand the
-cells on.  Sums over a model's outcomes follow ``oq``'s one cell-sum
-rule, and ``advantage`` takes ``math.log10`` of the positive ratios only.
+Arrays in, numbers out, with the model axes first as ``oq`` lays them out:
+``fisher_discrete`` takes a model's outcomes along the first axis (a 1-d
+model as before; a stack of models now has its outcome axis first, not
+last), ``oqfi`` and ``advantage`` take quasiprobability cells ``values``
+and their target-angle slopes ``slopes`` of shape (d, d, ...), as
+``oq.oq_values`` and ``oq.oq_slopes`` return them, and ``qfi_pure`` takes
+probe kets ``psi`` and their slope ``dpsi`` of shape (2, ...).  Each
+returns one value per probe point: a plain float for a single point, an
+array for a grid.  Infinite information (a vanishing cell with a nonzero
+slope) is ``inf``.  This module evaluates no measurement; its callers
+evaluate each probe point once and hand the cells on.  Sums over a
+model's outcomes follow ``oq``'s one rule, ``cell_sum``, and ``advantage``
+takes ``math.log10`` of the positive ratios only.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DerivativeNotTraceless, NegativeOq, NotNormalized, ZeroQfi
-from .oq import POSITIVITY_TOL, _cell_sum, negativity
+from .oq import POSITIVITY_TOL, cell_sum, negativity
 
 PROB_FLOOR = 1e-12
 DERIV_FLOOR = 1e-9
@@ -31,7 +34,7 @@ def _per_point(x: np.ndarray):
 
 
 def fisher_discrete(probs, derivs):
-    """Sum of derivs^2 / probs over the last axis of a discrete model.
+    """Sum of derivs^2 / probs over the first axis of a discrete model.
 
     Cells with vanishing probability contribute 0 when their derivative also
     vanishes and make the information infinite otherwise.
@@ -40,25 +43,20 @@ def fisher_discrete(probs, derivs):
     derivs = np.asarray(derivs, dtype=float)
     if probs.shape != derivs.shape:
         raise ValueError("probs and derivs must have equal length")
-    total_p = _cell_sum(probs, 1)
+    total_p = cell_sum(probs, 1)
     bad = np.abs(total_p - 1.0) > 1e-9
     if bad.any():
         raise NotNormalized(f"probabilities sum to {total_p[bad].flat[0]:.12f}")
-    total_d = _cell_sum(derivs, 1)
+    total_d = cell_sum(derivs, 1)
     bad = np.abs(total_d) > 1e-9
     if bad.any():
         raise DerivativeNotTraceless(
             f"derivatives sum to {total_d[bad].flat[0]:.3e}")
     vanishing = probs <= PROB_FLOOR
-    diverged = (vanishing & (np.abs(derivs) > DERIV_FLOOR)).any(axis=-1)
+    diverged = (vanishing & (np.abs(derivs) > DERIV_FLOOR)).any(axis=0)
     terms = np.where(vanishing, 0.0,
                      derivs * derivs / np.where(vanishing, 1.0, probs))
-    return _per_point(np.where(diverged, math.inf, _cell_sum(terms, 1)))
-
-
-def _cells(x: np.ndarray) -> np.ndarray:
-    """Flatten the trailing (d, d) outcome grid into one model axis."""
-    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    return _per_point(np.where(diverged, math.inf, cell_sum(terms, 1)))
 
 
 def oqfi(values, slopes):
@@ -74,11 +72,15 @@ def oqfi(values, slopes):
         raise NegativeOq(
             f"negativity {neg[bad].flat[0]:.3e} exceeds {POSITIVITY_TOL:.1e}"
         )
-    return fisher_discrete(_cells(values), _cells(slopes))
+    # the (d, d) outcome grid as one model axis
+    model = (values.shape[0] * values.shape[1],) + values.shape[2:]
+    return fisher_discrete(values.reshape(model), slopes.reshape(model))
 
 
 def _inner(u, v):
-    """<u|v> over the last axis; matmul rounds like np.vdot, einsum does not."""
+    """<u|v> over the first axis, taken last as a view; matmul rounds like
+    np.vdot, einsum does not."""
+    u, v = np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1)
     return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cells
+from conftest import cells, probe
 from test_outputs import COMMANDS as OUTPUT_COMMANDS
 import oqmetro.cli
 import oqmetro.fisher
@@ -29,7 +29,7 @@ from oqmetro.cli import (
     parse_values,
 )
 from oqmetro.estimation import TrialConfig, run_trials
-from oqmetro.fisher import oqfi, qfi_pure
+from oqmetro.fisher import advantage, oqfi, qfi_pure
 from oqmetro.measurement import build_hovm, mutually_unbiased_pair, sequential_povm
 from oqmetro.oq import POSITIVITY_TOL, negativity, oq_values
 from oqmetro.probe import Target, amplitude_slopes, amplitudes
@@ -217,7 +217,7 @@ def per_lambda_sweep(argv):
         w = build_hovm(a, b, sequential_povm(a, b))
         neg = negativity(oq_values(w, psi))
         positive = neg <= POSITIVITY_TOL
-        info = oqfi(*cells(w, psi[positive], dpsi[positive]))
+        info = oqfi(*cells(w, psi[:, positive], dpsi[:, positive]))
         blocks.append([lam, thetas, phis, args.target, _gapped(info, positive),
                        qfi, neg.tolist(), positive.tolist()])
     _write_table(None, args.format, "fi-sweep",
@@ -397,13 +397,35 @@ class TestAdvantageMap:
             def counted(*args, name=name, fn=getattr(oqmetro.cli, name)):
                 # the polar angles of amplitude_slopes, else dpsi's points
                 points[name] += (args[0].size if name == "amplitude_slopes"
-                                 else math.prod(args[-1].shape[:-1]))
+                                 else math.prod(args[-1].shape[1:]))
                 return fn(*args)
 
             monkeypatch.setattr(oqmetro.cli, name, counted)
         assert main(list(OUTPUT_COMMANDS["advantage-map"])) == 0
         assert points == {"qfi_pure": 8051, "oq_slopes": 8051,
                           "amplitude_slopes": 8051}
+
+    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
+    def test_advantage_is_the_per_point_value_bit_for_bit(self, capsys, target):
+        # the information chain runs on kets built at the positive points;
+        # masked kets psi[:, defined], which are not C-contiguous, can move
+        # the last bit of a cell slope and so of the advantage
+        argv = ["advantage-map", "--target", target.value, "--lambda", "0.995",
+                "--theta", "0.02:3.12:0.03", "--phi", "0.02:3.12:0.03"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        assert any(float(r["negativity"]) > POSITIVITY_TOL for r in rows)
+        a, b = mutually_unbiased_pair(0.995)
+        w = build_hovm(a, b, sequential_povm(a, b))
+        got, want = [], []
+        for row in rows:
+            if row["advantage"]:
+                psi, dpsi = probe(float(row["theta"]), float(row["phi"]), target)
+                got.append(float(row["advantage"]))
+                want.append(advantage(*cells(w, psi, dpsi), qfi_pure(psi, dpsi)))
+        assert len(got) > 1000
+        assert np.array_equal(np.array(got).view(np.int64),
+                              np.array(want).view(np.int64))
 
     def test_one_writer_block_per_kernel_call(self, monkeypatch, capsys):
         # the benchmark map's 156 theta rows of 156 points make 6 kernel

@@ -146,10 +146,11 @@ def test_grid_call_equals_stacked_single_calls(lam, target, points):
     theta, phi = np.array(points).T
     psi, dpsi = probe(theta, phi, target)
     singles = [probe(t, p, target) for t, p in points]
+    # each point's cells along the last axis, as the grid's point axis
     assert np.array_equal(oq_values(w, psi),
-                          [oq_values(w, s[0]) for s in singles])
+                          np.stack([oq_values(w, s[0]) for s in singles], -1))
     assert np.array_equal(oq_slopes(w, psi, dpsi),
-                          [oq_slopes(w, *s) for s in singles])
+                          np.stack([oq_slopes(w, *s) for s in singles], -1))
     assert np.array_equal(negativity(oq_values(w, psi)),
                           [negativity(oq_values(w, s[0])) for s in singles])
     assert np.array_equal(qfi_pure(psi, dpsi), [qfi_pure(*s) for s in singles])
@@ -164,8 +165,8 @@ def test_grid_call_equals_stacked_single_calls(lam, target, points):
         assert isinstance(outcome(advantage, values, slopes, q), type)
     if any(defined):
         kept = [(c, s) for c, s, d in zip(single_cells, singles, defined) if d]
-        assert np.array_equal(oqfi(values[defined], slopes[defined]),
+        assert np.array_equal(oqfi(values[..., defined], slopes[..., defined]),
                               [oqfi(*c) for c, _ in kept])
         assert np.array_equal(
-            advantage(values[defined], slopes[defined], q[defined]),
+            advantage(values[..., defined], slopes[..., defined], q[defined]),
             [advantage(*c, qfi_pure(*s)) for c, s in kept])

@@ -272,7 +272,7 @@ class TestEstimateTables:
         domain = (0.5, 2.5)
         gs = estimation._grid(domain, GRID_STEP)
         vals = oq_values(w, amplitudes(0.0, gs))
-        assert (vals.view(np.int64) == vals[:1].view(np.int64)).all()
+        assert (vals.view(np.int64) == vals[..., :1].view(np.int64)).all()
         tables = draw_counts(*setting_probs(0.0, 0.0, a, b), 1000, 5, 3)
         assert not tables.negative.any()
         for result, cause in zip(
@@ -546,12 +546,12 @@ class TestRunTrials:
     def test_one_kernel_call_per_stage_for_both_estimators(self, monkeypatch,
                                                            trials, inject):
         points, slope_points, steps = [], [], []
-        evaluate = oqmetro.oq._cells
+        values, slopes = estimation.oq_values, estimation.oq_slopes
         refine = estimation.golden_section_maximize
 
         def counted(w, psi, dpsi=None):
             (points if dpsi is None else slope_points).append(psi.size // 2)
-            return evaluate(w, psi, dpsi)
+            return values(w, psi) if dpsi is None else slopes(w, psi, dpsi)
 
         def counted_refine(f, lo, hi, tol):
             def step(x):
@@ -559,9 +559,9 @@ class TestRunTrials:
                 return f(x)
             return refine(step, lo, hi, tol)
 
-        # the kernel under every name: oq's public wrappers and estimation
-        monkeypatch.setattr(oqmetro.oq, "_cells", counted)
-        monkeypatch.setattr(estimation, "_cells", counted)
+        # the kernel, oq_values and oq_slopes, under estimation's names
+        monkeypatch.setattr(estimation, "oq_values", counted)
+        monkeypatch.setattr(estimation, "oq_slopes", counted)
         monkeypatch.setattr(estimation, "golden_section_maximize", counted_refine)
         # the benchmark's headline run: a 501-point grid
         cfg = TrialConfig(1.0131710069701012, 2.3038346126325147, Target.POLAR,

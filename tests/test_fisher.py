@@ -39,18 +39,20 @@ class TestFisherDiscrete:
         with pytest.raises(DerivativeNotTraceless):
             fisher_discrete([0.5, 0.5], [0.1, 0.1])
 
-    def test_models_along_last_axis(self):
+    def test_models_along_first_axis(self):
         probs = [[0.5, 0.5], [1.0, 0.0], [1.0, 0.0]]
         derivs = [[0.1, -0.1], [0.1, -0.1], [0.0, 0.0]]
         stacked = [fisher_discrete(p, d) for p, d in zip(probs, derivs)]
         assert stacked[1:] == [math.inf, 0.0]
-        np.testing.assert_array_equal(fisher_discrete(probs, derivs), stacked)
+        # the outcome axis first, one model per column
+        np.testing.assert_array_equal(
+            fisher_discrete(np.transpose(probs), np.transpose(derivs)), stacked)
 
     def test_guards_checked_per_model(self):
         with pytest.raises(NotNormalized):
-            fisher_discrete([[0.5, 0.5], [0.5, 0.4]], [[0.1, -0.1]] * 2)
+            fisher_discrete([[0.5, 0.5], [0.5, 0.4]], [[0.1, 0.1], [-0.1, -0.1]])
         with pytest.raises(DerivativeNotTraceless):
-            fisher_discrete([[0.5, 0.5]] * 2, [[0.1, -0.1], [0.1, 0.1]])
+            fisher_discrete([[0.5, 0.5]] * 2, [[0.1, 0.1], [-0.1, 0.1]])
 
 
 class TestOqfi:

@@ -80,6 +80,13 @@ def ref_angles(g, other, target):
     return (g, other) if target is Target.POLAR else (other, g)
 
 
+def ref_cells(w, g, other, target):
+    """The cells at values g of the target angle, one point after another:
+    shape (points, 2, 2)."""
+    vals = oq_values(w, amplitudes(*ref_angles(g, other, target)))
+    return np.moveaxis(vals, -1, 0)
+
+
 def ref_grid(domain):
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
@@ -113,11 +120,11 @@ def ref_refine(f, gs, i):
 
 def ref_mle(cw, n, target, other, w, domain):
     def f(g):
-        vals = oq_values(w, amplitudes(*ref_angles(g, other, target)))[0]
+        vals = ref_cells(w, g, other, target)[0]
         return float((cw * np.log(np.clip(vals, PROB_CLAMP, None))).sum() / n)
 
     gs = ref_grid(domain)
-    vals = oq_values(w, amplitudes(*ref_angles(gs, other, target)))
+    vals = ref_cells(w, gs, other, target)
     ll = (cw[None, :, :] * np.log(np.clip(vals, PROB_CLAMP, None))).sum(axis=(1, 2)) / n
     est = ref_refine(f, gs, int(np.argmax(ll)))
     h = CURVATURE_H
@@ -132,18 +139,18 @@ def ref_lep(cw, n, target, other, w, domain):
     obs = float((PARITY * cw).sum() / n)
 
     def f(g):
-        m = (PARITY * oq_values(w, amplitudes(*ref_angles(g, other, target)))[0]).sum()
+        m = (PARITY * ref_cells(w, g, other, target)[0]).sum()
         return -((m - obs) ** 2)
 
     gs = ref_grid(domain)
-    vals = oq_values(w, amplitudes(*ref_angles(gs, other, target)))
+    vals = ref_cells(w, gs, other, target)
     means = (PARITY[None, :, :] * vals).sum(axis=(1, 2))
     est = ref_refine(f, gs, int(np.argmin((means - obs) ** 2)))
     theta, phi = ref_angles(est, other, target)
     psi = amplitudes(theta, phi)
     dpsi = amplitude_slopes(theta, phi, target)
-    mean_at = float((PARITY * oq_values(w, psi)[0]).sum())
-    slope = float((PARITY * oq_slopes(w, psi, dpsi)[0]).sum())
+    mean_at = float((PARITY * oq_values(w, psi)[..., 0]).sum())
+    slope = float((PARITY * oq_slopes(w, psi, dpsi)[..., 0]).sum())
     if abs(slope) <= SLOPE_FLOOR:
         raise ZeroSlope("zero")
     if math.sqrt(max(1.0 - mean_at**2, 0.0) / n) / abs(slope) > domain[1] - domain[0]:

@@ -7,22 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
-from test_probe import bits, target_kets_case
 import oqmetro.oq
-from oqmetro.estimation import _row_sum
 from oqmetro.measurement import (
     Hovm,
     build_hovm,
     mutually_unbiased_pair,
     sequential_povm,
 )
-from oqmetro.oq import (
-    POSITIVITY_TOL,
-    _cell_sum,
-    negativity,
-    oq_slopes,
-    oq_values,
-)
+from oqmetro.oq import POSITIVITY_TOL, cell_sum, negativity, oq_slopes, oq_values
 from oqmetro.probe import Target, amplitude_slopes, amplitudes
 
 
@@ -118,7 +110,7 @@ def test_grid_shapes():
     thetas = np.linspace(0, math.pi, 6)[:, None]
     phis = np.linspace(0, math.pi, 4)[None, :]
     values = oq_values(w, amplitudes(thetas, phis))
-    assert values.shape == (6, 4, 2, 2)
+    assert values.shape == (2, 2, 6, 4)
     assert negativity(values).shape == (6, 4)
     assert is_positive(values).shape == (6, 4)
 
@@ -131,17 +123,21 @@ def test_qutrit_hovm_rejected():
 
 def reference_cells(w, bra, ket):
     """Re <bra|W_ab|ket> summed with the 2 x 2 indices innermost, as the
-    kernel first did, on C-contiguous operands."""
+    kernel first did, on C-contiguous operands laid out component last;
+    returned component first."""
+    bra, ket = (np.moveaxis(x, 0, -1) for x in (bra, ket))
     bra, el, ket = map(np.ascontiguousarray, (bra, w.elements, ket))
-    return np.real(np.einsum("...i,...abij,...j->...ab", bra.conj(), el, ket))
+    cells = np.real(np.einsum("...i,...abij,...j->...ab", bra.conj(), el, ket))
+    return np.moveaxis(cells, (-2, -1), (0, 1))
 
 
-# how a caller may lay out its amplitudes; each acts on the batch axes
+# how a caller may lay out its kets; each acts on the batch axes, the
+# component axis stays first
 LAYOUTS = {
     "contiguous": lambda x: x,
-    "reversed": lambda x: x[..., ::-1, :],
-    "step-2": lambda x: x[::2],
-    "subset": lambda x: x[np.arange(len(x)) % 3 != 1],
+    "reversed": lambda x: x[..., ::-1],
+    "step-2": lambda x: x[:, ::2],
+    "subset": lambda x: x[:, np.arange(x.shape[1]) % 3 != 1],
     "fortran": np.asfortranarray,
 }
 
@@ -184,44 +180,29 @@ def test_kernel_bits_independent_of_layout_and_batching(kind, layout, target,
                                                         lams, thetas, phis):
     """Cells and slopes equal, bit for bit, the kernel's first formula on
     contiguous operands and one call per point, whatever the shape and
-    memory layout of the amplitudes."""
+    memory layout of the kets."""
     w, psi, dpsi = kernel_inputs(kind, lams, thetas, phis, target)
     if psi.ndim > 1:
         psi, dpsi = LAYOUTS[layout](psi), LAYOUTS[layout](dpsi)
     values, slopes = oq_values(w, psi), oq_slopes(w, psi, dpsi)
-    assert values.flags.c_contiguous and slopes.flags.c_contiguous
+    # the cells are the real view of the einsum's output, the slopes new
+    assert slopes.flags.c_contiguous
     assert np.array_equal(values, reference_cells(w, psi, psi))
     assert np.array_equal(slopes, 2 * reference_cells(w, dpsi, psi))
-    batch = values.shape[:-2]
+    batch = values.shape[2:]
     el = np.broadcast_to(w.elements, batch + w.elements.shape[-4:])
-    psi, dpsi = (np.broadcast_to(x, batch + (2,)) for x in (psi, dpsi))
+    psi, dpsi = (np.moveaxis(np.broadcast_to(np.moveaxis(x, 0, -1), batch + (2,)),
+                             -1, 0) for x in (psi, dpsi))
     for i in np.ndindex(batch):
-        one = Hovm(el[i])
-        assert np.array_equal(values[i], oq_values(one, psi[i]))
-        assert np.array_equal(slopes[i], oq_slopes(one, psi[i], dpsi[i]))
-
-
-@pytest.mark.parametrize("target", list(Target))
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data(), lam=st.floats(0, 1))
-def test_kernel_on_target_kets_gives_the_amplitudes_cells(target, data, lam):
-    """The kernel on ``TargetKets``' component-first kets gives, bit for
-    bit, the cells and slopes of the amplitudes at the same angles."""
-    kets, g, theta, phi = target_kets_case(data, target)
-    _, _, w = mub_hovm(lam)
-    psi, dpsi = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
-    cells = oqmetro.oq._cells(w, kets(g))
-    slopes = oqmetro.oq._cells(w, kets(g), kets.slopes(g))
-    assert np.array_equal(bits(cells), bits(np.moveaxis(oq_values(w, psi),
-                                                        (-2, -1), (0, 1))))
-    assert np.array_equal(bits(slopes), bits(np.moveaxis(
-        oq_slopes(w, psi, dpsi), (-2, -1), (0, 1))))
+        one, cell, ket = Hovm(el[i]), (slice(None),) * 2 + i, (slice(None),) + i
+        assert np.array_equal(values[cell], oq_values(one, psi[ket]))
+        assert np.array_equal(slopes[cell], oq_slopes(one, psi[ket], dpsi[ket]))
 
 
 @pytest.mark.parametrize("lam", [0.7, np.array([[0.2], [0.9]])],
                          ids=["one", "stack"])
 def test_kernel_takes_the_hovms_component_first_elements(monkeypatch, lam):
-    """``_cells`` einsums the operand the HOVM laid out once when built."""
+    """The kernel einsums the operand the HOVM laid out once when built."""
     a, b = mutually_unbiased_pair(lam)
     w = build_hovm(a, b, sequential_povm(a, b))
     n = w.elements.ndim - 4
@@ -270,53 +251,86 @@ def cell_grids(draw):
 @example(x=np.array([[[-0.0, -0.0], [-0.0, 0.0]], [[-0.0] * 2] * 2]))
 def test_cell_sum_is_numpys_sum_bit_for_bit(x):
     """Over 2 x 2 grids of any batch shape (0-d and empty included), the
-    one cell-sum rule gives the bits ``np.sum`` gives, signed zeros,
-    infinities and subnormals alike, and nan where it gives nan.  Which
-    nan survives when two meet is up to the compiled add loop, and every
-    nan prints the same."""
+    one cell-sum rule on the cells laid out first, as a strided view or
+    C-contiguous, gives the bits ``np.sum`` gives on them laid out last,
+    signed zeros, infinities and subnormals alike, and nan where it gives
+    nan.  Which nan survives when two meet is up to the compiled add loop,
+    and every nan prints the same."""
+    first = np.moveaxis(x, (-2, -1), (0, 1))
     with np.errstate(all="ignore"):
-        ours, theirs = _cell_sum(x), np.sum(x, axis=(-2, -1))
-    assert np.array_equal(ours, theirs, equal_nan=True)
-    number = ~np.isnan(theirs)
-    assert np.array_equal(np.asarray(ours)[number].view(np.int64),
-                          np.asarray(theirs)[number].view(np.int64))
+        theirs = np.sum(x, axis=(-2, -1))
+        for cells in (first, np.ascontiguousarray(first)):
+            ours = cell_sum(cells)
+            assert np.array_equal(ours, theirs, equal_nan=True)
+            number = ~np.isnan(theirs)
+            assert np.array_equal(np.asarray(ours)[number].view(np.int64),
+                                  np.asarray(theirs)[number].view(np.int64))
+
+
+def left_fold(cells, axes):
+    """Each point's cells added one after another in C order from +0.0, in
+    Python floats."""
+    lead, points = cells.shape[:axes], cells.shape[axes:]
+    rows = cells.reshape((math.prod(lead), math.prod(points)))
+    totals = []
+    for column in rows.T.tolist():
+        total = 0.0
+        for cell in column:
+            total += cell
+        totals.append(total)
+    return np.array(totals, dtype=float).reshape(points)
 
 
 @st.composite
-def component_rows(draw):
-    """Cells of shape (..., 2, 2) with 0 to 2 batch axes, and the same cells
-    as component-first rows of shape (4, ...) in one of three layouts:
-    C-contiguous, a strided view of the cells-last array, or the real view
-    of a complex array (as the kernel returns them)."""
-    batch = tuple(draw(st.lists(st.integers(0, 4), max_size=2)))
-    size = 4 * math.prod(batch)
+def cell_blocks(draw):
+    """(cells, axes): a qubit pair's or a d = 3 grid's cells (axes 2), or a
+    model of 4 or 9 outcomes (axes 1), over 0 to 2 point axes, each of 0 to
+    4 points, laid out C-contiguous, as a strided view of cells laid out
+    last, or as the real view of a complex array (as the kernel returns
+    them)."""
+    lead = draw(st.sampled_from([(2, 2), (3, 3), (4,), (9,)]))
+    points = tuple(draw(st.lists(st.integers(0, 4), max_size=2)))
+    size = math.prod(lead + points)
     cells = np.array(draw(st.lists(SUM_FLOATS, min_size=size, max_size=size)),
-                     dtype=float).reshape(batch + (2, 2))
-    rows = np.moveaxis(cells.reshape(batch + (4,)), -1, 0)
+                     dtype=float).reshape(lead + points)
     layout = draw(st.sampled_from(["contiguous", "strided", "complex"]))
-    if layout == "contiguous":
-        rows = np.ascontiguousarray(rows)
+    first, last = list(range(len(lead))), list(range(-len(lead), 0))
+    if layout == "strided":
+        cells = np.moveaxis(np.ascontiguousarray(np.moveaxis(cells, first, last)),
+                            last, first)
     elif layout == "complex":
-        z = np.empty(rows.shape, dtype=complex)
-        z.real, z.imag = rows, draw(SUM_FLOATS)
-        rows = np.real(z)
-    return cells, rows
+        z = np.empty(cells.shape, dtype=complex)
+        z.real, z.imag = cells, draw(SUM_FLOATS)
+        cells = np.real(z)
+    return cells, len(lead)
+
+
+# nine cells of one point, whose pairwise sum differs from the fold
+NINE = [-132.353, -79.464, 0.647, -0.02, -0.0, -0.097, 0.013, 6.894, -32.721]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=component_rows())
-@example(case=(np.full((3, 2, 2), -0.0), np.full((4, 3), -0.0)))
-@example(case=(np.full((2, 2), -0.0), np.full(4, -0.0)))
-def test_row_sum_is_the_cell_sum_bit_for_bit(case):
-    """``estimation._row_sum`` over component-first rows, one reduction
-    from +0.0, gives ``_cell_sum``'s bits on the same cells laid out last,
-    signed zeros, infinities and subnormals alike, and nan where it gives
-    nan, whatever the rows' layout and however many points they hold."""
-    cells, rows = case
+@given(case=cell_blocks())
+@example(case=(np.array(NINE).reshape(3, 3), 2))
+@example(case=(np.array(NINE).reshape(3, 3, 1), 2))
+@example(case=(np.array(NINE), 1))
+@example(case=(np.full((3, 3, 2), -0.0), 2))
+@example(case=(np.full((2, 2, 3), -0.0), 2))
+@example(case=(np.full((2, 2), -0.0), 2))
+@example(case=(np.empty((2, 2, 0, 3)), 2))
+@example(case=(np.empty((3, 3, 0)), 2))
+def test_cell_sum_is_a_left_fold_bit_for_bit(case):
+    """``cell_sum`` adds each point's cells one after another in C order
+    from +0.0, as a Python left fold does: for d = 2 and d = 3 cells and
+    for 4- and 9-outcome models, at a single point (where numpy's own sum
+    of 8 or more terms is pairwise), over point axes and on empty blocks,
+    whatever the layout; signed zeros, infinities and subnormals alike,
+    and nan where the fold gives nan."""
+    cells, axes = case
     with np.errstate(all="ignore"):
-        ours, theirs = _row_sum(rows), _cell_sum(cells)
-    assert np.shape(ours) == np.shape(theirs)
+        ours, theirs = cell_sum(cells, axes), left_fold(cells, axes)
+    assert np.shape(ours) == theirs.shape
     assert np.array_equal(ours, theirs, equal_nan=True)
     number = ~np.isnan(theirs)
     assert np.array_equal(np.asarray(ours)[number].view(np.int64),
-                          np.asarray(theirs)[number].view(np.int64))
+                          theirs[number].view(np.int64))
