@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mub_hovm, random_conjunction, random_qubit_povm
+from test_probe import bits, one_value_runs, target_kets_case
 import oqmetro.oq
 from oqmetro.measurement import (
     Hovm,
@@ -197,6 +198,26 @@ def test_kernel_bits_independent_of_layout_and_batching(kind, layout, target,
         one, cell, ket = Hovm(el[i]), (slice(None),) * 2 + i, (slice(None),) + i
         assert np.array_equal(values[cell], oq_values(one, psi[ket]))
         assert np.array_equal(slopes[cell], oq_slopes(one, psi[ket], dpsi[ket]))
+
+
+@pytest.mark.parametrize("target", list(Target))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), lam=st.floats(0, 1))
+def test_kernel_on_target_kets_gives_the_amplitudes_cells(target, data, lam):
+    """The kernel on the kets of a run's target values, as estimation
+    builds them, gives component-first cells and slopes whose rows of 4
+    are, bit for bit, the cells and slopes of one-value runs."""
+    g, theta, phi = target_kets_case(data, target)
+    _, _, w = mub_hovm(lam)
+    psi, dpsi = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    cells, slopes = oq_values(w, psi), oq_slopes(w, psi, dpsi)
+    assert cells.shape == slopes.shape == (2, 2, len(g))
+    rows, slope_rows = cells.reshape(4, len(g)), slopes.reshape(4, len(g))
+    for i, at in enumerate(one_value_runs(theta, phi)):
+        one, done = amplitudes(*at), amplitude_slopes(*at, target)
+        assert np.array_equal(bits(rows[:, i]), bits(oq_values(w, one).ravel()))
+        assert np.array_equal(bits(slope_rows[:, i]),
+                              bits(oq_slopes(w, one, done).ravel()))
 
 
 @pytest.mark.parametrize("lam", [0.7, np.array([[0.2], [0.9]])],

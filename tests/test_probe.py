@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqmetro.errors import ParamOutOfRange
 from oqmetro.probe import Target, amplitude_slopes, amplitudes, check_angles
@@ -107,3 +109,52 @@ def test_analytic_derivative_matches_finite_difference(target):
         else:
             fd = (_amplitudes(theta, phi + h) - _amplitudes(theta, phi - h)) / (2 * h)
         np.testing.assert_allclose(d, fd, atol=1e-8)
+
+
+# the values a run of each target evaluates: theta in [0, pi], and phi over
+# a domain that may start below 0 and spans at most 2*pi; the fixed angle
+# lies in its check_angles range
+TARGET_VALUES = {Target.POLAR: st.floats(0, math.pi),
+                 Target.AZIMUTHAL: st.floats(-2 * math.pi, 2 * math.pi)}
+FIXED_VALUES = {Target.POLAR: st.floats(0, 2 * math.pi, exclude_max=True),
+                Target.AZIMUTHAL: st.floats(0, math.pi)}
+DOMAIN_ENDS = {Target.POLAR: (0.0, math.pi),
+               Target.AZIMUTHAL: (0.0, math.nextafter(2 * math.pi, 0))}
+
+
+def target_kets_case(data, target):
+    """(g, theta, phi): a run's target values with 0, pi and the domain
+    ends, and the angles ``amplitudes`` takes for them, the other angle
+    fixed, as estimation lays them out."""
+    other = data.draw(FIXED_VALUES[target], label="other")
+    g = np.array(data.draw(st.lists(TARGET_VALUES[target], max_size=12),
+                           label="g") + [0.0, math.pi, *DOMAIN_ENDS[target]])
+    theta, phi = (g, other) if target is Target.POLAR else (other, g)
+    return g, theta, phi
+
+
+def one_value_runs(theta, phi):
+    """The angles of each value as a run of one value: (1,) arrays."""
+    for t, p in np.broadcast(theta, phi):
+        yield np.array([t]), np.array([p])
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("target", list(Target))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_target_kets_are_the_amplitudes_component_first(target, data):
+    """The kets of a run's target values, one call over the whole vector,
+    are C-contiguous, component first, and bit for bit the amplitudes and
+    slopes of one-value runs, one call per value."""
+    g, theta, phi = target_kets_case(data, target)
+    ket, dket = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    assert ket.shape == dket.shape == (2, len(g))
+    assert ket.flags.c_contiguous and dket.flags.c_contiguous
+    for i, at in enumerate(one_value_runs(theta, phi)):
+        assert np.array_equal(bits(ket[:, i:i + 1]), bits(amplitudes(*at)))
+        assert np.array_equal(bits(dket[:, i:i + 1]),
+                              bits(amplitude_slopes(*at, target)))
