@@ -80,7 +80,8 @@ def oqfi(values, slopes):
 def _inner(u, v):
     """<u|v> over the first axis, taken last as a view; matmul rounds like
     np.vdot, einsum does not."""
-    u, v = np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1)
+    last = (*range(1, u.ndim), 0)
+    u, v = u.transpose(last), v.transpose(last)
     return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 

@@ -17,9 +17,13 @@ say) is built in one array pass.  A single measurement has batch shape
 Operators are checked once per stack, when a ``Povm`` or ``Hovm`` is
 constructed, with one check per condition over all its effects or
 elements; one bad entry refuses the whole stack.
+A Bloch-vector POVM has one check, its norm: ``bloch_povm`` refuses a
+vector unless it is finite with norm <= 1 + 1e-12, and then keeps its
+effects (1 +- v.sigma) / 2 unchecked (``_derived``), since that norm
+implies all three ``Povm`` conditions (see ``bloch_povm``).
 Everything built from validated measurements relies on those checks:
 ``sequential_povm`` and ``build_hovm`` keep their results unchecked
-(``_derived``).  Checking them again could refuse valid inputs: an
+too.  Checking them again could refuse valid inputs: an
 effect's square root is taken with its eigenvalues in
 [-HERMITIAN_TOL, 0) clamped to 0, which moves the sequential effects'
 sum off the identity by up to HERMITIAN_TOL per clamped effect.
@@ -186,7 +190,16 @@ def _derived(cls, array: np.ndarray):
 
 def bloch_povm(bloch) -> Povm:
     """Two-outcome qubit POVMs with effects (1 + (-1)^a bloch.sigma) / 2,
-    one per Bloch vector of a (..., 3) stack."""
+    one per Bloch vector of a (..., 3) stack.
+
+    The norm is the one check: each vector v must be finite with
+    |v| <= 1 + 1e-12, and then its effects pass every ``Povm`` check, so
+    they are kept without one.  They are Hermitian to the last bit: with
+    real coefficients the off-diagonal entries of v.sigma are exact
+    conjugates and its diagonal imaginary parts are zeros.  Their least
+    eigenvalue is (1 - |v|) / 2 >= -5e-13, far above -HERMITIAN_TOL.  And
+    their sum is within one ulp of the identity in each entry.
+    """
     v = np.asarray(bloch, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError("bloch vector must have 3 components")
@@ -203,7 +216,7 @@ def bloch_povm(bloch) -> Povm:
         raise BlochNormExceeded(f"Bloch norm {shown:.6f} > 1")
     vs = sum(v[..., k, None, None] * p for k, p in enumerate(PAULI))
     eye = np.eye(2, dtype=complex)
-    return Povm(np.stack(((eye + vs) / 2, (eye - vs) / 2), axis=-3))
+    return _derived(Povm, np.stack(((eye + vs) / 2, (eye - vs) / 2), axis=-3))
 
 
 def mutually_unbiased_pair(sharpness) -> tuple[Povm, Povm]:

@@ -7,8 +7,10 @@ stay well characterized (no finite-difference noise on the hot path).
 
 Both functions broadcast over arrays of angles and return new
 C-contiguous kets of shape ``(2,) + broadcast(theta, phi).shape``,
-component first, the layout the kernel (``oq.oq_values``) takes.  This
-module is the only place that turns angles into amplitudes.
+component first, the layout the kernel (``oq.oq_values``) takes.  Scalar
+angles are evaluated as one-value arrays, so a single point gets the
+bits of the same point in a grid, signed zeros included.  This module is
+the only place that turns angles into amplitudes.
 """
 
 from __future__ import annotations
@@ -38,28 +40,40 @@ def check_angles(theta, phi) -> None:
         raise ParamOutOfRange(f"phi={float(phi[bad][0])} outside [0, 2*pi)")
 
 
-def _empty(theta, phi) -> np.ndarray:
-    return np.empty((2,) + np.broadcast(theta, phi).shape, dtype=complex)
+def _operands(theta, phi):
+    """theta / 2, phi and their broadcast shape.  Scalar angles come back
+    as one-value arrays: numpy's scalar complex arithmetic can give another
+    signed zero than its array loop, so every call runs the array loop."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast(theta, phi).shape
+    if not shape:
+        theta, phi = theta.reshape(1), phi.reshape(1)
+    return theta / 2, phi, shape
+
+
+def _empty(shape) -> np.ndarray:
+    return np.empty((2,) + (shape or (1,)), dtype=complex)
 
 
 def amplitudes(theta, phi) -> np.ndarray:
     """Probe amplitudes (cos(theta/2), e^{i phi} sin(theta/2))."""
-    half = np.asarray(theta, dtype=float) / 2
-    psi = _empty(theta, phi)
+    half, phi, shape = _operands(theta, phi)
+    psi = _empty(shape)
     psi[0] = np.cos(half)
-    psi[1] = np.exp(1j * np.asarray(phi, dtype=float)) * np.sin(half)
-    return psi
+    psi[1] = np.exp(1j * phi) * np.sin(half)
+    return psi.reshape((2,) + shape)
 
 
 def amplitude_slopes(theta, phi, target: Target) -> np.ndarray:
     """Derivative of the amplitudes with respect to the target angle."""
-    half = np.asarray(theta, dtype=float) / 2
-    phase = np.exp(1j * np.asarray(phi, dtype=float))
-    dpsi = _empty(theta, phi)
+    half, phi, shape = _operands(theta, phi)
+    phase = np.exp(1j * phi)
+    dpsi = _empty(shape)
     if target is Target.POLAR:
         dpsi[0] = -np.sin(half) / 2
         dpsi[1] = phase * np.cos(half) / 2
     else:
         dpsi[0] = 0.0
         dpsi[1] = 1j * phase * np.sin(half)
-    return dpsi
+    return dpsi.reshape((2,) + shape)

@@ -720,3 +720,66 @@ def test_hovm_stack_names_first_non_hermitian_element():
     el[1] = mub_hovm(0.8)[2].elements
     with pytest.raises(NotHermitian, match=r"element \(0,1\)"):
         Hovm(el)
+
+
+# --- the Bloch norm is the one check of a Bloch-vector POVM ---
+
+NORM_LIMIT = 1 + 1e-12
+# the zero vector, norms of exactly 1 and of the limit, and tiny entries
+EDGE_BLOCH = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+              (0.6, 0.0, -0.8), (NORM_LIMIT, 0.0, 0.0), (0.0, 0.0, -NORM_LIMIT),
+              (1e-160, 0.0, 0.0), (1e-160, -1e-160, 1e-160),
+              (1e-300, 0.0, 0.0), (-1e-300, 1e-300, -1e-300),
+              (1e-300, 0.6, 0.8), (1e-160, -1.0, 0.0)]
+unit_entry = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def bloch_vector(draw):
+    """A vector from EDGE_BLOCH, a direction scaled to a norm of 1, of the
+    limit or below, or three entries of up to 1."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return draw(st.sampled_from(EDGE_BLOCH))
+    v = np.array([draw(unit_entry) for _ in range(3)])
+    if kind == 1 and np.linalg.norm(v) > 0:
+        norm = draw(st.one_of(st.sampled_from([1.0, NORM_LIMIT]),
+                              st.floats(0.0, 1.0)))
+        v *= norm / np.linalg.norm(v)
+    return tuple(v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vectors=st.lists(bloch_vector(), min_size=1, max_size=6),
+       column=st.booleans())
+@example(vectors=EDGE_BLOCH, column=False)
+@example(vectors=EDGE_BLOCH, column=True)
+def test_accepted_bloch_stacks_pass_every_povm_check(vectors, column):
+    """Whatever ``bloch_povm`` accepts, as an (L,) or (L, 1) stack, passes
+    ``Povm``'s checks unchanged, so keeping it unchecked refuses nothing
+    ``Povm`` would have refused."""
+    v = np.array(vectors).reshape((len(vectors),) + (1,) * column + (3,))
+    assume((np.linalg.norm(v, axis=-1) <= NORM_LIMIT).all())
+    kept = bloch_povm(v).effects
+    assert kept.shape == v.shape[:-1] + (2, 2, 2)
+    checked = Povm(kept).effects
+    assert np.array_equal(checked.view(np.int64), kept.view(np.int64))
+    # Hermitian to the last bit, not only within the tolerance
+    assert np.array_equal(kept, kept.conj().swapaxes(-1, -2))
+
+
+def test_only_user_arrays_run_operator_checks(monkeypatch):
+    from oqmetro import measurement
+
+    calls = []
+    for name in ("_hermitian", "_psd"):
+        def counted(*args, _check=getattr(measurement, name), _name=name):
+            calls.append(_name)
+            return _check(*args)
+        monkeypatch.setattr(measurement, name, counted)
+    a, b = mutually_unbiased_pair(np.array([[0.0], [0.5], [1.0]]))
+    w = build_hovm(a, b, sequential_povm(a, b))
+    assert calls == []
+    Povm(np.array(a.effects))
+    Hovm(np.array(w.elements))
+    assert calls == ["_hermitian", "_psd", "_hermitian"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqmetro.errors import ParamOutOfRange
@@ -158,3 +158,17 @@ def test_target_kets_are_the_amplitudes_component_first(target, data):
         assert np.array_equal(bits(ket[:, i:i + 1]), bits(amplitudes(*at)))
         assert np.array_equal(bits(dket[:, i:i + 1]),
                               bits(amplitude_slopes(*at, target)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(theta=st.floats(0, math.pi), phi=st.floats(0, 2 * math.pi, exclude_max=True),
+       target=st.sampled_from(list(Target)))
+# numpy's scalar complex arithmetic gave +0.0 for the real part of the
+# slope's second entry here, where the array loop gives -0.0
+@example(theta=2.225073858507203e-309, phi=math.pi, target=Target.AZIMUTHAL)
+def test_scalar_angles_give_the_bits_of_one_value_arrays(theta, phi, target):
+    at = np.array([theta]), np.array([phi])
+    ket, dket = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    assert ket.shape == dket.shape == (2,)
+    assert np.array_equal(bits(ket), bits(amplitudes(*at)[:, 0]))
+    assert np.array_equal(bits(dket), bits(amplitude_slopes(*at, target)[:, 0]))
