@@ -11,11 +11,12 @@ parity observable, error bar from the propagation formula).
 Randomness: setting j of trial k draws from the PCG64 stream of
 ``numpy.random.SeedSequence(seed).spawn(trials)[k].spawn(2)[j]``, so every
 table is reproducible from the run's seed and its index, and trials are
-independent.  The PCG64 states of all those streams are derived with
-numpy's own seeding arithmetic, and no ``SeedSequence`` is built per
-trial: the seed's entropy is hashed and mixed into the pool once per run
-on Python ints (``_run_words``), and per block of trials only the spawn
-keys are hashed, on integer arrays (``_pcg64_states``).
+independent.  No ``SeedSequence`` is built per trial: numpy mixes the
+seed's entropy into one ``SeedSequence(seed)`` pool per run
+(``_run_words``), per block of trials only the spawn keys and the state
+words are hashed, on integer arrays (``_state_words``), and ``PCG64``
+seeds each setting from its words through numpy's ``ISeedSequence``
+interface (``_Words``).
 
 Stacks only: every function takes a ``CountTable`` stack of tables with a
 leading trial axis and returns one array entry per table.
@@ -60,16 +61,14 @@ _PARITY = np.array([[1.0], [1.0], [1.0], [-1.0]])
 
 _INV_PHI = (math.sqrt(5) - 1) / 2
 
-# numpy's SeedSequence constants (pool size, hashmix, mix, generate_state)
-# and the PCG64 LCG multiplier, from which _pcg64_states derives states
+# numpy's SeedSequence constants (pool size, hashmix, mix, generate_state),
+# with which _state_words hashes a table's spawn key
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _WORD = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -149,105 +148,86 @@ def _outcome_probs(psi: np.ndarray, povm: Povm) -> np.ndarray:
     return p / p.sum()
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list:
-    """The first ``count`` + 1 values of a ``SeedSequence`` hash constant:
-    ``init``, then each one times ``mult``."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _WORD)
-    return consts
+def _hash_consts(init: int, mult: int, first: int, calls: int) -> tuple:
+    """The (xor, mult) uint32 constants of ``calls`` successive hashmix calls
+    of a ``SeedSequence`` hash, from its call ``first`` on: the hash constant
+    starts at ``init`` and each call multiplies it by ``mult``."""
+    consts = np.array([init * pow(mult, i, _WORD + 1) & _WORD
+                       for i in range(first, first + calls + 1)], dtype=np.uint32)
+    return consts[:-1], consts[1:]
 
 
 def _hashed(value, xor, mult):
-    """``SeedSequence``'s hashmix of a 32-bit value, in the call that finds
-    the hash constant at ``xor`` and leaves it at ``mult``; for Python ints
-    and, broadcasting, for uint32 arrays (where the mask is a no-op)."""
+    """``SeedSequence``'s hashmix of uint32 words, broadcasting, in the calls
+    that find the hash constants at ``xor`` and leave them at ``mult``."""
     value = (value ^ xor) * mult & _WORD
     return value ^ value >> _XSHIFT
 
 
 def _mixed(x, y):
-    """``SeedSequence``'s mix of a hashed word y into a pool word x."""
+    """``SeedSequence``'s mix of hashed uint32 words y into pool words x."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _WORD
     return result ^ result >> _XSHIFT
 
 
-# generate_state's 8 words (4 uint64) cycle twice over the pool, each
-# hashed under its own constants
-_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-_STATE_XOR = np.array(_STATE_CONSTS[:-1], dtype=np.uint32)
-_STATE_MULT = np.array(_STATE_CONSTS[1:], dtype=np.uint32)
+# generate_state's 8 words cycle twice over the pool, each hashed under its
+# own constants
+_STATE_XOR, _STATE_MULT = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL)
 
 
 def _run_words(seed) -> tuple:
-    """The run's seeding words, computed once per run on Python ints.
+    """The run's seeding words, computed once per run.
 
-    These are ``SeedSequence(seed)``'s pool with the seed's 32-bit entropy
-    words (least significant first; 0 is one word) hashed and mixed in, as
-    numpy mixes them ahead of a spawn key (k, j), and what that key meets
-    next: the hash constants of k's four hashes, one per pool word, and the
-    hashes of j = 0 and 1, which are the same for every table.
+    These are ``SeedSequence(seed)``'s pool, which numpy fills from the
+    seed as it does ahead of a spawn key (k, j), refusing a negative seed,
+    and what that key meets next: the hash constants of k's four hashes,
+    one per pool word, and the hashes of j = 0 and 1, which are the same
+    for every table.
     """
+    # an integer only: SeedSequence(None) would draw fresh OS entropy
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = [seed >> shift & _WORD
-             for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # run entropy is zero-padded to the pool size when a spawn key follows
-    words += [0] * (_POOL - len(words))
-    # the (xor, mult) constants of each hashmix call in turn: the pool's
-    # fill and cross-mixes take 4 per pool word, then 4 per word beyond
-    # the pool, 4 for k and 4 for j
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + 2))
-    calls = zip(consts, consts[1:])
-
-    def hashmix(value):
-        return _hashed(value, *next(calls))
-
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mixed(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mixed(pool[dst], hashmix(w))
-    key_xor, key_mult = np.array([next(calls) for _ in range(_POOL)],
-                                 dtype=np.uint32).T
-    j_calls = [next(calls) for _ in range(_POOL)]
-    hashed_j = np.array([[_hashed(j, *c) for c in j_calls] for j in range(2)],
-                        dtype=np.uint32)
-    return np.array(pool, dtype=np.uint32), key_xor, key_mult, hashed_j
+    pool = np.random.SeedSequence(seed).pool
+    # numpy makes 4 hashmix calls per 32-bit word of the seed, counting at
+    # least the pool's 4 words, before the key's first word
+    words = max(-(-seed.bit_length() // 32), _POOL)
+    key_xor, key_mult = _hash_consts(_INIT_A, _MULT_A, _POOL * words, _POOL)
+    j_consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (words + 1), _POOL)
+    hashed_j = _hashed(np.arange(2, dtype=np.uint32)[:, None], *j_consts)
+    return pool, key_xor, key_mult, hashed_j
 
 
-def _pcg64_states(run_words: tuple, start: int, stop: int) -> list:
-    """PCG64 states of the settings of tables ``start:stop``, one pair of
-    ``state`` dicts per table k: the states that
-    ``PCG64(SeedSequence(seed).spawn(stop)[k].spawn(2)[j])`` starts from,
-    for j = 0, 1, where ``run_words`` are ``_run_words(seed)``.
+def _state_words(run_words: tuple, start: int, stop: int) -> np.ndarray:
+    """The seeding words of the settings of tables ``start:stop``, uint32 of
+    shape (stop - start, 2, 8): entry (k - start, j) is
+    ``SeedSequence(seed).spawn(stop)[k].spawn(2)[j].generate_state(8)``,
+    where ``run_words`` are ``_run_words(seed)``.
 
     Only the spawn key is hashed per table: k into all four pool words in
-    one array op, then the run's hashes of j, then ``generate_state(4,
-    uint64)``'s eight words in one, on uint32 arrays of shape
-    (stop - start, 2, ...); the 128-bit PCG64 seeding step is per setting.
-    ``stop`` must be at most 2**32: a larger spawn key is two words.
+    one array op, then the run's hashes of j, then ``generate_state``'s
+    eight words in one.  ``stop`` must be at most 2**32: a larger spawn key
+    is two words.
     """
     pool, key_xor, key_mult, hashed_j = run_words
     keys = np.arange(start, stop, dtype=np.uint32)[:, None]
     pool = _mixed(pool, _hashed(keys, key_xor, key_mult))
     pool = _mixed(pool[:, None], hashed_j)
-    words = _hashed(np.concatenate((pool, pool), axis=-1), _STATE_XOR, _STATE_MULT)
-    # generate_state pairs uint32 words into uint64 low word first; PCG64
-    # takes uint64 words 0-1 as the seed and 2-3 as the increment, high first
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        words.astype("<u4", copy=False).view("<u8").reshape(-1, 4).T.tolist())
-    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(inc_hi, inc_lo)]
-    states = [{"bit_generator": "PCG64",
-               "state": {"state": ((inc + (hi << 64 | lo)) * _PCG_MULT + inc)
-                         & _MASK128, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
-              for inc, hi, lo in zip(incs, seed_hi, seed_lo)]
-    return list(zip(states[0::2], states[1::2]))
+    return _hashed(np.concatenate((pool, pool), axis=-1), _STATE_XOR, _STATE_MULT)
+
+
+class _Words:
+    """One setting's seeding words as a seed source: the one method of
+    numpy's ``bit_generator.ISeedSequence`` interface, which ``PCG64`` calls
+    for its state.  ``draw_counts`` registers it as one; subclassing it here
+    would import ``numpy.random`` with this module."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        # as numpy does, uint64 words are views of the uint32 words
+        return self.words.view(dtype)[:n_words]
 
 
 def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seed: int,
@@ -255,25 +235,25 @@ def draw_counts(p_b: np.ndarray, p_seq: np.ndarray, n: int, seed: int,
     """Draw a stack of ``trials`` tables from a non-negative integer seed.
 
     ``p_b`` and ``p_seq`` are the outcome probabilities of B and of the
-    sequential setting.  Table k draws setting j from the stream of
-    ``SeedSequence(seed).spawn(trials)[k].spawn(2)[j]``, whose PCG64 state
-    ``_pcg64_states`` derives without building the sequence, so each table
-    depends on the seed and its index only.
+    sequential setting.  Table k draws setting j from the PCG64 stream of
+    ``SeedSequence(seed).spawn(trials)[k].spawn(2)[j]``, so each table
+    depends on the seed and its index only.  Its generator is seeded from
+    the words ``_state_words`` derives for it, and no ``SeedSequence`` is
+    built per table.
     """
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
     run_words = _run_words(seed)
     first_b = np.empty(trials, dtype=np.int64)
     counts_seq = np.empty((trials, 4), dtype=np.int64)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
     for rows in row_blocks(trials, 1):
         block_b, block_seq = [], []
-        for state_b, state_seq in _pcg64_states(run_words, rows.start,
-                                                min(rows.stop, trials)):
+        words = _state_words(run_words, rows.start, min(rows.stop, trials))
+        # two zipped columns: unpacking each table's (2, 8) rows costs more
+        for words_b, words_seq in zip(words[:, 0], words[:, 1]):
             # B has two outcomes, for which multinomial draws exactly this
-            bitgen.state = state_b
-            block_b.append(rng.binomial(n, p_b[0]))
-            bitgen.state = state_seq
-            block_seq.append(rng.multinomial(n, p_seq))
+            block_b.append(Generator(PCG64(_Words(words_b))).binomial(n, p_b[0]))
+            block_seq.append(Generator(PCG64(_Words(words_seq))).multinomial(n, p_seq))
         # one array conversion per block of draws
         first_b[rows], counts_seq[rows] = block_b, block_seq
     counts_b = np.stack((first_b, n - first_b), axis=-1)
@@ -480,9 +460,6 @@ class EstimatorSummary:
     ``ratio`` is log10(quantum_var / (2 * mean_pred_var)), i.e. the
     error-variance ratio with each trial's own variance estimate standing in
     for the error variance, which is how the reference protocol reports it.
-    ``ratio_empirical`` uses the variance of the estimates across trials
-    instead; for this two-setting sampling scheme it sits systematically
-    below ``ratio``.
     """
 
     estimator: str
@@ -491,15 +468,12 @@ class EstimatorSummary:
     mean_pred_var: float
     omission_rate: float
     ratio: float
-    ratio_empirical: float
-    completed: int
 
 
 @dataclass(frozen=True)
 class TrialSummary:
     """The result of one run: numbers only; ``cli`` lays them out as rows."""
 
-    config: TrialConfig
     advantage: float
     quantum_var: float
     mle: EstimatorSummary
@@ -516,7 +490,7 @@ def _summarize(name: str, result: TrialResult, trials: int,
                                    f"{CAUSES[result.cause[0]]}")
         pred = float(variances[0])
         return EstimatorSummary(name, float(estimates[0]), 0.0, pred, 0.0,
-                                math.log10(quantum_var / (2 * pred)), math.nan, 1)
+                                math.log10(quantum_var / (2 * pred)))
     if len(estimates) < 2:
         why = ", ".join(f"{count} {CAUSES[cause]}"
                         for cause, count in enumerate(np.bincount(result.cause))
@@ -524,11 +498,9 @@ def _summarize(name: str, result: TrialResult, trials: int,
         raise AllTrialsOmitted(f"{name}: fewer than 2 trials completed ({why})")
     emp_var = float(np.var(estimates, ddof=1))
     pred = float(np.mean(variances))
-    ratio = math.log10(quantum_var / (2 * pred))
-    ratio_emp = math.log10(quantum_var / (2 * emp_var)) if emp_var > 0 else math.inf
     return EstimatorSummary(name, float(estimates.mean()), emp_var, pred,
-                            int(result.omitted.sum()) / trials, ratio, ratio_emp,
-                            len(estimates))
+                            int(result.omitted.sum()) / trials,
+                            math.log10(quantum_var / (2 * pred)))
 
 
 def run_trials(config: TrialConfig) -> TrialSummary:
@@ -579,7 +551,7 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     tables = (expected_counts(p_b, p_seq, config.n) if config.inject_expected
               else draw_counts(p_b, p_seq, config.n, config.seed, trials))
     results = estimate_tables(tables, config.target, fixed_other, w, domain)
-    return TrialSummary(config, adv, quantum_var, *(
+    return TrialSummary(adv, quantum_var, *(
         _summarize(name, result, trials, quantum_var, config.inject_expected)
         for name, result in zip(("mle", "lep"), results)))
 

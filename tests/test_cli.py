@@ -30,7 +30,14 @@ from oqmetro.cli import (
 )
 from oqmetro.estimation import TrialConfig, run_trials
 from oqmetro.fisher import advantage, oqfi, qfi_pure
-from oqmetro.measurement import build_hovm, mutually_unbiased_pair, sequential_povm
+from oqmetro.measurement import (
+    bloch_povm,
+    build_hovm,
+    busch_compatible,
+    hovm_is_povm,
+    mutually_unbiased_pair,
+    sequential_povm,
+)
 from oqmetro.oq import POSITIVITY_TOL, negativity, oq_values
 from oqmetro.probe import Target, amplitude_slopes, amplitudes
 
@@ -771,11 +778,24 @@ class TestCompat:
         assert capsys.readouterr() == (
             "", "error: bloch vector must have 3 components\n")
 
-    def test_disagreeing_predicates_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(oqmetro.cli, "busch_compatible",
-                            lambda mu, nu: True)
-        assert main(["compat", "--mu", "0,0,0.9", "--nu", "0.9,0,0"]) == 2
-        assert "predicates disagree" in capsys.readouterr().err
+    @pytest.mark.parametrize("mu, nu", [
+        ("-0.4364596652108049,0.4723588508323151,0.2963407900460984",
+         "0.33514746273836393,0.03238554791000455,0.6229487472234813"),
+        ("-0.6034715229572112,-0.13349306651349346,-0.3950623412989652",
+         "0.6579637044731497,0.04364343371752953,-0.32132778533672623"),
+    ], ids=["pair-1", "pair-2"])
+    def test_one_verdict_within_rounding_of_the_tolerance(self, capsys, mu, nu):
+        # pairs whose assembled HOVM fails hovm_is_povm while Busch's closed
+        # form of its least eigenvalues passes: compat gives one verdict
+        mu_v, nu_v = (np.array(v.split(","), dtype=float) for v in (mu, nu))
+        a, b = bloch_povm(mu_v), bloch_povm(nu_v)
+        assert busch_compatible(mu_v, nu_v)
+        assert not hovm_is_povm(build_hovm(a, b, sequential_povm(a, b)))
+        assert main(["compat", f"--mu={mu}", f"--nu={nu}"]) == 0
+        out, err = capsys.readouterr()
+        verdict = json.loads(out)
+        assert verdict["busch"] is True and verdict["hovm_povm"] is True
+        assert err == ""
 
 
 # Token pools for the exit-code contract, as (typical, edge or malformed)

@@ -54,6 +54,18 @@ def flat_table():
     )
 
 
+def assert_seeds_numpys(words, sequences):
+    """The (tables, 2, 8) seeding words are ``generate_state(8)`` of each
+    table's two ``SeedSequence``s, and seed ``PCG64`` with their states."""
+    np.random.bit_generator.ISeedSequence.register(estimation._Words)
+    assert words.dtype == np.uint32
+    np.testing.assert_array_equal(
+        words, [[ss.generate_state(8) for ss in pair] for pair in sequences])
+    assert [[np.random.PCG64(estimation._Words(w)).state for w in pair]
+            for pair in words] == [[np.random.PCG64(ss).state for ss in pair]
+                                   for pair in sequences]
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         a, b, _ = mub_hovm(0.7)
@@ -102,31 +114,31 @@ class TestSampling:
         assert np.all(np.abs(mean - truth) <= 4 * se + 1e-12)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1,
-                                      2**130 + 3])
+                                      2**130 + 3, 2**200 + 7])
     def test_derived_states_are_numpys(self, seed):
-        # 2**130 + 3 has five entropy words, so one is mixed in after the
-        # pool is full; a numpy release that changes SeedSequence fails here
+        # 2**130 + 3 and 2**200 + 7 have five and seven entropy words, so
+        # one and three are mixed in after the pool is full; a numpy release
+        # that changes SeedSequence fails here
         words = estimation._run_words(seed)
-        want = [tuple(np.random.PCG64(ss).state for ss in child.spawn(2))
-                for child in np.random.SeedSequence(seed).spawn(3)]
-        assert estimation._pcg64_states(words, 0, 3) == want
+        want = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(3)]
+        assert_seeds_numpys(estimation._state_words(words, 0, 3), want)
         # the last trial index that fits one spawn-key word
         last = 2**32 - 1
-        want = [tuple(np.random.PCG64(np.random.SeedSequence(
-            seed, spawn_key=(last, j))).state for j in range(2))]
-        assert estimation._pcg64_states(words, last, last + 1) == want
+        want = [[np.random.SeedSequence(seed, spawn_key=(last, j))
+                 for j in range(2)]]
+        assert_seeds_numpys(estimation._state_words(words, last, last + 1), want)
 
     @pytest.mark.parametrize("p", [0.0, 1e-12, 0.5, 1 - 1e-12, 1.0])
     @pytest.mark.parametrize("n", [0, 1, 2, 29, 31, 1000, 10**6, 10**9])
     def test_binomial_draws_what_multinomial_draws_for_two_outcomes(self, p, n):
         # draw_counts draws B's first count as binomial(n, p[0]): from the
         # same state it is multinomial(n, p)[0], and leaves the same state
-        for state, _ in estimation._pcg64_states(estimation._run_words(5), 0, 4):
+        np.random.bit_generator.ISeedSequence.register(estimation._Words)
+        for words, _ in estimation._state_words(estimation._run_words(5), 0, 4):
             draws = []
             for draw in (lambda rng: rng.binomial(n, p),
                          lambda rng: rng.multinomial(n, [p, 1 - p])[0]):
-                bitgen = np.random.PCG64(0)
-                bitgen.state = state
+                bitgen = np.random.PCG64(estimation._Words(words))
                 draws.append((int(draw(np.random.Generator(bitgen))),
                               bitgen.state))
             assert draws[0] == draws[1]
@@ -148,13 +160,13 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [7, 2**32 + 7, 2**130 + 3],
                              ids=["1-word", "2-word", "5-word"])
     def test_derived_states_across_the_first_draw_block_cut(self, seed):
-        # draw_counts derives states per row_blocks(trials, 1) block, whose
+        # draw_counts derives words per row_blocks(trials, 1) block, whose
         # first cut is at table 4,096
         assert row_blocks(4098, 1)[0] == slice(0, 4096)
         words = estimation._run_words(seed)
-        want = [tuple(np.random.PCG64(ss).state for ss in child.spawn(2))
+        want = [child.spawn(2)
                 for child in np.random.SeedSequence(seed).spawn(4098)[4094:]]
-        assert estimation._pcg64_states(words, 4094, 4098) == want
+        assert_seeds_numpys(estimation._state_words(words, 4094, 4098), want)
 
     def test_draws_match_numpys_at_the_first_block_cut(self):
         a, b, _ = mub_hovm(0.8)
@@ -170,25 +182,34 @@ class TestSampling:
                 t.counts_seq[k].ravel(),
                 np.random.default_rng(ss_seq).multinomial(700, p_seq))
 
-    @pytest.mark.parametrize("seed,words", [(31, 1), (2**130 + 3, 5)])
-    def test_entropy_pool_mixed_once_per_run(self, monkeypatch, seed, words):
-        # the run's pool mixes are on Python ints, a block's on arrays
-        mixes = []
-        mixed = estimation._mixed
+    @pytest.mark.parametrize("seed", [31, 2**130 + 3], ids=["1-word", "5-word"])
+    def test_one_seed_sequence_per_run(self, monkeypatch, seed):
+        # numpy mixes the run's entropy into one SeedSequence; per block of
+        # tables only the arrays of k, then of j, are mixed into the pool
+        built, mixes = [], []
+        seed_sequence, mixed = np.random.SeedSequence, estimation._mixed
 
-        def counted(x, y):
+        def counted_sequence(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        def counted_mix(x, y):
             mixes.append(np.ndim(y))
             return mixed(x, y)
 
-        monkeypatch.setattr(estimation, "_mixed", counted)
+        monkeypatch.setattr(np.random, "SeedSequence", counted_sequence)
+        monkeypatch.setattr(estimation, "_mixed", counted_mix)
         a, b, _ = mub_hovm(0.8)
         draw_counts(*setting_probs(1.9, 0.6, a, b), 50, seed,
                     2 * BLOCK_POINTS + 3)
-        # once per run: the pool's 12 cross-mixes and 4 per entropy word
-        # beyond its 4; per block of tables: k into the pool, then j
-        assert mixes.count(0) == 12 + 4 * max(words - 4, 0)
-        assert mixes[mixes.count(0):] == [2, 2] * 3
+        assert built == [(seed,)]
+        assert mixes == [2, 2] * 3
 
+    def test_seed_must_be_an_integer(self):
+        # SeedSequence(None) would seed from fresh OS entropy
+        a, b, _ = mub_hovm(0.8)
+        with pytest.raises(TypeError):
+            draw_counts(*setting_probs(1.9, 0.6, a, b), 50, None, 2)
 
     def test_expected_counts_clear_rounding_negatives(self):
         # at full sharpness two cells have probability zero, and assembling

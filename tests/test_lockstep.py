@@ -167,16 +167,14 @@ def ref_summarize(name, results, omitted, trials, quantum_var, inject):
             raise AllTrialsOmitted(name)
         est, pred = results[0]
         return EstimatorSummary(name, est, 0.0, pred, 0.0,
-                                math.log10(quantum_var / (2 * pred)), math.nan, 1)
+                                math.log10(quantum_var / (2 * pred)))
     if len(results) < 2:
         raise AllTrialsOmitted(name)
     estimates = np.array([r[0] for r in results])
     emp_var = float(np.var(estimates, ddof=1))
     pred = float(np.mean([r[1] for r in results]))
-    ratio_emp = math.log10(quantum_var / (2 * emp_var)) if emp_var > 0 else math.inf
     return EstimatorSummary(name, float(estimates.mean()), emp_var, pred,
-                            omitted / trials, math.log10(quantum_var / (2 * pred)),
-                            ratio_emp, len(results))
+                            omitted / trials, math.log10(quantum_var / (2 * pred)))
 
 
 def ref_run_trials(cfg):
@@ -212,7 +210,7 @@ def ref_run_trials(cfg):
             except (FlatLikelihood, ZeroSlope):
                 omitted[name] += 1
     trials = 1 if cfg.inject_expected else cfg.trials
-    return TrialSummary(cfg, adv, quantum_var, *(
+    return TrialSummary(adv, quantum_var, *(
         ref_summarize(name, results[name], omitted[name], trials, quantum_var,
                       cfg.inject_expected)
         for name in ("mle", "lep")))
