@@ -22,20 +22,23 @@ Each subcommand hands ``_write_table`` its table as blocks of columns,
 each formatted as soon as it is computed: one block per kernel call for
 ``advantage-map`` (a grid of its theta rows by the phi points) and for
 ``fi-sweep`` (its sharpness values by the probe points), and one per
-probe point for ``estimate``.  Columns hold plain Python values, except
-the map's negativity: the kernel's flat float array, whose cells the
-writer formats once per distinct value (on the benchmark map a third of
-them repeat one of six rounding-noise values).  One writer serves both
+probe point for ``estimate``.  Columns hold plain Python values, with
+two exceptions.  A column with empty cells, such as the information
+where it is undefined, is handed as its values with the mask of their
+positions.  The map's negativity and advantage values are float arrays,
+which the writer turns into text with one orjson call each; only the
+cells where orjson's layout differs from ``repr`` go through the cell
+rule (13 of the benchmark map's 32,387 values).  One writer serves both
 formats with two cell rules: a CSV cell is Python's shortest round-trip
 text for a float (``inf``/``-inf`` for infinities), ``str`` for a bool,
 int or token, and empty for None, never quoted; a JSON cell is
 ``json.dumps`` of the value, with the strings ``"inf"``/``"-inf"`` for
-infinities, framed as ``json.dumps(..., indent=1)`` frames the row
-objects.  Output is all or nothing, so a refused block leaves no partial
-table: text for an ``--out`` file goes block by block to a temporary file
-beside it, renamed onto it at the end, and text for stdout (or a device)
-is held until the last block is done.  ``_emit`` is the one place output
-is written.
+infinities, after its key, framed as ``json.dumps(..., indent=1)``
+frames the row objects.  Output is all or nothing, so a refused block
+leaves no partial table: text for an ``--out`` file goes block by block
+to a temporary file beside it, renamed onto it at the end, and text for
+stdout (or a device) is held until the last block is done.  ``_emit`` is
+the one place output is written.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
 failure.
@@ -50,7 +53,7 @@ import operator
 import os
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -142,12 +145,21 @@ def _target(name: str) -> Target:
     return Target.POLAR if name == "theta" else Target.AZIMUTHAL
 
 
-def _gapped(values: np.ndarray, present: np.ndarray) -> list:
-    """A column holding ``values`` at the present positions, None (an empty
-    cell) at the others."""
-    col = np.empty(present.shape, dtype=object)  # all None
-    col[present] = values
-    return col.tolist()
+class _Gapped:
+    """A column with empty cells: ``values``, a list or a 1-d float
+    ndarray, at the positions where the boolean array ``present`` holds."""
+
+    __slots__ = ("values", "present")
+
+    def __init__(self, values, present: np.ndarray):
+        self.values, self.present = values, present
+
+    def __len__(self) -> int:
+        return len(self.present)
+
+
+# the column types that take a list's roles in a block
+_LISTS = (list, np.ndarray, _Gapped)
 
 
 def _csv_cells(col: list) -> list:
@@ -157,28 +169,50 @@ def _csv_cells(col: list) -> list:
     return ["" if v is None else str(v) for v in col]
 
 
-def _json_cells(key: str, col: list) -> list:
-    """JSON text of a column of Python values, each cell after the text
-    ``key``: ``json.dumps`` of the value, with the strings 'inf'/'-inf'
-    for infinities."""
+def _json_cells(col: list) -> list:
+    """JSON text of a column of Python values: ``json.dumps`` of the
+    value, with the strings 'inf'/'-inf' for infinities."""
     import json
 
-    return [key + json.dumps("inf" if v == math.inf else
-                             "-inf" if v == -math.inf else v) for v in col]
+    return [json.dumps("inf" if v == math.inf else
+                       "-inf" if v == -math.inf else v) for v in col]
+
+
+def _put(texts: list, at: np.ndarray, new: list) -> list:
+    """``texts`` with ``new`` at the positions ``at``, in order."""
+    for i, text in zip(at.tolist(), new):
+        texts[i] = text
+    return texts
+
+
+def _float_texts(rule, col: np.ndarray) -> list:
+    """The cell texts of a 1-d float64 ndarray under ``rule``: orjson's
+    text of the whole column, split at its commas.  Below 1e-11 and from
+    1e-4 up to 1e15 in magnitude orjson writes a float as ``repr`` does,
+    which is the text both cell rules give; between and beyond those
+    bounds it may write another layout (0.00001 for 1e-05, 1e16 for
+    1e+16), and null for inf and nan, so ``rule`` formats those cells."""
+    # orjson is imported only where an array column is written, which
+    # only advantage-map does; it loads json with it
+    import orjson
+
+    text = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    texts = text.decode().split(",") if len(col) else []
+    size = np.abs(col)
+    fix = np.flatnonzero((size >= 1e-11) & (size < 1e-4) | ~(size < 1e15))
+    return _put(texts, fix, rule(col[fix].tolist()))
 
 
 def _texts(rule, col) -> list:
-    """The cell texts of a column under ``rule``: of a tuple or list cell
-    by cell, of a 1-d float ndarray once per distinct bit pattern, so 0.0
-    and -0.0, or NaNs of different payloads, never share a text."""
-    if not isinstance(col, np.ndarray):
+    """The cell texts of a column under ``rule``: of a list cell by cell,
+    of a float ndarray by ``_float_texts``, and of a ``_Gapped`` column
+    its values' texts at their positions in the empty cell's text."""
+    if isinstance(col, list):
         return rule(col)
-    # return_index makes np.unique sort stably, and the stable sort pages
-    # in less code than its default quicksort: a lower peak RSS
-    bits, _, inverse = np.unique(col.view(np.int64), return_index=True,
-                                 return_inverse=True)
-    texts = np.array(rule(bits.view(float).tolist()), dtype=object)
-    return texts[inverse].tolist()
+    if isinstance(col, np.ndarray):
+        return _float_texts(rule, col)
+    return _put(rule([None]) * len(col), np.flatnonzero(col.present),
+                _texts(rule, col.values))
 
 
 @contextmanager
@@ -240,32 +274,36 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
     values, None for an empty cell: a tuple one per outer row, a list that
     short one per inner point (tiled down the outer rows), a longer list
     one per row, and any other value is one cell for the whole block.  A
-    1-d float ndarray takes a list's roles; its cells are formatted once
-    per distinct value (``_texts``).  Blocks are consumed one at a time,
-    and each is turned into text and handed to ``_emit`` before the next
-    is asked for, so a subcommand may compute them lazily; the output
-    appears only once the last one is done.  A list or array passed again
-    as the same object at the same position keeps its text, so it must
-    not change in between.
+    C-contiguous 1-d float64 ndarray takes a list's roles and is formatted
+    with one orjson call (``_texts``), and so does a ``_Gapped`` column,
+    whose values are such an array or a list.
+    Blocks are consumed one at a time, and each is turned into text and
+    handed to ``_emit`` before the next is asked for, so a subcommand may
+    compute them lazily; the output appears only once the last one is
+    done.  A list or array passed again as the same object at the same
+    position keeps its text, so it must not change in between.
     """
     if fmt == "csv":
         head = f"# {SCHEMA_VERSION} {name}\n" + ",".join(header) + "\n"
-        rules = [_csv_cells] * len(header)
+        rule, keys = _csv_cells, [""] * len(header)
         sep, row_open, row_close, row_join = ",", "", "\n", ""
         tails = ("", "")  # without rows, after rows
     else:
         # json is imported only where JSON is written (here, _json_cells
-        # and cmd_compat), so a CSV run never loads it
+        # and cmd_compat) and by orjson (_float_texts)
         import json
 
         # the bytes of json.dumps({"schema": ..., "rows": [...]}, indent=1)
         head = ('{\n "schema": ' + json.dumps(f"{SCHEMA_VERSION} {name}")
                 + ',\n "rows": [')
-        rules = [partial(_json_cells, f"   {json.dumps(key)}: ")
-                 for key in header]
+        rule, keys = _json_cells, [f"   {json.dumps(key)}: " for key in header]
         sep, row_open, row_close, row_join = ",\n", "\n  {\n", "\n  }", ","
         tails = ("]\n}\n", "\n ]\n}\n")
-    between = row_close + row_join + row_open
+    # a row's text before each of its cells (None), the first after an
+    # earlier row
+    row = [row_close + row_join + row_open + keys[0], None]
+    for key in keys[1:]:
+        row += [sep + key, None]
     held = {}  # column position -> (list column, its text)
 
     def rows_text(block, after_rows: bool) -> str:
@@ -273,32 +311,28 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
         '' without rows.  Nothing of the block outlives the call but
         ``held``."""
         outer = next((len(c) for c in block if isinstance(c, tuple)), 1)
-        inner = min((len(c) for c in block if isinstance(c, (list, np.ndarray))),
+        inner = min((len(c) for c in block if isinstance(c, _LISTS)),
                     default=1)
         n = outer * inner
         if not n:
             return ""
-        cols = []
+        flat = row * n + [row_close]
+        flat[0] = (row_join if after_rows else "") + row_open + keys[0]
         for j, col in enumerate(block):
-            if isinstance(col, (list, np.ndarray)):
+            if isinstance(col, _LISTS):
                 if j not in held or held[j][0] is not col:
                     # the text it replaces is dropped before it is made
                     held.pop(j, None)
-                    held[j] = (col, _texts(rules[j], col))
+                    held[j] = (col, _texts(rule, col))
                 text = held[j][1]
-                cols.append(text * outer if len(col) < n else text)
+                if len(col) < n:
+                    text = text * outer
             elif isinstance(col, tuple):
-                cols.append([t for t in rules[j](col) for _ in range(inner)])
+                text = [t for t in rule(col) for _ in range(inner)]
             else:
-                cols.append(rules[j]([col]) * n)
-        # the cells interleaved with the text between them, joined once
-        k = 2 * len(cols)
-        flat = [sep] * (k * n + 1)
-        flat[0] = (row_join if after_rows else "") + row_open
-        for j, col in enumerate(cols):
-            flat[2 * j + 1::k] = col
-        flat[k::k] = [between] * n
-        flat[-1] = row_close
+                text = rule([col]) * n
+            # the cells go between the row text, joined once
+            flat[2 * j + 1::len(row)] = text
         return "".join(flat)
 
     with _emit(path) as write:
@@ -338,8 +372,8 @@ def cmd_fi_sweep(args) -> int:
             info = oqfi(values[..., positive], slopes[..., positive])
             positive = positive.ravel()
             yield [tuple(lams[rows]), thetas, phis, args.target,
-                   _gapped(info, positive), qfi, neg.ravel().tolist(),
-                   positive.tolist()]
+                   _Gapped(info.tolist(), positive), qfi,
+                   neg.ravel().tolist(), positive.tolist()]
 
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
@@ -381,7 +415,7 @@ def cmd_advantage_map(args) -> int:
             defined[defined] = nonzero
             adv = advantage(values[..., nonzero], slopes[..., nonzero],
                             qfi[nonzero])
-            yield [tuple(thetas[rows]), phis, _gapped(adv, defined.ravel()),
+            yield [tuple(thetas[rows]), phis, _Gapped(adv, defined.ravel()),
                    neg.ravel()]
 
     _write_table(args.out, args.format, "advantage-map",

@@ -22,7 +22,6 @@ import oqmetro.oq
 from oqmetro.cli import (
     ESTIMATE_FIELDS,
     _estimate_rows,
-    _gapped,
     _write_table,
     build_parser,
     main,
@@ -225,7 +224,9 @@ def per_lambda_sweep(argv):
         neg = negativity(oq_values(w, psi))
         positive = neg <= POSITIVITY_TOL
         info = oqfi(*cells(w, psi[:, positive], dpsi[:, positive]))
-        blocks.append([lam, thetas, phis, args.target, _gapped(info, positive),
+        gapped = np.empty(positive.shape, dtype=object)  # all None
+        gapped[positive] = info
+        blocks.append([lam, thetas, phis, args.target, gapped.tolist(),
                        qfi, neg.tolist(), positive.tolist()])
     _write_table(None, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
@@ -937,12 +938,16 @@ class TestOneParserPerProcess:
         assert shared[0][1] != shared[1][1]  # the two seeds draw differently
 
 
-def loaded_by_cli_import(module: str) -> bool:
+def loaded_by_cli_import(module: str, *runs: tuple) -> bool:
     """Whether a fresh interpreter has ``module`` loaded after
-    ``import oqmetro.cli`` from this checkout."""
+    ``import oqmetro.cli`` from this checkout and a ``main`` call on each
+    of ``runs``, with their output discarded."""
     src = Path(oqmetro.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, oqmetro.cli; "
+    code = ("import contextlib, io, sys, oqmetro.cli\n"
+            f"for argv in {[list(r) for r in runs]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert oqmetro.cli.main(argv) == 0\n"
             f"print({module!r} in sys.modules, oqmetro.cli.__file__)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -960,3 +965,12 @@ def test_import_leaves_numpy_random_unimported():
 def test_import_leaves_json_unimported():
     # json costs about 2 ms of import; only JSON output and compat need it
     assert not loaded_by_cli_import("json")
+
+
+def test_lists_only_runs_leave_orjson_unimported():
+    # orjson costs about 5 ms of import, json with it; only the array
+    # columns of advantage-map need it
+    assert not loaded_by_cli_import("orjson", OUTPUT_COMMANDS["smoke-fi-sweep"],
+                                    OUTPUT_COMMANDS["smoke-estimate"])
+    assert loaded_by_cli_import("orjson",
+                                OUTPUT_COMMANDS["smoke-advantage-map"])

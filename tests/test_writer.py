@@ -17,13 +17,14 @@ import struct
 import tty
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_outputs import COMMANDS
 import oqmetro.cli
-from oqmetro.cli import SCHEMA_VERSION, _write_table
+from oqmetro.cli import SCHEMA_VERSION, _Gapped, _write_table
 
 
 def reference_fmt(v):
@@ -56,8 +57,9 @@ CELLS = st.one_of(
     st.floats(), st.sampled_from(EDGE_FLOATS), st.none(), st.booleans(),
     st.integers(), st.sampled_from(("theta", "phi", "mle", "lep", "None")),
 )
-# an array column's cells: -0.0 next to 0.0, and nan of two payloads
-ARRAY_FLOATS = st.sampled_from(EDGE_FLOATS + (
+# an array column's cells: -0.0 next to 0.0, nan of two payloads, and
+# any float
+ARRAY_FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS + (
     struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0],))
 NAMES = ("theta", "phi", "advantage", "negativity", "lambda", "oqfi", "qfi",
          "positive")
@@ -105,7 +107,9 @@ def grid_tables(draw):
     per inner point (tiled down the outer rows), a flat list with one cell
     per row, one cell repeated down the block, or the very list the block
     before had at that position, in whichever list role its length fits.
-    A list may be a 1-d float ndarray instead, of ``ARRAY_FLOATS`` cells.
+    A list may be a 1-d float ndarray instead, of ``ARRAY_FLOATS`` cells,
+    and either may be handed as a ``_Gapped`` column of its cells at some
+    positions, whose other cells are empty.
     The writer reads the inner points off the shortest list, so a block
     of more than one outer row and point holds an inner list whenever it
     holds a flat one, and a block without lists is one point per row.
@@ -113,6 +117,7 @@ def grid_tables(draw):
     header = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=5,
                            unique=True))
     previous = [None] * len(header)
+    previous_cells = previous
     blocks, rows = [], []
     for _ in range(draw(st.integers(0, 4))):
         kinds = [draw(st.sampled_from(("outer", "inner", "grid", "cell",
@@ -121,7 +126,8 @@ def grid_tables(draw):
         inner = draw(st.integers(0, 4))
         roles, reused = [], []
         for kind, before in zip(kinds, previous):
-            again = (kind == "again" and isinstance(before, (list, np.ndarray))
+            again = (kind == "again"
+                     and isinstance(before, (list, np.ndarray, _Gapped))
                      and len(before) in (inner, outer * inner))
             if kind == "again":  # a fresh inner list when none fits
                 kind = "grid" if again and len(before) != inner else "inner"
@@ -133,27 +139,37 @@ def grid_tables(draw):
         if "inner" not in roles and "grid" not in roles:
             inner = 1
         sizes = {"outer": outer, "inner": inner, "grid": outer * inner}
-        block = []
-        for role, again, before in zip(roles, reused, previous):
+        block, block_cells = [], []
+        for role, again, before, before_cells in zip(roles, reused, previous,
+                                                     previous_cells):
             if again:
-                block.append(before)
+                col, cells = before, before_cells
             elif role == "cell":
-                block.append(draw(CELLS))
-            elif role != "outer" and draw(st.booleans()):
-                block.append(np.array(draw(st.lists(
-                    ARRAY_FLOATS, min_size=sizes[role], max_size=sizes[role]))))
+                col = cells = draw(CELLS)
             else:
-                cells = draw(st.lists(CELLS, min_size=sizes[role],
+                array = role != "outer" and draw(st.booleans())
+                cells = draw(st.lists(ARRAY_FLOATS if array else CELLS,
+                                      min_size=sizes[role],
                                       max_size=sizes[role]))
-                block.append(tuple(cells) if role == "outer" else cells)
+                col = (np.array(cells, dtype=float) if array
+                       else tuple(cells) if role == "outer" else cells)
+                if role != "outer" and draw(st.booleans()):
+                    present = draw(st.lists(st.booleans(), min_size=len(cells),
+                                            max_size=len(cells)))
+                    values = [v for v, p in zip(cells, present) if p]
+                    col = _Gapped(np.array(values, dtype=float) if array
+                                  else values, np.array(present, dtype=bool))
+                    cells = [v if p else None for v, p in zip(cells, present)]
+            block.append(col)
+            block_cells.append(cells)
         for o in range(outer):
             for p in range(inner):
                 rows.append(tuple(
                     col[o] if role == "outer" else col[p] if role == "inner"
                     else col[o * inner + p] if role == "grid" else col
-                    for col, role in zip(block, roles)))
+                    for col, role in zip(block_cells, roles)))
         blocks.append(block)
-        previous = block
+        previous, previous_cells = block, block_cells
     return header, blocks, rows
 
 
@@ -181,27 +197,75 @@ def test_grid_blocks_match_the_row_writer(table, fmt):
 
 
 
-def test_distinct_negativity_values_formatted_once(monkeypatch):
-    """On the benchmark map the CSV rule formats each block's distinct
-    negativity values once: 16,315 of the 24,336 cells."""
-    seen = []
-    texts = oqmetro.cli._texts
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_array_columns_take_one_orjson_call_per_block(monkeypatch, fmt):
+    """On the benchmark map each of the 6 blocks serializes its negativity
+    (all 4,056 cells) and its advantage (the 8,051 defined cells in all)
+    with one orjson call each, and the cell rule formats only the 13
+    cells where orjson's layout differs from repr's."""
+    sizes, fixed = [], []
+    dumps, float_texts = orjson.dumps, oqmetro.cli._float_texts
+
+    def counted_dumps(obj, *args, **kwargs):
+        sizes.append(len(obj))
+        return dumps(obj, *args, **kwargs)
 
     def counted(rule, col):
-        if not isinstance(col, np.ndarray):
-            return texts(rule, col)
-
         def rule_seen(values):
-            seen.append(len(values))
+            fixed.extend(values)
             return rule(values)
 
-        return texts(rule_seen, col)
+        return float_texts(rule_seen, col)
 
-    monkeypatch.setattr(oqmetro.cli, "_texts", counted)
+    monkeypatch.setattr(orjson, "dumps", counted_dumps)
+    monkeypatch.setattr(oqmetro.cli, "_float_texts", counted)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert oqmetro.cli.main(list(COMMANDS["advantage-map"])) == 0
-    assert len(seen) == 6 and sum(seen) == 16315
+        argv = list(COMMANDS["advantage-map"]) + ["--format", fmt]
+        assert oqmetro.cli.main(argv) == 0
+    assert len(sizes) == 12 and sizes[1::2] == [4056] * 6
+    assert sum(sizes[::2]) == 8051
+    assert len(fixed) == 13
+    assert all(1e-11 <= abs(v) < 1e-4 for v in fixed)
+
+
+def _bits(words) -> np.ndarray:
+    return np.asarray(words, dtype=np.uint64).view(np.float64)
+
+
+def _layout_floats():
+    """Chunks of float64 values for the array path: seeded random bit
+    patterns, every power of two and decade each with its neighbours one
+    ulp away, signed zeros, infinities, NaNs of two payloads, and values
+    around the bounds where orjson's layout departs from repr's."""
+    rng = np.random.default_rng(20260823)
+    for _ in range(8):
+        yield _bits(rng.integers(0, 2**64, 2**17, dtype=np.uint64))
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    decades = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    bounds = np.concatenate([np.geomspace(b / 10, b * 10, 2_001)
+                             for b in (1e-11, 1e-4, 1e15)])
+    exact = np.concatenate([powers, decades, bounds])
+    around = np.concatenate([exact, np.nextafter(exact, 0),
+                             np.nextafter(exact, np.inf)])
+    special = np.concatenate([
+        [0.0, math.inf], _bits([0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0001])])
+    yield np.concatenate([around, -around, special, -special[:2]])
+
+
+def test_array_texts_are_the_cell_rules_texts():
+    """One orjson call per array column gives, cell for cell, the text of
+    the rules it replaces: ``str`` for CSV and ``json.dumps`` with
+    'inf'/'-inf' for JSON.  An orjson whose layout changes fails here."""
+    for col in _layout_floats():
+        values = col.tolist()
+        assert oqmetro.cli._texts(oqmetro.cli._csv_cells, col) == list(
+            map(str, values))
+        # json.dumps of the list writes each cell as json.dumps of it
+        cells = json.dumps([reference_fmt(v) for v in values],
+                           separators=(",", ":"))
+        assert oqmetro.cli._texts(oqmetro.cli._json_cells, col) == cells[
+            1:-1].split(",")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
