@@ -62,7 +62,6 @@ from .estimation import TrialConfig, TrialSummary, run_trials
 from .fisher import advantage, oqfi, qfi_pure
 from .measurement import (
     build_hovm,
-    bloch_povm,
     busch_compatible,
     mutually_unbiased_pair,
     sequential_povm,
@@ -139,10 +138,6 @@ def _check_grid_size(*axes: list) -> None:
     axes, before any of its arrays is built."""
     if math.prod(map(len, axes)) > MAX_RANGE_POINTS:
         raise ValueError(f"grid has more than {MAX_RANGE_POINTS} points")
-
-
-def _target(name: str) -> Target:
-    return Target.POLAR if name == "theta" else Target.AZIMUTHAL
 
 
 class _Gapped:
@@ -346,7 +341,7 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
 
 
 def cmd_fi_sweep(args) -> int:
-    target = _target(args.target)
+    target = Target(args.target)
     lams = parse_values(args.lam)
     axes = parse_values(args.theta), parse_values(args.phi)
     _check_grid_size(lams, *axes)
@@ -382,7 +377,7 @@ def cmd_fi_sweep(args) -> int:
 
 
 def cmd_advantage_map(args) -> int:
-    target = _target(args.target)
+    target = Target(args.target)
     lam = _eval_number(args.lam)
     thetas = parse_values(args.theta)
     phis = parse_values(args.phi)
@@ -457,7 +452,7 @@ def _estimate_rows(config: TrialConfig, summary: TrialSummary | None) -> list:
 
 
 def cmd_estimate(args) -> int:
-    target = _target(args.target)
+    target = Target(args.target)
     lam = _eval_number(args.lam)
     points = _segment_points(parse_values(args.theta), parse_values(args.phi))
     if len(points) * args.trials > MAX_RANGE_POINTS:
@@ -493,12 +488,10 @@ def cmd_compat(args) -> int:
 
     mu = np.array([_eval_number(t) for t in args.mu.split(",")])
     nu = np.array([_eval_number(t) for t in args.nu.split(",")])
-    # bloch_povm refuses a vector of the wrong length by name, and an
-    # overflowed norm with its finite value
-    bloch_povm(mu)
-    bloch_povm(nu)
     # Busch's criterion is the closed form of the least eigenvalues of the
-    # sequential HOVM's elements, so it is the verdict under both keys
+    # sequential HOVM's elements, so it is the verdict under both keys; it
+    # refuses a vector of the wrong length by name, and an overflowed norm
+    # with its finite value
     busch = bool(busch_compatible(mu, nu))
     boundary = None
     # any() and not a norm: the norm of a 1e-200 vector underflows to 0

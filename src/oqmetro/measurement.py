@@ -17,9 +17,11 @@ say) is built in one array pass.  A single measurement has batch shape
 Operators are checked once per stack, when a ``Povm`` or ``Hovm`` is
 constructed, with one check per condition over all its effects or
 elements; one bad entry refuses the whole stack.
-A Bloch-vector POVM has one check, its norm: ``bloch_povm`` refuses a
-vector unless it is finite with norm <= 1 + 1e-12, and then keeps its
-effects (1 +- v.sigma) / 2 unchecked (``_derived``), since that norm
+A Bloch vector has one check, ``_bloch``: it must have 3 components and
+be finite with norm <= 1 + 1e-12.  ``bloch_povm`` and ``busch_compatible``
+run it, and ``sharpness_threshold`` runs its shape part on its
+directions, which must be single vectors, finite and nonzero.  ``bloch_povm`` then keeps
+the effects (1 +- v.sigma) / 2 unchecked (``_derived``), since that norm
 implies all three ``Povm`` conditions (see ``bloch_povm``).
 Everything built from validated measurements relies on those checks:
 ``sequential_povm`` and ``build_hovm`` keep their results unchecked
@@ -27,12 +29,12 @@ too.  Checking them again could refuse valid inputs: an
 effect's square root is taken with its eigenvalues in
 [-HERMITIAN_TOL, 0) clamped to 0, which moves the sequential effects'
 sum off the identity by up to HERMITIAN_TOL per clamped effect.
-The Hermitian and PSD checks are closed forms in the entries of each 2 x 2
-operator (PSD is c0 - |c| >= -HERMITIAN_TOL for c0 I + c.sigma), so
-validation calls no eigensolver.  Matrix products are explicit sums of
-entry products in index order (``_mul``), one array pass per term instead
-of one BLAS call per matrix; the one LAPACK call left is ``_sqrt``'s
-``eigh``.
+The Hermitian check is the full rule max |M - M^dagger| <= HERMITIAN_TOL
+and the PSD check a closed form in the entries of each 2 x 2 operator
+(c0 - |c| >= -HERMITIAN_TOL for c0 I + c.sigma), so validation calls no
+eigensolver.  Matrix products are explicit sums of entry products in
+index order (``_mul``), one array pass per term instead of one BLAS call
+per matrix; the one LAPACK call left is ``_sqrt``'s ``eigh``.
 """
 
 from __future__ import annotations
@@ -60,17 +62,9 @@ IDENTITY_TOL = 1e-10
 
 
 def _hermitian(stack: np.ndarray) -> np.ndarray:
-    """Whether each matrix M of a (..., 2, 2) stack is within HERMITIAN_TOL
-    of its adjoint, entrywise.
-
-    The largest entry of |M - M^dagger| is the largest of its (0,0), (1,1)
-    and (0,1) entries, bit for bit: the (1,0) entry is the exact negative
-    conjugate of the (0,1) entry.  A finite diagonal entry gives
-    |m - conj m| = 2 |Im m|; an infinite or nan one fails the check.
-    """
-    m00, m11 = stack[..., 0, 0], stack[..., 1, 1]
-    skew = np.maximum(np.abs(m00 - m00.conj()), np.abs(m11 - m11.conj()))
-    skew = np.maximum(skew, np.abs(stack[..., 0, 1] - stack[..., 1, 0].conj()))
+    """Whether each matrix M of a (..., 2, 2) stack has
+    max |M - M^dagger| <= HERMITIAN_TOL; a nan or inf entry fails."""
+    skew = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     return skew <= HERMITIAN_TOL
 
 
@@ -188,21 +182,18 @@ def _derived(cls, array: np.ndarray):
     return measurement
 
 
-def bloch_povm(bloch) -> Povm:
-    """Two-outcome qubit POVMs with effects (1 + (-1)^a bloch.sigma) / 2,
-    one per Bloch vector of a (..., 3) stack.
-
-    The norm is the one check: each vector v must be finite with
-    |v| <= 1 + 1e-12, and then its effects pass every ``Povm`` check, so
-    they are kept without one.  They are Hermitian to the last bit: with
-    real coefficients the off-diagonal entries of v.sigma are exact
-    conjugates and its diagonal imaginary parts are zeros.  Their least
-    eigenvalue is (1 - |v|) / 2 >= -5e-13, far above -HERMITIAN_TOL.  And
-    their sum is within one ulp of the identity in each entry.
-    """
-    v = np.asarray(bloch, dtype=float)
+def _three(v) -> np.ndarray:
+    """v as a float array of 3-component vectors, shape (..., 3)."""
+    v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError("bloch vector must have 3 components")
+    return v
+
+
+def _bloch(bloch) -> np.ndarray:
+    """A (..., 3) stack of Bloch vectors, refused with BlochNormExceeded
+    unless each is finite with |v| <= 1 + 1e-12."""
+    v = _three(bloch)
     with np.errstate(over="ignore"):  # an overflowed norm is inf, and > 1
         norm = np.linalg.norm(v, axis=-1)
     # written so that a vector with a nan or inf entry fails it too
@@ -214,6 +205,22 @@ def bloch_povm(bloch) -> Povm:
             # a finite vector whose squares overflowed: scale them down
             shown = scale * np.linalg.norm(first / scale)
         raise BlochNormExceeded(f"Bloch norm {shown:.6f} > 1")
+    return v
+
+
+def bloch_povm(bloch) -> Povm:
+    """Two-outcome qubit POVMs with effects (1 + (-1)^a bloch.sigma) / 2,
+    one per Bloch vector of a (..., 3) stack.
+
+    The norm is the one check (``_bloch``): each vector v must be finite
+    with |v| <= 1 + 1e-12, and then its effects pass every ``Povm`` check,
+    so they are kept without one.  They are Hermitian to the last bit: with
+    real coefficients the off-diagonal entries of v.sigma are exact
+    conjugates and its diagonal imaginary parts are zeros.  Their least
+    eigenvalue is (1 - |v|) / 2 >= -5e-13, far above -HERMITIAN_TOL.  And
+    their sum is within one ulp of the identity in each entry.
+    """
+    v = _bloch(bloch)
     vs = sum(v[..., k, None, None] * p for k, p in enumerate(PAULI))
     eye = np.eye(2, dtype=complex)
     return _derived(Povm, np.stack(((eye + vs) / 2, (eye - vs) / 2), axis=-3))
@@ -276,11 +283,9 @@ def busch_compatible(mu, nu) -> bool:
     of the HOVM that ``build_hovm`` assembles from ``sequential_povm``; so
     this checks them against the same -HERMITIAN_TOL as ``hovm_is_povm``,
     and the two verdicts can part only within rounding of that tolerance.
+    Each vector is refused as ``bloch_povm`` refuses it (``_bloch``).
     """
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if not (np.linalg.norm(mu) <= 1 + 1e-12 and np.linalg.norm(nu) <= 1 + 1e-12):
-        raise BlochNormExceeded("Bloch norms must be <= 1")
+    mu, nu = _bloch(mu), _bloch(nu)
     dot = mu @ nu
     least = min(1 + dot - np.linalg.norm(mu + nu),
                 1 - dot - np.linalg.norm(mu - nu)) / 4
@@ -293,7 +298,9 @@ def _direction(v) -> np.ndarray:
     overflows (1e-160 or 1e200 entries included).  Such a scaling is exact,
     so a vector whose squares do not under- or overflow keeps the bits of
     ``v / np.linalg.norm(v)``."""
-    v = np.asarray(v, dtype=float)
+    v = _three(v)
+    if v.ndim != 1 or not (np.isfinite(v).all() and v.any()):
+        raise ValueError(f"direction {v.tolist()} is not one finite nonzero vector")
     v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
     return v / np.linalg.norm(v)
 
@@ -307,7 +314,9 @@ def sharpness_threshold(mu_dir, nu_dir) -> float | None:
     (|mu + nu| + |mu - nu|)^2 = 4 (1 + |mu x nu|) for unit vectors, that is
     sqrt(1 / (1 + |mu x nu|)), which stays accurate for nearly parallel
     and orthogonal pairs alike.  Returns None when the boundary is not
-    below full sharpness (parallel or antiparallel directions).
+    below full sharpness (parallel or antiparallel directions).  A
+    direction that is not one vector of 3 components, finite and nonzero,
+    is refused with ``ValueError``.
     """
     mu_dir, nu_dir = _direction(mu_dir), _direction(nu_dir)
     sine = np.linalg.norm(np.cross(mu_dir, nu_dir))

@@ -763,9 +763,20 @@ class TestCompat:
     def test_norm_violation_exits_2(self):
         assert main(["compat", "--mu", "1.2,0,0", "--nu", "0,0,0.5"]) == 2
 
+    @pytest.mark.parametrize("mu, nu, shown", [
+        ("1.2,0,0", "0,0,0.5", "1.200000"),
+        ("0,0,0.5", "1.2,0,0", "1.200000"),
+        ("0,0,0.5", "0.8,0.8,0", "1.131371"),
+        ("1.2,0,0", "0.8,0.8,0", "1.200000"),
+    ], ids=["mu", "nu", "nu-2", "both"])
+    def test_norm_violation_names_the_norm(self, capsys, mu, nu, shown):
+        assert main(["compat", f"--mu={mu}", f"--nu={nu}"]) == 2
+        assert capsys.readouterr() == ("", f"error: Bloch norm {shown} > 1\n")
+
     @pytest.mark.parametrize("argv", [
         ["compat", "--mu", "1e200,0,0", "--nu", "0,0,1"],
         ["fi-sweep", "--lambda", "1e200"],
+        ["compat", "--mu", "0,0,1", "--nu", "1e200,0,0"],
     ])
     def test_overflowed_norm_is_refused_with_its_value(self, capsys, argv):
         # the squares overflow; the refusal still shows the finite norm
@@ -773,7 +784,9 @@ class TestCompat:
         assert capsys.readouterr() == ("", f"error: Bloch norm {1e200:.6f} > 1\n")
 
     @pytest.mark.parametrize("mu, nu", [("0,0,0.9", "0.9,0"),
-                                        ("0,0", "0.9,0,0")])
+                                        ("0,0", "0.9,0,0"),
+                                        ("0,0,0.9", "0.9,0,0,0"),
+                                        ("0,0", "1.2,0,0")])
     def test_unequal_lengths_are_refused_by_name(self, capsys, mu, nu):
         assert main(["compat", f"--mu={mu}", f"--nu={nu}"]) == 2
         assert capsys.readouterr() == (

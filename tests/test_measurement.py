@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,28 @@ class TestCompatibility:
         with pytest.raises(BlochNormExceeded):
             busch_compatible((0, 0, 0.5), (np.nan, 0, np.inf))
 
+    @pytest.mark.parametrize("bad", [(0.5, 0.5), (0, 0, 0, 0.5), (0.5,),
+                                     (np.nan, 0, 0), (0, np.inf, 0),
+                                     (0, 0, -np.inf), (1.1, 0, 0),
+                                     (1e200, 0, 0)],
+                             ids=["2", "4", "1", "nan", "inf", "-inf",
+                                  "over-norm", "overflowed"])
+    @pytest.mark.parametrize("at", [0, 1], ids=["mu", "nu"])
+    def test_busch_refuses_what_bloch_povm_refuses(self, bad, at):
+        # one check per vector: the exception and message of bloch_povm
+        with pytest.raises((ValueError, BlochNormExceeded)) as want:
+            bloch_povm(bad)
+        pair = [(0, 0, 0.5), (0.5, 0, 0)]
+        pair[at] = bad
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            busch_compatible(*pair)
+
+    def test_busch_checks_the_first_vector_first(self):
+        with pytest.raises(BlochNormExceeded, match="^Bloch norm 1.200000 > 1$"):
+            busch_compatible((1.2, 0, 0), (0.5, 0))
+        with pytest.raises(ValueError, match="must have 3 components"):
+            busch_compatible((0.5, 0), (1.2, 0, 0))
+
     def test_lemma2_equivalence_examples(self):
         assert busch_equiv_hovm_check((0, 0, 0.5), (0.5, 0, 0))
         assert busch_equiv_hovm_check((0, 0, 0.9), (0.9, 0, 0))
@@ -262,6 +285,23 @@ class TestCompatibility:
         thr = sharpness_threshold((size, 0, 0), (0, size, 0))
         assert thr == math.sqrt(0.5)
         assert sharpness_threshold((size, 0, 0), (-size, 0, 0)) is None
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1, 0), "must have 3 components"),
+        ((1, 0, 0, 0), "must have 3 components"),
+        ((np.nan, 0, 1), "not one finite nonzero vector"),
+        ((0, np.inf, 0), "not one finite nonzero vector"),
+        ((0, 0, 0), "not one finite nonzero vector"),
+        ((-0.0, 0.0, 0.0), "not one finite nonzero vector"),
+        # a stack of directions was normalized as one vector
+        (((0, 1, 0), (1, 0, 0)), "not one finite nonzero vector"),
+    ], ids=["2", "4", "nan", "inf", "zero", "signed-zero", "stack"])
+    @pytest.mark.parametrize("at", [0, 1], ids=["mu", "nu"])
+    def test_sharpness_threshold_refuses_bad_directions(self, bad, message, at):
+        pair = [(0, 0, 1), (1, 0, 0)]
+        pair[at] = bad
+        with pytest.raises(ValueError, match=message):
+            sharpness_threshold(*pair)
 
     def test_sharpness_threshold_none_for_parallel(self):
         assert sharpness_threshold((0, 0, 1), (0, 0, 1)) is None

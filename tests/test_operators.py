@@ -106,7 +106,7 @@ def test_is_psd_stable_under_positive_shift():
         assert _psd(shifted, HERMITIAN_TOL).all()
 
 
-# --- the closed forms against the full rules they replace ---
+# --- the stacked checks against their rules, one matrix at a time ---
 
 EPS = np.finfo(float).eps
 
@@ -142,7 +142,7 @@ def test_psd_least_eigenvalue_matches_lapack(stack):
 
 
 def full_skew(m):
-    """The largest entry of |M - M^dagger|, the rule _hermitian replaces."""
+    """The largest entry of |M - M^dagger| of one matrix."""
     return float(np.abs(m - m.conj().T).max())
 
 
