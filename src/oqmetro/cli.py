@@ -14,9 +14,16 @@ kernel calls of at most ``oq.BLOCK_POINTS`` points (``oq.row_blocks``):
 ``advantage-map`` one call per block of theta rows, ``fi-sweep`` one per
 block of sharpness values, whose measurements it builds as one stack and
 evaluates at every probe point.  The cells, their slopes and the quantum
-information then go to ``fisher`` as arrays; ``advantage-map`` computes
-amplitude slopes, cell slopes and quantum information only at the
-positive points, the only ones where its advantage is defined.
+information then go to ``fisher`` as arrays.  ``advantage-map`` builds
+kets with their slopes (one ``amplitudes`` call), cell slopes and
+quantum information only at a block's positive points, and gathers the
+block's cells there once.  Only the azimuthal target's information
+vanishes, at and next to the poles, so cells, slopes and information
+are masked again only in a block where some of it does.  The cells and
+slopes reach ``fisher`` component first and C-contiguous, of shape
+(2, 2, points) as the kernel returns slopes; a boolean gather
+``values[..., mask]`` lays them out point-major, which gives the same
+bits but makes every pass of ``fisher`` stride.
 
 Each subcommand hands ``_write_table`` its table as blocks of columns,
 each formatted as soon as it is computed: one block per kernel call for
@@ -32,13 +39,18 @@ rule (13 of the benchmark map's 32,387 values).  One writer serves both
 formats with two cell rules: a CSV cell is Python's shortest round-trip
 text for a float (``inf``/``-inf`` for infinities), ``str`` for a bool,
 int or token, and empty for None, never quoted; a JSON cell is
-``json.dumps`` of the value, with the strings ``"inf"``/``"-inf"`` for
-infinities, after its key, framed as ``json.dumps(..., indent=1)``
-frames the row objects.  Output is all or nothing, so a refused block
-leaves no partial table: text for an ``--out`` file goes block by block
-to a temporary file beside it, renamed onto it at the end, and text for
-stdout (or a device) is held until the last block is done.  ``_emit`` is
-the one place output is written.
+``json.dumps`` of the value (for a finite float the same text,
+``float.__repr__``, without the encoder), with the strings
+``"inf"``/``"-inf"`` for infinities, after its key, framed as
+``json.dumps(..., indent=1)`` frames the row objects.  A block's text is
+one join of a list of its rows' separators and cells, filled with the
+most common separator and then given each other separator and each
+column's cells by one strided slice assignment.  Output is all or
+nothing, so a refused block leaves no partial table: text for an
+``--out`` file goes block by block to a temporary file beside it,
+renamed onto it at the end, and text for stdout (or a device) is held
+until the last block is done.  ``_emit`` is the one place output is
+written.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime statistical
 failure.
@@ -54,6 +66,7 @@ import os
 import sys
 from contextlib import contextmanager
 from functools import cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -68,7 +81,7 @@ from .measurement import (
     sharpness_threshold,
 )
 from .oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values, row_blocks
-from .probe import Target, amplitude_slopes, amplitudes, check_angles
+from .probe import Target, amplitudes, check_angles
 
 SCHEMA_VERSION = "oqmetro-csv v1"
 
@@ -166,11 +179,15 @@ def _csv_cells(col: list) -> list:
 
 def _json_cells(col: list) -> list:
     """JSON text of a column of Python values: ``json.dumps`` of the
-    value, with the strings 'inf'/'-inf' for infinities."""
+    value, with the strings 'inf'/'-inf' for infinities.  A finite float
+    skips the encoder: its text is ``float.__repr__``, which is what
+    ``json.dumps`` writes for it (``repr`` is not: numpy 2 writes a
+    ``np.float64`` as ``np.float64(...)``)."""
     import json
 
-    return [json.dumps("inf" if v == math.inf else
-                       "-inf" if v == -math.inf else v) for v in col]
+    return [float.__repr__(v) if isinstance(v, float) and math.isfinite(v)
+            else json.dumps("inf" if v == math.inf else
+                            "-inf" if v == -math.inf else v) for v in col]
 
 
 def _put(texts: list, at: np.ndarray, new: list) -> list:
@@ -294,11 +311,14 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
         rule, keys = _json_cells, [f"   {json.dumps(key)}: " for key in header]
         sep, row_open, row_close, row_join = ",\n", "\n  {\n", "\n  }", ","
         tails = ("]\n}\n", "\n ]\n}\n")
-    # a row's text before each of its cells (None), the first after an
-    # earlier row
-    row = [row_close + row_join + row_open + keys[0], None]
-    for key in keys[1:]:
-        row += [sep + key, None]
+    # a row's text before each of its cells, the first after an earlier
+    # row; a block's text fills every such slot with the most common one
+    # and then the others, one strided slice each
+    gaps = [row_close + row_join + row_open + keys[0]]
+    gaps += [sep + key for key in keys[1:]]
+    common = max(gaps, key=gaps.count)
+    others = [(2 * k, gap) for k, gap in enumerate(gaps) if gap != common]
+    width = 2 * len(gaps)  # a row's entries: each gap and its cell
     held = {}  # column position -> (list column, its text)
 
     def rows_text(block, after_rows: bool) -> str:
@@ -311,8 +331,11 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
         n = outer * inner
         if not n:
             return ""
-        flat = row * n + [row_close]
+        flat = [common] * (width * n + 1)
+        for k, gap in others:
+            flat[k:-1:width] = [gap] * n
         flat[0] = (row_join if after_rows else "") + row_open + keys[0]
+        flat[-1] = row_close
         for j, col in enumerate(block):
             if isinstance(col, _LISTS):
                 if j not in held or held[j][0] is not col:
@@ -323,11 +346,12 @@ def _write_table(path: str | None, fmt: str, name: str, header: list,
                 if len(col) < n:
                     text = text * outer
             elif isinstance(col, tuple):
-                text = [t for t in rule(col) for _ in range(inner)]
+                text = list(chain.from_iterable(map(repeat, rule(col),
+                                                    repeat(inner))))
             else:
                 text = rule([col]) * n
             # the cells go between the row text, joined once
-            flat[2 * j + 1::len(row)] = text
+            flat[2 * j + 1::width] = text
         return "".join(flat)
 
     with _emit(path) as write:
@@ -348,8 +372,7 @@ def cmd_fi_sweep(args) -> int:
     grid = np.meshgrid(*axes, indexing="ij")
     theta, phi = (g.ravel() for g in grid)
     check_angles(theta, phi)
-    psi = amplitudes(theta, phi)
-    dpsi = amplitude_slopes(theta, phi, target)
+    psi, dpsi = amplitudes(theta, phi, target)
     thetas, phis = theta.tolist(), phi.tolist()
     qfi = qfi_pure(psi, dpsi).tolist()
 
@@ -397,19 +420,27 @@ def cmd_advantage_map(args) -> int:
             values = oq_values(w, psi)
             neg = negativity(values)
             # the advantage is undefined at negative points and where the
-            # quantum information vanishes: those cells stay empty, and
-            # the information chain runs at the positive points only, on
-            # kets built anew there (C-contiguous, unlike psi[:, defined])
+            # quantum information vanishes: those cells stay empty.  The
+            # cells of the positive points are gathered component first and
+            # C-contiguous like the slopes (a masked gather
+            # values[..., defined] comes out point-major, which every pass
+            # of fisher strides through), and the information chain runs
+            # at the positive points only, on kets built anew there
+            # (C-contiguous, unlike psi[:, defined])
             defined = neg <= POSITIVITY_TOL
+            values = values.reshape(2, 2, -1).compress(defined.ravel(), axis=-1)
             at = [np.broadcast_to(g, neg.shape)[defined] for g in (theta_col, phi)]
-            values = values[..., defined]
-            psi, dpsi = amplitudes(*at), amplitude_slopes(*at, target)
+            psi, dpsi = amplitudes(*at, target)
             qfi = qfi_pure(psi, dpsi)
             slopes = oq_slopes(w, psi, dpsi)
             nonzero = qfi > 0
-            defined[defined] = nonzero
-            adv = advantage(values[..., nonzero], slopes[..., nonzero],
-                            qfi[nonzero])
+            if not nonzero.all():
+                # the azimuthal target's QFI, sin(theta)**2, vanishes at
+                # and next to the poles
+                defined[defined] = nonzero
+                values, slopes, qfi = (x.compress(nonzero, axis=-1)
+                                       for x in (values, slopes, qfi))
+            adv = advantage(values, slopes, qfi)
             yield [tuple(thetas[rows]), phis, _Gapped(adv, defined.ravel()),
                    neg.ravel()]
 

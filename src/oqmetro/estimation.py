@@ -48,7 +48,7 @@ from .errors import AllTrialsOmitted, ParamOutOfRange
 from .fisher import advantage, qfi_pure
 from .measurement import Hovm, Povm, build_hovm, mutually_unbiased_pair, sequential_povm
 from .oq import POSITIVITY_TOL, cell_sum, oq_slopes, oq_values, row_blocks
-from .probe import Target, amplitude_slopes, amplitudes, check_angles
+from .probe import Target, amplitudes, check_angles
 
 PROB_CLAMP = 1e-12
 GRID_STEP = 1e-3
@@ -412,9 +412,8 @@ def estimate_tables(counts: CountTable, target: Target, fixed_other: float,
     with np.errstate(divide="ignore"):
         mle_var = 1.0 / (n * observed_fi)
 
-    ket = amplitudes(*angles(lep))
+    ket, dket = amplitudes(*angles(lep), target)
     mean_at = cell_sum(_PARITY * oq_values(w, ket).reshape(4, trials), 1)
-    dket = amplitude_slopes(*angles(lep), target)
     slope = cell_sum(_PARITY * oq_slopes(w, ket, dket).reshape(4, trials), 1)
     # the parity observable has eigenvalue labels +-1, so <O^2> = 1
     with np.errstate(divide="ignore"):
@@ -540,8 +539,7 @@ def run_trials(config: TrialConfig) -> TrialSummary:
                               "finite or wider than 2*pi")
     _grid(domain, GRID_STEP)  # refuses a one-point grid before sampling
 
-    psi0 = amplitudes(config.theta0, config.phi0)
-    dpsi0 = amplitude_slopes(config.theta0, config.phi0, config.target)
+    psi0, dpsi0 = amplitudes(config.theta0, config.phi0, config.target)
     qfi0 = qfi_pure(psi0, dpsi0)
     adv = advantage(oq_values(w, psi0), oq_slopes(w, psi0, dpsi0), qfi0)
     quantum_var = 1.0 / (config.n * qfi0)

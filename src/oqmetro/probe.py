@@ -1,11 +1,13 @@
 """Pure qubit probe states and their analytic derivatives, over whole grids.
 
 The probe is cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.  Exactly one of
-the two angles is the estimation target; ``amplitude_slopes`` gives the
-analytic derivative with respect to it so Fisher-information divergences
-stay well characterized (no finite-difference noise on the hot path).
+the two angles is the estimation target; ``amplitudes`` given a target
+also returns the analytic derivative with respect to it, so
+Fisher-information divergences stay well characterized (no
+finite-difference noise on the hot path), and a ket and its slope share
+one evaluation of the sines, cosines and phases.
 
-Both functions broadcast over arrays of angles and return new
+``amplitudes`` broadcasts over arrays of angles and returns new
 C-contiguous kets of shape ``(2,) + broadcast(theta, phi).shape``,
 component first, the layout the kernel (``oq.oq_values``) takes.  Scalar
 angles are evaluated as one-value arrays, so a single point gets the
@@ -56,24 +58,24 @@ def _empty(shape) -> np.ndarray:
     return np.empty((2,) + (shape or (1,)), dtype=complex)
 
 
-def amplitudes(theta, phi) -> np.ndarray:
-    """Probe amplitudes (cos(theta/2), e^{i phi} sin(theta/2))."""
+def amplitudes(theta, phi, target: Target | None = None):
+    """Probe amplitudes (cos(theta/2), e^{i phi} sin(theta/2)); given a
+    target angle, the pair (psi, dpsi) of the amplitudes and their
+    derivative with respect to it, from one pass of sines, cosines and
+    phases."""
     half, phi, shape = _operands(theta, phi)
+    cos, sin, phase = np.cos(half), np.sin(half), np.exp(1j * phi)
     psi = _empty(shape)
-    psi[0] = np.cos(half)
-    psi[1] = np.exp(1j * phi) * np.sin(half)
-    return psi.reshape((2,) + shape)
-
-
-def amplitude_slopes(theta, phi, target: Target) -> np.ndarray:
-    """Derivative of the amplitudes with respect to the target angle."""
-    half, phi, shape = _operands(theta, phi)
-    phase = np.exp(1j * phi)
+    psi[0] = cos
+    psi[1] = phase * sin
+    psi = psi.reshape((2,) + shape)
+    if target is None:
+        return psi
     dpsi = _empty(shape)
     if target is Target.POLAR:
-        dpsi[0] = -np.sin(half) / 2
-        dpsi[1] = phase * np.cos(half) / 2
+        dpsi[0] = -sin / 2
+        dpsi[1] = phase * cos / 2
     else:
         dpsi[0] = 0.0
-        dpsi[1] = 1j * phase * np.sin(half)
-    return dpsi.reshape((2,) + shape)
+        dpsi[1] = 1j * phase * sin
+    return psi, dpsi.reshape((2,) + shape)

@@ -12,7 +12,7 @@ from oqmetro.measurement import (
     sequential_povm,
 )
 from oqmetro.oq import oq_slopes, oq_values
-from oqmetro.probe import Target, amplitude_slopes, amplitudes
+from oqmetro.probe import Target, amplitudes
 
 
 def mub_hovm(lam):
@@ -38,7 +38,7 @@ def marginality_defect(w, a, b):
 
 def probe(theta, phi, target=Target.POLAR):
     """Amplitudes and target-angle slopes, the (psi, dpsi) the kernel takes."""
-    return amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    return amplitudes(theta, phi, target)
 
 
 def cells(w, psi, dpsi):

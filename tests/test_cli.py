@@ -38,7 +38,7 @@ from oqmetro.measurement import (
     sequential_povm,
 )
 from oqmetro.oq import POSITIVITY_TOL, negativity, oq_values
-from oqmetro.probe import Target, amplitude_slopes, amplitudes
+from oqmetro.probe import Target, amplitudes
 
 
 def read_csv(path):
@@ -213,8 +213,7 @@ def per_lambda_sweep(argv):
     grid = np.meshgrid(parse_values(args.theta), parse_values(args.phi),
                        indexing="ij")
     theta, phi = (g.ravel() for g in grid)
-    psi = amplitudes(theta, phi)
-    dpsi = amplitude_slopes(theta, phi, target)
+    psi, dpsi = amplitudes(theta, phi, target)
     thetas, phis = theta.tolist(), phi.tolist()
     qfi = qfi_pure(psi, dpsi).tolist()
     blocks = []
@@ -399,39 +398,57 @@ class TestAdvantageMap:
         # amplitude slopes, cell slopes and quantum information are
         # computed only where the advantage can be defined: 8,051 of the
         # benchmark map's 24,336 points
-        points = dict.fromkeys(("qfi_pure", "oq_slopes", "amplitude_slopes"), 0)
+        points = dict.fromkeys(("qfi_pure", "oq_slopes", "amplitudes"), 0)
         for name in points:
 
             def counted(*args, name=name, fn=getattr(oqmetro.cli, name)):
-                # the polar angles of amplitude_slopes, else dpsi's points
-                points[name] += (args[0].size if name == "amplitude_slopes"
-                                 else math.prod(args[-1].shape[1:]))
+                # the polar angles of kets built with their slopes (given
+                # a target), else dpsi's points
+                points[name] += (math.prod(args[-1].shape[1:])
+                                 if name != "amplitudes"
+                                 else args[0].size if len(args) == 3 else 0)
                 return fn(*args)
 
             monkeypatch.setattr(oqmetro.cli, name, counted)
         assert main(list(OUTPUT_COMMANDS["advantage-map"])) == 0
         assert points == {"qfi_pure": 8051, "oq_slopes": 8051,
-                          "amplitude_slopes": 8051}
+                          "amplitudes": 8051}
 
-    @pytest.mark.parametrize("target", list(Target), ids=lambda t: t.value)
-    def test_advantage_is_the_per_point_value_bit_for_bit(self, capsys, target):
+    @pytest.mark.parametrize("target, theta, zero_qfi", [
+        (Target.POLAR, "0.02:3.12:0.03", 0),
+        (Target.AZIMUTHAL, "0.02:3.12:0.03", 0),
+        # the poles are positive points where the azimuthal QFI vanishes:
+        # 94 at theta = 0 and 94 at theta = pi
+        (Target.AZIMUTHAL, "0:pi:pi/40", 188),
+    ], ids=["theta", "phi", "phi-poles"])
+    def test_advantage_is_the_per_point_value_bit_for_bit(self, capsys, target,
+                                                          theta, zero_qfi):
         # the information chain runs on kets built at the positive points;
         # masked kets psi[:, defined], which are not C-contiguous, can move
-        # the last bit of a cell slope and so of the advantage
+        # the last bit of a cell slope and so of the advantage.  A cell is
+        # empty exactly where the point is negative or its QFI vanishes.
         argv = ["advantage-map", "--target", target.value, "--lambda", "0.995",
-                "--theta", "0.02:3.12:0.03", "--phi", "0.02:3.12:0.03"]
+                "--theta", theta, "--phi", "0.02:3.12:0.03"]
         assert main(argv) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
         assert any(float(r["negativity"]) > POSITIVITY_TOL for r in rows)
         a, b = mutually_unbiased_pair(0.995)
         w = build_hovm(a, b, sequential_povm(a, b))
-        got, want = [], []
+        got, want, vanished = [], [], 0
         for row in rows:
-            if row["advantage"]:
-                psi, dpsi = probe(float(row["theta"]), float(row["phi"]), target)
-                got.append(float(row["advantage"]))
-                want.append(advantage(*cells(w, psi, dpsi), qfi_pure(psi, dpsi)))
+            if float(row["negativity"]) > POSITIVITY_TOL:
+                assert row["advantage"] == ""
+                continue
+            psi, dpsi = probe(float(row["theta"]), float(row["phi"]), target)
+            qfi = qfi_pure(psi, dpsi)
+            if qfi <= 0:
+                assert row["advantage"] == ""
+                vanished += 1
+                continue
+            got.append(float(row["advantage"]))
+            want.append(advantage(*cells(w, psi, dpsi), qfi))
         assert len(got) > 1000
+        assert vanished == zero_qfi
         assert np.array_equal(np.array(got).view(np.int64),
                               np.array(want).view(np.int64))
 

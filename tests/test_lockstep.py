@@ -34,7 +34,7 @@ from oqmetro.estimation import (
 from oqmetro.fisher import advantage, qfi_pure
 from oqmetro.measurement import build_hovm, mutually_unbiased_pair, sequential_povm
 from oqmetro.oq import oq_slopes, oq_values
-from oqmetro.probe import Target, amplitude_slopes, amplitudes, check_angles
+from oqmetro.probe import Target, amplitudes, check_angles
 
 PARITY = np.array([[1.0, 1.0], [1.0, -1.0]])
 INV_PHI = (math.sqrt(5) - 1) / 2
@@ -147,8 +147,7 @@ def ref_lep(cw, n, target, other, w, domain):
     means = (PARITY[None, :, :] * vals).sum(axis=(1, 2))
     est = ref_refine(f, gs, int(np.argmin((means - obs) ** 2)))
     theta, phi = ref_angles(est, other, target)
-    psi = amplitudes(theta, phi)
-    dpsi = amplitude_slopes(theta, phi, target)
+    psi, dpsi = amplitudes(theta, phi, target)
     mean_at = float((PARITY * oq_values(w, psi)[..., 0]).sum())
     slope = float((PARITY * oq_slopes(w, psi, dpsi)[..., 0]).sum())
     if abs(slope) <= SLOPE_FLOOR:
@@ -187,8 +186,7 @@ def ref_run_trials(cfg):
     domain = cfg.domain or (0.0, math.pi)
     if cfg.target is Target.POLAR:
         check_angles(domain, cfg.phi0)
-    psi0 = amplitudes(cfg.theta0, cfg.phi0)
-    dpsi0 = amplitude_slopes(cfg.theta0, cfg.phi0, cfg.target)
+    psi0, dpsi0 = amplitudes(cfg.theta0, cfg.phi0, cfg.target)
     adv = advantage(oq_values(w, psi0), oq_slopes(w, psi0, dpsi0),
                     qfi_pure(psi0, dpsi0))
     quantum_var = 1.0 / (cfg.n * qfi_pure(psi0, dpsi0))

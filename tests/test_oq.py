@@ -16,7 +16,7 @@ from oqmetro.measurement import (
     sequential_povm,
 )
 from oqmetro.oq import POSITIVITY_TOL, cell_sum, negativity, oq_slopes, oq_values
-from oqmetro.probe import Target, amplitude_slopes, amplitudes
+from oqmetro.probe import Target, amplitudes
 
 
 def is_positive(values, tol=POSITIVITY_TOL):
@@ -156,7 +156,7 @@ def kernel_inputs(kind, lams, thetas, phis, target):
     lam = np.array(lams)[:, None] if kind == "stack" else lams[0]
     a, b = mutually_unbiased_pair(lam)
     w = build_hovm(a, b, sequential_povm(a, b))
-    return w, amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    return (w, *amplitudes(theta, phi, target))
 
 
 angles = st.lists(st.floats(0, math.pi), min_size=1, max_size=5)
@@ -209,12 +209,12 @@ def test_kernel_on_target_kets_gives_the_amplitudes_cells(target, data, lam):
     are, bit for bit, the cells and slopes of one-value runs."""
     g, theta, phi = target_kets_case(data, target)
     _, _, w = mub_hovm(lam)
-    psi, dpsi = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    psi, dpsi = amplitudes(theta, phi, target)
     cells, slopes = oq_values(w, psi), oq_slopes(w, psi, dpsi)
     assert cells.shape == slopes.shape == (2, 2, len(g))
     rows, slope_rows = cells.reshape(4, len(g)), slopes.reshape(4, len(g))
     for i, at in enumerate(one_value_runs(theta, phi)):
-        one, done = amplitudes(*at), amplitude_slopes(*at, target)
+        one, done = amplitudes(*at, target)
         assert np.array_equal(bits(rows[:, i]), bits(oq_values(w, one).ravel()))
         assert np.array_equal(bits(slope_rows[:, i]),
                               bits(oq_slopes(w, one, done).ravel()))
@@ -238,9 +238,9 @@ def test_kernel_takes_the_hovms_component_first_elements(monkeypatch, lam):
         return einsum(subscripts, *ops)
 
     monkeypatch.setattr(oqmetro.oq.np, "einsum", spy)
-    psi = amplitudes(np.array([0.3, 1.2]), 0.5)
+    psi, dpsi = amplitudes(np.array([0.3, 1.2]), 0.5, Target.POLAR)
     oq_values(w, psi)
-    oq_slopes(w, psi, amplitude_slopes(np.array([0.3, 1.2]), 0.5, Target.POLAR))
+    oq_slopes(w, psi, dpsi)
     assert len(operands) == 2 and all(op is w.front for op in operands)
 
 

@@ -44,7 +44,7 @@ from oqmetro.measurement import (
     sharpness_threshold,
 )
 from oqmetro.oq import POSITIVITY_TOL, negativity, oq_slopes, oq_values
-from oqmetro.probe import Target, amplitude_slopes, amplitudes
+from oqmetro.probe import Target, amplitudes
 
 EPS = np.finfo(float).eps
 
@@ -228,7 +228,7 @@ def point_errors(groups):
     for (mu, nu), target, theta, phi in groups:
         a, b = bloch_povm(mu), bloch_povm(nu)
         w = build_hovm(a, b, sequential_povm(a, b))
-        psi, dpsi = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+        psi, dpsi = amplitudes(theta, phi, target)
         values, slopes = oq_values(w, psi), oq_slopes(w, psi, dpsi)
         qfi = qfi_pure(psi, dpsi)
         got = {"oq_values": values.reshape(4, -1).T,

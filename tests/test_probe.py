@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqmetro.errors import ParamOutOfRange
-from oqmetro.probe import Target, amplitude_slopes, amplitudes, check_angles
+from oqmetro.probe import Target, amplitudes, check_angles
 
 
 def _bloch(psi):
@@ -27,14 +27,14 @@ def test_equator_polar_derivative():
     r = 1 / math.sqrt(2)
     np.testing.assert_allclose(amplitudes(math.pi / 2, 0.0), [r, r], atol=1e-15)
     np.testing.assert_allclose(
-        amplitude_slopes(math.pi / 2, 0.0, Target.POLAR), [-r / 2, r / 2],
+        amplitudes(math.pi / 2, 0.0, Target.POLAR)[1], [-r / 2, r / 2],
         atol=1e-15,
     )
 
 
 def test_azimuthal_derivative_norm():
     theta = 7 * math.pi / 10
-    d = amplitude_slopes(theta, math.pi / 4, Target.AZIMUTHAL)
+    d = amplitudes(theta, math.pi / 4, Target.AZIMUTHAL)[1]
     norm_sq = np.vdot(d, d).real
     assert norm_sq == pytest.approx(math.sin(theta / 2) ** 2, abs=1e-14)
 
@@ -81,13 +81,15 @@ def test_amplitudes_broadcast_over_grids():
     # component first, as new C-contiguous arrays the kernel takes as they are
     assert grid.shape == (2, 7, 5) and grid.flags.c_contiguous
     for target in Target:
-        slopes = amplitude_slopes(thetas[:, None], phis[None, :], target)
+        ket, slopes = amplitudes(thetas[:, None], phis[None, :], target)
+        # the kets built with their slopes are the kets built alone
+        assert np.array_equal(ket.view(np.int64), grid.view(np.int64))
         assert slopes.shape == (2, 7, 5) and slopes.flags.c_contiguous
         for i, t in enumerate(thetas):
             for j, p in enumerate(phis):
                 assert np.array_equal(grid[:, i, j], amplitudes(t, p))
                 assert np.array_equal(slopes[:, i, j],
-                                      amplitude_slopes(t, p, target))
+                                      amplitudes(t, p, target)[1])
 
 
 def _amplitudes(theta, phi):
@@ -103,7 +105,7 @@ def test_analytic_derivative_matches_finite_difference(target):
     for _ in range(100):
         theta = rng.uniform(0.05, math.pi - 0.05)
         phi = rng.uniform(0.05, 2 * math.pi - 0.05)
-        d = amplitude_slopes(theta, phi, target)
+        d = amplitudes(theta, phi, target)[1]
         if target is Target.POLAR:
             fd = (_amplitudes(theta + h, phi) - _amplitudes(theta - h, phi)) / (2 * h)
         else:
@@ -151,13 +153,13 @@ def test_target_kets_are_the_amplitudes_component_first(target, data):
     are C-contiguous, component first, and bit for bit the amplitudes and
     slopes of one-value runs, one call per value."""
     g, theta, phi = target_kets_case(data, target)
-    ket, dket = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    ket, dket = amplitudes(theta, phi, target)
     assert ket.shape == dket.shape == (2, len(g))
     assert ket.flags.c_contiguous and dket.flags.c_contiguous
     for i, at in enumerate(one_value_runs(theta, phi)):
         assert np.array_equal(bits(ket[:, i:i + 1]), bits(amplitudes(*at)))
         assert np.array_equal(bits(dket[:, i:i + 1]),
-                              bits(amplitude_slopes(*at, target)))
+                              bits(amplitudes(*at, target)[1]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -168,7 +170,7 @@ def test_target_kets_are_the_amplitudes_component_first(target, data):
 @example(theta=2.225073858507203e-309, phi=math.pi, target=Target.AZIMUTHAL)
 def test_scalar_angles_give_the_bits_of_one_value_arrays(theta, phi, target):
     at = np.array([theta]), np.array([phi])
-    ket, dket = amplitudes(theta, phi), amplitude_slopes(theta, phi, target)
+    ket, dket = amplitudes(theta, phi, target)
     assert ket.shape == dket.shape == (2,)
     assert np.array_equal(bits(ket), bits(amplitudes(*at)[:, 0]))
-    assert np.array_equal(bits(dket), bits(amplitude_slopes(*at, target)[:, 0]))
+    assert np.array_equal(bits(dket), bits(amplitudes(*at, target)[1][:, 0]))

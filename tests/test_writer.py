@@ -196,6 +196,31 @@ def test_grid_blocks_match_the_row_writer(table, fmt):
                                                             rows)
 
 
+# list cells of every kind a JSON cell takes; a finite float, np.float64
+# included, skips the encoder
+JSON_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, 0.1,
+              1.7976931348623157e308, math.nan, math.inf, -math.inf, True,
+              False, 0, 2**53 + 1, -(2**64) - 1, 10**30, None, "theta",
+              "é", "π/2 ∞", " ", 'a"b\\c', np.float64(-0.0),
+              np.float64(5e-324), np.float64(1e16), np.float64(math.nan),
+              np.float64(math.inf), np.float64(0.1)]
+JSON_VALUES = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.sampled_from(JSON_EDGES),
+    st.booleans(), st.integers(), st.integers(2**53, 2**80).map(
+        lambda i: -i if i % 2 else i), st.none(), st.text(max_size=4))
+
+
+def test_json_cells_are_json_dumps_at_the_edges():
+    assert oqmetro.cli._json_cells(JSON_EDGES) == [
+        json.dumps(reference_fmt(v)) for v in JSON_EDGES]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(JSON_VALUES, max_size=12))
+def test_json_cells_are_json_dumps(values):
+    assert oqmetro.cli._json_cells(values) == [
+        json.dumps(reference_fmt(v)) for v in values]
+
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_map_array_columns_take_one_orjson_call_per_block(monkeypatch, fmt):
