@@ -13,15 +13,18 @@ the trials of an ``estimate`` over all its points.
 kernel calls of at most ``oq.BLOCK_POINTS`` points (``oq.row_blocks``):
 ``advantage-map`` one call per block of theta rows, ``fi-sweep`` one per
 block of sharpness values, whose measurements it builds as one stack and
-evaluates at every probe point.  The cells, their slopes and the quantum
-information then go to ``fisher`` as arrays.  ``advantage-map`` builds
-kets with their slopes (one ``amplitudes`` call), cell slopes and
-quantum information only at a block's positive points, and gathers the
-block's cells there once.  Only the azimuthal target's information
-vanishes, at and next to the poles, so cells, slopes and information
-are masked again only in a block where some of it does.  The cells and
-slopes reach ``fisher`` component first and C-contiguous, of shape
-(2, 2, points) as the kernel returns slopes; a boolean gather
+evaluates at every probe point.  A row wider than the budget (phi points
+of the map, probe points of the sweep) is cut into pieces of at most
+``oq.BLOCK_POINTS`` points, one call each.  The cells, their slopes and
+the quantum information then go to ``fisher`` as arrays.
+``advantage-map`` builds a block's kets with their slopes in one
+``amplitudes`` call, and gathers its cells, kets and ket slopes at its
+positive points with one ``compress`` each; cell slopes and quantum
+information are computed there only.  Only the azimuthal target's
+information vanishes, at and next to the poles, so cells, slopes and
+information are masked again only in a block where some of it does.
+The cells and slopes reach ``fisher`` component first and C-contiguous,
+of shape (2, 2, points) as the kernel returns slopes; a boolean gather
 ``values[..., mask]`` lays them out point-major, which gives the same
 bits but makes every pass of ``fisher`` stride.
 
@@ -253,8 +256,12 @@ def _emit(path: str | None):
     import tempfile
 
     target = os.path.realpath(path)
-    fd, temp = tempfile.mkstemp(dir=os.path.dirname(target),
-                                prefix=".oqmetro-", suffix=".tmp")
+    try:
+        fd, temp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                    prefix=".oqmetro-", suffix=".tmp")
+    except OSError as exc:
+        # name the path given, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w") as fh:
             os.chmod(temp, _file_mode(target))
@@ -373,25 +380,29 @@ def cmd_fi_sweep(args) -> int:
     theta, phi = (g.ravel() for g in grid)
     check_angles(theta, phi)
     psi, dpsi = amplitudes(theta, phi, target)
-    thetas, phis = theta.tolist(), phi.tolist()
-    qfi = qfi_pure(psi, dpsi).tolist()
+    qfi = qfi_pure(psi, dpsi)
+    # the probe points in pieces of at most one kernel call's points (one
+    # piece unless they are more), each with its columns listed once
+    pieces = [(psi[:, c], dpsi[:, c], theta[c].tolist(), phi[c].tolist(),
+               qfi[c].tolist()) for c in row_blocks(theta.size, 1)]
 
     def blocks():
         # the measurements of a block of sharpness values in one stack of
         # batch shape (lambda, 1), which broadcasts against the probe
         # points: cells have shape (d, d, lambda, point)
-        for rows in row_blocks(len(lams), len(thetas)):
+        for rows in row_blocks(len(lams), theta.size):
             a, b = mutually_unbiased_pair(np.array(lams[rows])[:, None])
             w = build_hovm(a, b, sequential_povm(a, b))
-            values = oq_values(w, psi)
-            neg = negativity(values)
-            positive = neg <= POSITIVITY_TOL
-            slopes = oq_slopes(w, psi, dpsi)
-            info = oqfi(values[..., positive], slopes[..., positive])
-            positive = positive.ravel()
-            yield [tuple(lams[rows]), thetas, phis, args.target,
-                   _Gapped(info.tolist(), positive), qfi,
-                   neg.ravel().tolist(), positive.tolist()]
+            for kets, ket_slopes, thetas, phis, qfis in pieces:
+                values = oq_values(w, kets)
+                neg = negativity(values)
+                positive = neg <= POSITIVITY_TOL
+                slopes = oq_slopes(w, kets, ket_slopes)
+                info = oqfi(values[..., positive], slopes[..., positive])
+                positive = positive.ravel()
+                yield [tuple(lams[rows]), thetas, phis, args.target,
+                       _Gapped(info.tolist(), positive), qfis,
+                       neg.ravel().tolist(), positive.tolist()]
 
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
@@ -409,40 +420,42 @@ def cmd_advantage_map(args) -> int:
     a, b = mutually_unbiased_pair(lam)
     w = build_hovm(a, b, sequential_povm(a, b))
     phi = np.array(phis, dtype=float)
+    # the phi points in pieces of at most one kernel call's points (one
+    # piece unless they are more), each listed once
+    pieces = [(phis[c], phi[c]) for c in row_blocks(len(phis), 1)]
 
     def blocks():
-        # one kernel call per block of theta rows keeps the working set
-        # small, and a block (its theta rows by the phi points) is
-        # formatted before the next block is computed
+        # one kernel call per block of theta rows (or piece of one row)
+        # keeps the working set small, and a block is formatted before the
+        # next block is computed
         for rows in row_blocks(len(thetas), len(phis)):
             theta_col = np.array(thetas[rows], dtype=float)[:, None]
-            psi = amplitudes(theta_col, phi)
-            values = oq_values(w, psi)
-            neg = negativity(values)
-            # the advantage is undefined at negative points and where the
-            # quantum information vanishes: those cells stay empty.  The
-            # cells of the positive points are gathered component first and
-            # C-contiguous like the slopes (a masked gather
-            # values[..., defined] comes out point-major, which every pass
-            # of fisher strides through), and the information chain runs
-            # at the positive points only, on kets built anew there
-            # (C-contiguous, unlike psi[:, defined])
-            defined = neg <= POSITIVITY_TOL
-            values = values.reshape(2, 2, -1).compress(defined.ravel(), axis=-1)
-            at = [np.broadcast_to(g, neg.shape)[defined] for g in (theta_col, phi)]
-            psi, dpsi = amplitudes(*at, target)
-            qfi = qfi_pure(psi, dpsi)
-            slopes = oq_slopes(w, psi, dpsi)
-            nonzero = qfi > 0
-            if not nonzero.all():
-                # the azimuthal target's QFI, sin(theta)**2, vanishes at
-                # and next to the poles
-                defined[defined] = nonzero
-                values, slopes, qfi = (x.compress(nonzero, axis=-1)
-                                       for x in (values, slopes, qfi))
-            adv = advantage(values, slopes, qfi)
-            yield [tuple(thetas[rows]), phis, _Gapped(adv, defined.ravel()),
-                   neg.ravel()]
+            for row_phis, row_phi in pieces:
+                psi, dpsi = amplitudes(theta_col, row_phi, target)
+                values = oq_values(w, psi)
+                neg = negativity(values)
+                # the advantage is undefined at negative points and where
+                # the quantum information vanishes: those cells stay
+                # empty.  The information chain runs at the positive points
+                # only, on the cells, kets and ket slopes gathered there
+                # component first and C-contiguous (a masked gather
+                # x[..., defined] comes out point-major, which every pass
+                # of fisher strides through)
+                defined = neg <= POSITIVITY_TOL
+                values, psi, dpsi = (x.reshape(*x.shape[:-2], -1).compress(
+                    defined.ravel(), axis=-1) for x in (values, psi, dpsi))
+                qfi = qfi_pure(psi, dpsi)
+                slopes = oq_slopes(w, psi, dpsi)
+                nonzero = qfi > 0
+                if not nonzero.all():
+                    # the azimuthal target's QFI, sin(theta)**2, vanishes at
+                    # and next to the poles
+                    defined[defined] = nonzero
+                    values, slopes, qfi = (x.compress(nonzero, axis=-1)
+                                           for x in (values, slopes, qfi))
+                adv = advantage(values, slopes, qfi)
+                yield [tuple(thetas[rows]), row_phis,
+                       _Gapped(adv, defined.ravel()), neg.ravel()]
 
     _write_table(args.out, args.format, "advantage-map",
                  ["theta", "phi", "advantage", "negativity"], blocks())
@@ -548,10 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lam_default=None):
+    def common(p, lam_default, lam_help="sharpness value"):
         p.add_argument("--target", choices=("theta", "phi"), default="theta")
         p.add_argument("--lambda", dest="lam", default=lam_default,
-                       help="sharpness value or range start:stop:step")
+                       help=lam_help)
         p.add_argument("--theta", default="pi/2",
                        help="value, comma list, or range start:stop:step")
         p.add_argument("--phi", default="0",
@@ -560,15 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("fi-sweep", help="OQFI and QFI over a sharpness grid")
-    common(p, lam_default="0:0.995:0.005")
+    common(p, "0:0.995:0.005",
+           "sharpness value, comma list, or range start:stop:step")
     p.set_defaults(func=cmd_fi_sweep)
 
     p = sub.add_parser("advantage-map", help="advantage over a theta-phi grid")
-    common(p, lam_default="0.995")
+    common(p, "0.995")
     p.set_defaults(func=cmd_advantage_map)
 
     p = sub.add_parser("estimate", help="Monte-Carlo MLE/LEP comparison")
-    common(p, lam_default="0.9")
+    common(p, "0.9")
     p.add_argument("--n", type=int, default=100_000,
                    help="samples per measurement setting")
     p.add_argument("--trials", type=int, default=200)

@@ -474,7 +474,6 @@ class TrialSummary:
     """The result of one run: numbers only; ``cli`` lays them out as rows."""
 
     advantage: float
-    quantum_var: float
     mle: EstimatorSummary
     lep: EstimatorSummary
 
@@ -549,7 +548,7 @@ def run_trials(config: TrialConfig) -> TrialSummary:
     tables = (expected_counts(p_b, p_seq, config.n) if config.inject_expected
               else draw_counts(p_b, p_seq, config.n, config.seed, trials))
     results = estimate_tables(tables, config.target, fixed_other, w, domain)
-    return TrialSummary(adv, quantum_var, *(
+    return TrialSummary(adv, *(
         _summarize(name, result, trials, quantum_var, config.inject_expected)
         for name, result in zip(("mle", "lep"), results)))
 

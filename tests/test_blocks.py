@@ -96,7 +96,7 @@ def test_output_does_not_depend_on_the_block_budget(monkeypatch, name):
     (["--theta", "0:pi:0.3", "--phi", "0:6.2:0.4", "--lambda", "0:1:0.05"],
      21, 176, 1),
     (["--theta", "0:3:0.01", "--phi", "0:6:0.2", "--lambda", "0.2,0.5,0.9"],
-     3, 9331, 3),
+     3, 9331, 9),
 ], ids=["benchmark", "two-calls", "one-call", "call-per-lambda"])
 def test_fi_sweep_hands_the_writer_one_block_per_kernel_call(
         monkeypatch, argv, rows, width, calls):
@@ -109,4 +109,30 @@ def test_fi_sweep_hands_the_writer_one_block_per_kernel_call(
 
     monkeypatch.setattr(oqmetro.cli, "_write_table", counted)
     assert _run(["fi-sweep", "--target", "theta"] + argv)[0] == 0
-    assert len(blocks) == len(row_blocks(rows, width)) == calls
+    # a row wider than the budget is cut into pieces of at most the budget
+    pieces = len(row_blocks(width, 1))
+    assert len(blocks) == len(row_blocks(rows, width)) * pieces == calls
+
+
+@pytest.mark.parametrize("argv, rows, width", [
+    (["advantage-map", "--theta", "0.5,1,2", "--phi", "0:6.28:0.001"],
+     3, 6281),
+    (["fi-sweep", "--lambda", "0.5,0.9", "--theta", "0.01:3.1:0.05",
+      "--phi", "0:6.2:0.05"], 2, 63 * 125),
+], ids=["map", "sweep"])
+def test_no_kernel_call_exceeds_the_budget_on_wide_rows(monkeypatch, argv,
+                                                        rows, width):
+    # each row is wider than the budget, so it is cut into pieces
+    assert width > oqmetro.oq.BLOCK_POINTS
+    sizes = []
+    oq_values = oqmetro.cli.oq_values
+
+    def counted(w, psi):
+        values = oq_values(w, psi)
+        sizes.append(values[0, 0].size)
+        return values
+
+    monkeypatch.setattr(oqmetro.cli, "oq_values", counted)
+    assert _run(argv)[0] == 0
+    assert max(sizes) <= oqmetro.oq.BLOCK_POINTS
+    assert sum(sizes) == rows * width

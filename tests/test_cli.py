@@ -371,7 +371,8 @@ class TestAdvantageMap:
         assert "theta=4.0 outside [0, pi]" in capsys.readouterr().err
 
     def test_each_row_evaluated_once(self, monkeypatch, capsys):
-        calls = dict.fromkeys(("oq_values", "qfi_pure", "oq_slopes"), 0)
+        calls = dict.fromkeys(("amplitudes", "oq_values", "qfi_pure",
+                               "oq_slopes"), 0)
         # wherever a name is bound, so calls made inside fisher count too
         for module in (oqmetro.cli, oqmetro.fisher):
             for name in calls:
@@ -387,32 +388,35 @@ class TestAdvantageMap:
                 "0.5,1.0,1.5", "--phi", "0.1:3.0:0.1"]
         # 3 rows of 30 points fit in one block at the default budget
         assert main(argv) == 0
-        assert calls == {"oq_values": 1, "qfi_pure": 1, "oq_slopes": 1}
+        assert calls == {"amplitudes": 1, "oq_values": 1, "qfi_pure": 1,
+                         "oq_slopes": 1}
         # 2 rows per block: ceil(3 / 2) kernel calls
         calls.update(dict.fromkeys(calls, 0))
         monkeypatch.setattr(oqmetro.oq, "BLOCK_POINTS", 60)
         assert main(argv) == 0
-        assert calls == {"oq_values": 2, "qfi_pure": 2, "oq_slopes": 2}
+        assert calls == {"amplitudes": 2, "oq_values": 2, "qfi_pure": 2,
+                         "oq_slopes": 2}
 
     def test_information_only_at_positive_points(self, monkeypatch, capsys):
-        # amplitude slopes, cell slopes and quantum information are
-        # computed only where the advantage can be defined: 8,051 of the
-        # benchmark map's 24,336 points
+        # cell slopes and quantum information are computed only where the
+        # advantage can be defined: 8,051 of the benchmark map's 24,336
+        # points.  Kets come with their slopes, at every point
         points = dict.fromkeys(("qfi_pure", "oq_slopes", "amplitudes"), 0)
         for name in points:
 
             def counted(*args, name=name, fn=getattr(oqmetro.cli, name)):
-                # the polar angles of kets built with their slopes (given
-                # a target), else dpsi's points
+                # the points of kets built with their slopes (given a
+                # target), else dpsi's points
                 points[name] += (math.prod(args[-1].shape[1:])
                                  if name != "amplitudes"
-                                 else args[0].size if len(args) == 3 else 0)
+                                 else np.broadcast(*args[:2]).size
+                                 if len(args) == 3 else 0)
                 return fn(*args)
 
             monkeypatch.setattr(oqmetro.cli, name, counted)
         assert main(list(OUTPUT_COMMANDS["advantage-map"])) == 0
         assert points == {"qfi_pure": 8051, "oq_slopes": 8051,
-                          "amplitudes": 8051}
+                          "amplitudes": 24336}
 
     @pytest.mark.parametrize("target, theta, zero_qfi", [
         (Target.POLAR, "0.02:3.12:0.03", 0),
@@ -661,6 +665,15 @@ class TestEstimate:
         ])
         assert code == 2
         assert "narrower than half the grid step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["1:0", "1.2:1.2"])
+    def test_empty_domain_exits_2(self, capsys, domain):
+        code = main(["estimate", "--lambda", "0.85", "--theta", "1.2",
+                     "--phi", "1.0", "--n", "2000", "--trials", "5",
+                     "--domain", domain])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: domain must be a nondegenerate interval\n")
 
     def test_n_beyond_int64_exits_2(self, capsys):
         argv = ["estimate", "--n", "99999999999999999999", "--trials", "2"]
@@ -912,9 +925,13 @@ class TestExitCodeContract:
         ["compat", "--mu", "0,0,0.9", "--nu", "0.9,0,0"],
     ])
     def test_unwritable_out_path_exits_2(self, tmp_path, capsys, argv):
+        # the error names the path given, not a temporary file beside it
         out = tmp_path / "missing" / "x.csv"
         assert main(argv + ["--out", str(out)]) == 2
-        assert "No such file or directory" in capsys.readouterr().err
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.splitlines()[-1] == (
+            f"error: [Errno 2] No such file or directory: '{out}'")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["compat", "--mu", "0,0,0.9", "--nu", "-0.9,0,0"],

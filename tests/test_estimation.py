@@ -228,6 +228,23 @@ class TestCountTable:
                        np.array([[250, 250], [250, 250]]),
                        np.full((2, 2), 250.0))
 
+    # the second of two tables is off: every table of a stack is checked
+    @pytest.mark.parametrize("counts_b, counts_seq", [
+        ([[500, 500], [500, 499]], [[[250, 250], [250, 250]]] * 2),
+        ([[500, 500]] * 2, [[[250, 250], [250, 250]], [[250, 250], [250, 251]]]),
+    ], ids=["one-setting", "sequential"])
+    def test_setting_counts_off_n_are_refused(self, counts_b, counts_seq):
+        with pytest.raises(ValueError, match="setting counts must each sum to n"):
+            CountTable(1000, np.array(counts_b), np.array(counts_seq),
+                       np.full((2, 2, 2), 250.0))
+
+    def test_w_counts_off_n_are_refused(self):
+        counts_w = np.full((2, 2, 2), 250.0)
+        counts_w[1, 1, 1] = 250.5
+        with pytest.raises(ValueError, match="assembled W-counts must sum to n"):
+            CountTable(1000, np.full((2, 2), 500), np.full((2, 2, 2), 250),
+                       counts_w)
+
 
 def stack(parts, n):
     """One stack of the tables given as (counts_b, counts_seq) stacks."""

@@ -48,6 +48,10 @@ class TestFisherDiscrete:
         np.testing.assert_array_equal(
             fisher_discrete(np.transpose(probs), np.transpose(derivs)), stacked)
 
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            fisher_discrete([0.5, 0.5], [0.1, -0.1, 0.0])
+
     def test_guards_checked_per_model(self):
         with pytest.raises(NotNormalized):
             fisher_discrete([[0.5, 0.5], [0.5, 0.4]], [[0.1, 0.1], [-0.1, -0.1]])

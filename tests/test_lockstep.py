@@ -208,7 +208,7 @@ def ref_run_trials(cfg):
             except (FlatLikelihood, ZeroSlope):
                 omitted[name] += 1
     trials = 1 if cfg.inject_expected else cfg.trials
-    return TrialSummary(adv, quantum_var, *(
+    return TrialSummary(adv, *(
         ref_summarize(name, results[name], omitted[name], trials, quantum_var,
                       cfg.inject_expected)
         for name in ("mle", "lep")))

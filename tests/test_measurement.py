@@ -157,6 +157,12 @@ class TestBuildHovm:
         with pytest.raises(OutcomeCountMismatch):
             build_hovm(a, b, a)
 
+    def test_local_outcome_counts_must_agree(self):
+        a, b = mutually_unbiased_pair(0.5)
+        thirds = Povm(tuple(np.eye(2) / 3 for _ in range(3)))
+        with pytest.raises(OutcomeCountMismatch, match="same outcome count"):
+            build_hovm(a, thirds, sequential_povm(a, thirds))
+
 
 class TestMarginalityDefect:
     def test_constructed_hovm_is_clean(self):
