@@ -17,16 +17,17 @@ evaluates at every probe point.  A row wider than the budget (phi points
 of the map, probe points of the sweep) is cut into pieces of at most
 ``oq.BLOCK_POINTS`` points, one call each.  The cells, their slopes and
 the quantum information then go to ``fisher`` as arrays.
-``advantage-map`` builds a block's kets with their slopes in one
-``amplitudes`` call, and gathers its cells, kets and ket slopes at its
-positive points with one ``compress`` each; cell slopes and quantum
-information are computed there only.  Only the azimuthal target's
-information vanishes, at and next to the poles, so cells, slopes and
-information are masked again only in a block where some of it does.
-The cells and slopes reach ``fisher`` component first and C-contiguous,
-of shape (2, 2, points) as the kernel returns slopes; a boolean gather
-``values[..., mask]`` lays them out point-major, which gives the same
-bits but makes every pass of ``fisher`` stride.
+Both grid commands check the angles of their theta and phi axes before
+they build a grid, and gather at their positive points by one rule,
+``x.reshape(*x.shape[:-2], -1).compress(positive, axis=-1)``, so the
+cells and slopes reach ``fisher`` component first and C-contiguous, of
+shape (2, 2, points) as the kernel returns slopes.  ``fi-sweep`` gathers
+a piece's cells and slopes.  ``advantage-map`` builds a block's kets
+with their slopes in one ``amplitudes`` call and gathers its cells, kets
+and ket slopes; cell slopes and quantum information are computed at the
+positive points only.  Only the azimuthal target's information
+vanishes, at and next to the poles, so cells, slopes and information
+are masked again only in a block where some of it does.
 
 Each subcommand hands ``_write_table`` its table as blocks of columns,
 each formatted as soon as it is computed: one block per kernel call for
@@ -376,9 +377,9 @@ def cmd_fi_sweep(args) -> int:
     lams = parse_values(args.lam)
     axes = parse_values(args.theta), parse_values(args.phi)
     _check_grid_size(lams, *axes)
+    check_angles(*axes)
     grid = np.meshgrid(*axes, indexing="ij")
     theta, phi = (g.ravel() for g in grid)
-    check_angles(theta, phi)
     psi, dpsi = amplitudes(theta, phi, target)
     qfi = qfi_pure(psi, dpsi)
     # the probe points in pieces of at most one kernel call's points (one
@@ -395,14 +396,14 @@ def cmd_fi_sweep(args) -> int:
             w = build_hovm(a, b, sequential_povm(a, b))
             for kets, ket_slopes, thetas, phis, qfis in pieces:
                 values = oq_values(w, kets)
-                neg = negativity(values)
+                neg = negativity(values).ravel()
                 positive = neg <= POSITIVITY_TOL
                 slopes = oq_slopes(w, kets, ket_slopes)
-                info = oqfi(values[..., positive], slopes[..., positive])
-                positive = positive.ravel()
+                info = oqfi(*(x.reshape(*x.shape[:-2], -1).compress(
+                    positive, axis=-1) for x in (values, slopes)))
                 yield [tuple(lams[rows]), thetas, phis, args.target,
                        _Gapped(info.tolist(), positive), qfis,
-                       neg.ravel().tolist(), positive.tolist()]
+                       neg.tolist(), positive.tolist()]
 
     _write_table(args.out, args.format, "fi-sweep",
                  ["lambda", "theta", "phi", "target", "oqfi", "qfi",
@@ -438,9 +439,7 @@ def cmd_advantage_map(args) -> int:
                 # the quantum information vanishes: those cells stay
                 # empty.  The information chain runs at the positive points
                 # only, on the cells, kets and ket slopes gathered there
-                # component first and C-contiguous (a masked gather
-                # x[..., defined] comes out point-major, which every pass
-                # of fisher strides through)
+                # component first and C-contiguous
                 defined = neg <= POSITIVITY_TOL
                 values, psi, dpsi = (x.reshape(*x.shape[:-2], -1).compress(
                     defined.ravel(), axis=-1) for x in (values, psi, dpsi))

@@ -50,11 +50,6 @@ from .errors import (
     OutcomeCountMismatch,
 )
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
-
 # Entrywise tolerance of the Hermitian check, and the eigenvalue tolerance
 # of the PSD check: eigenvalues in [-HERMITIAN_TOL, 0) are float noise.
 HERMITIAN_TOL = 1e-10
@@ -169,10 +164,6 @@ class Hovm:
         front.setflags(write=False)
         object.__setattr__(self, "front", front)
 
-    @property
-    def d(self) -> int:
-        return self.elements.shape[-3]
-
 
 def _derived(cls, array: np.ndarray):
     """A ``Povm`` or ``Hovm`` holding ``array``, a new array built from
@@ -221,7 +212,8 @@ def bloch_povm(bloch) -> Povm:
     their sum is within one ulp of the identity in each entry.
     """
     v = _bloch(bloch)
-    vs = sum(v[..., k, None, None] * p for k, p in enumerate(PAULI))
+    x, y, z = np.moveaxis(v, -1, 0)
+    vs = np.stack((z, x - 1j * y, x + 1j * y, -z), axis=-1).reshape(x.shape + (2, 2))
     eye = np.eye(2, dtype=complex)
     return _derived(Povm, np.stack(((eye + vs) / 2, (eye - vs) / 2), axis=-3))
 

@@ -204,6 +204,39 @@ class TestFiSweep:
         assert payload["schema"].startswith("oqmetro-csv v1")
         assert payload["rows"][0]["oqfi"] == "inf"
 
+    @pytest.mark.parametrize("angles, err", [
+        (["--theta", "5", "--phi", "1:0:0.1"], "theta=5.0 outside [0, pi]"),
+        (["--theta", "1:0:0.1", "--phi", "9"], "phi=9.0 outside [0, 2*pi)"),
+        # a grid with points is refused at its first bad value, theta first
+        (["--theta", "0.5,4,5", "--phi", "0,9"], "theta=4.0 outside [0, pi]"),
+    ], ids=["theta-empty-phi", "phi-empty-theta", "grid"])
+    def test_out_of_range_angle_exits_2(self, tmp_path, capsys, angles, err):
+        # the axes are checked as advantage-map checks them, before the
+        # grid is built, so an empty grid does not hide a bad angle
+        out = tmp_path / "sweep.csv"
+        argv = ["fi-sweep", "--lambda", "0.5", "--out", str(out)] + angles
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert not out.exists()
+
+    def test_fisher_gets_contiguous_cells_at_the_positive_points(
+            self, monkeypatch, capsys):
+        seen = []
+
+        def spy(values, slopes):
+            seen.append((values.shape, values.flags.c_contiguous,
+                         slopes.shape, slopes.flags.c_contiguous))
+            return oqfi(values, slopes)
+
+        monkeypatch.setattr(oqmetro.cli, "oqfi", spy)
+        argv = ["fi-sweep", "--lambda", "0.9,1", "--theta", "0:pi:0.3",
+                "--phi", "0:6:0.5"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+        n = sum(row["positive"] == "True" for row in rows)
+        assert 0 < n < len(rows)
+        assert seen == [((2, 2, n), True, (2, 2, n), True)]
+
 
 def per_lambda_sweep(argv):
     """The fi-sweep table as the earlier per-sharpness loop wrote it: one

@@ -22,8 +22,6 @@ from oqmetro.errors import (
 from oqmetro.measurement import (
     HERMITIAN_TOL,
     IDENTITY_TOL,
-    PAULI_X,
-    PAULI_Z,
     Hovm,
     Povm,
     bloch_povm,
@@ -36,6 +34,19 @@ from oqmetro.measurement import (
     _direction,
     _psd,
 )
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def pauli_sum_effects(v: np.ndarray) -> np.ndarray:
+    """(1 +- v.sigma) / 2 with v.sigma summed over the Pauli matrices from
+    0, the reference form of ``bloch_povm``'s effects."""
+    vs = sum(v[..., k, None, None] * p
+             for k, p in enumerate((PAULI_X, PAULI_Y, PAULI_Z)))
+    eye = np.eye(2, dtype=complex)
+    return np.stack(((eye + vs) / 2, (eye - vs) / 2), axis=-3)
 
 
 class TestBlochPovm:
@@ -337,7 +348,7 @@ def test_hovm_allows_negative_elements():
     # full-sharpness HOVM elements are indefinite yet the grid validates
     _, _, w = mub_hovm(1.0)
     assert isinstance(w, Hovm)
-    assert w.d == 2
+    assert w.elements.shape == (2, 2, 2, 2)
 
 
 class TestChecks:
@@ -812,6 +823,9 @@ def test_accepted_bloch_stacks_pass_every_povm_check(vectors, column):
     assert np.array_equal(checked.view(np.int64), kept.view(np.int64))
     # Hermitian to the last bit, not only within the tolerance
     assert np.array_equal(kept, kept.conj().swapaxes(-1, -2))
+    # the bits of the Pauli-sum form, signed zeros included
+    assert np.array_equal(kept.view(np.int64),
+                          pauli_sum_effects(v).view(np.int64))
 
 
 def test_only_user_arrays_run_operator_checks(monkeypatch):

@@ -10,20 +10,31 @@ probe point it computes the cells <psi|W_ab|psi>, their slopes
 2 Re <dpsi|W_ab|psi>, the negativity, the OQ Fisher information with
 ``fisher_discrete``'s floors, the quantum Fisher information
 4 (<dpsi|dpsi> - |<psi|dpsi>|^2) and the advantage; and the sharpness
-threshold 2 / (|mu + nu| + |mu - nu|) of two unit directions.
+threshold 2 / (|mu + nu| + |mu - nu|) of two unit directions.  For a
+given table of W-counts c_ab it finds the two estimates by
+``mp.findroot``, started from the float ones: the MLE as the root of the
+score sum_ab c_ab W'_ab / W_ab, the LEP as the root of the parity
+equation sum_ab (-1)^(ab) W_ab = the table's parity mean; and it computes
+their predicted variances, 1 / (n I) with I the observed information
+-(1/n) d^2/dg^2 sum_ab c_ab log W_ab at the MLE (``mp.diff``), and
+(1 - m^2) / (n m'^2) with m the parity mean at the LEP.
 
 The points are a seeded subsample of the positive points of the benchmark
 map (lambda 0.995, theta target) and a set of hard spots: cells that
 nearly vanish, the mutually unbiased pair at 1/sqrt(2) +- 1e-12, and
-directions of length 1e-160 and 1e200.
+directions of length 1e-160 and 1e200.  The tables are the 20 of a
+seeded n = 100,000 run at the headline point (lambda 0.9, theta target)
+and its expected-counts table.
 
 An error is measured in units of eps times the quantity's scale:
 1 for cells, slopes and negativity (the cells sum to 1); the value itself
 for the quantum information and the threshold; for the OQ information
 sum_k (s_k^2 / v_k^2 + 2 |s_k| / v_k), the bound of its first-order
 change when each cell v_k and slope s_k moves by one; and for the
-advantage that scale over the OQ information, plus one.  Each bound in
-``BOUNDS`` is the worst error of today's code, rounded up to two digits.
+advantage that scale over the OQ information, plus one.  An estimate's
+error is in radians and a predicted variance's is relative.  Each bound
+in ``BOUNDS`` and ``ESTIMATOR_BOUNDS`` is the worst error of today's
+code, rounded up to two digits.
 A bound may be tightened when the code gets more accurate, and never
 loosened.
 """
@@ -35,6 +46,12 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from oqmetro.cli import parse_values
+from oqmetro.estimation import (
+    _outcome_probs,
+    draw_counts,
+    estimate_tables,
+    expected_counts,
+)
 from oqmetro.fisher import DERIV_FLOOR, PROB_FLOOR, advantage, oqfi, qfi_pure
 from oqmetro.measurement import (
     bloch_povm,
@@ -59,6 +76,12 @@ BOUNDS = {
              "oqfi": 0.23, "qfi_pure": 1.1e5, "advantage": 0.37},
 }
 THRESHOLD_BOUND = 0.62
+# The MLE is refined to a bracket of 1e-8 on a log-likelihood whose top is
+# flat; its variance comes from a central second difference with step
+# CURVATURE_H, whose truncation error is largest on a table with a small
+# cell (one of 3.3e-4 on the worst table).
+ESTIMATOR_BOUNDS = {"mle": 1.5e-8, "lep": 2.3e-9,
+                    "mle_var": 4.8e-4, "lep_var": 1.7e-9}
 
 
 @pytest.fixture(autouse=True)
@@ -152,10 +175,48 @@ def oracle_threshold(mu, nu):
     return None if boundary >= 1 else boundary
 
 
+PARITY = (1, 1, 1, -1)
+
+
+def _model(w, g, phi):
+    """The cells and slopes at theta = g for the theta target."""
+    point = oracle_point(w, g, phi, Target.POLAR)
+    return point["oq_values"], point["oq_slopes"]
+
+
+def oracle_mle(w, counts, n, phi, start):
+    """The root of the score near ``start``, and its predicted variance."""
+    def score(g):
+        cells, slopes = _model(w, g, phi)
+        return sum(c * s / v for c, s, v in zip(counts, slopes, cells))
+
+    def loglik(g):
+        cells, _ = _model(w, g, phi)
+        return sum(c * mp.log(v) for c, v in zip(counts, cells)) / n
+
+    g = mp.findroot(score, mpf(start))
+    return g, 1 / (n * -mp.diff(loglik, g, 2))
+
+
+def oracle_lep(w, counts, n, phi, start):
+    """The root of the parity equation near ``start``, and its predicted
+    variance."""
+    def parity(g):
+        cells, slopes = _model(w, g, phi)
+        return (sum(p * v for p, v in zip(PARITY, cells)),
+                sum(p * s for p, s in zip(PARITY, slopes)))
+
+    obs = sum(p * c for p, c in zip(PARITY, counts)) / n
+    g = mp.findroot(lambda g: parity(g)[0] - obs, mpf(start))
+    mean, slope = parity(g)
+    return g, (1 - mean * mean) / (n * slope * slope)
+
+
 # --- the points ---
 
 LAM = 0.995
 HEADLINE = (1.0131710069701012, 2.3038346126325147)
+TABLE_LAM = 0.9
 BOUNDARY = 1 / math.sqrt(2)
 
 
@@ -208,6 +269,26 @@ def _directions():
             mu, nu = rng.normal(size=(2, 3))
             pairs.append((tuple(mu * mu_scale), tuple(nu * nu_scale)))
     return pairs
+
+
+def _tables():
+    """The W-counts, n and float MLE and LEP results of each table."""
+    a, b = mutually_unbiased_pair(TABLE_LAM)
+    seq = sequential_povm(a, b)
+    w = build_hovm(a, b, seq)
+    psi = amplitudes(*HEADLINE)
+    p_b, p_seq = _outcome_probs(psi, b), _outcome_probs(psi, seq)
+    tables = []
+    for counts in (draw_counts(p_b, p_seq, 100_000, 7, 20),
+                   expected_counts(p_b, p_seq, 100_000)):
+        mle, lep = estimate_tables(counts, Target.POLAR, HEADLINE[1], w,
+                                   (0.0, math.pi))
+        assert not (mle.omitted.any() or lep.omitted.any())
+        for k, cw in enumerate(counts.counts_w):
+            tables.append((cw.ravel().tolist(), counts.n,
+                           mle.estimate[k], mle.variance_estimate[k],
+                           lep.estimate[k], lep.variance_estimate[k]))
+    return tables
 
 
 SETS = {"map": _map_points, "hard": _hard_points}
@@ -264,10 +345,39 @@ def threshold_error(pairs):
     return worst
 
 
+def estimator_errors(tables):
+    """The worst error of each estimate and predicted variance over
+    ``tables``, and how many tables were left out: those whose model has a
+    cell <= 0 at the float MLE, where the likelihood is not defined."""
+    exact = oracle_hovm(*_mub(TABLE_LAM))
+    worst = dict.fromkeys(ESTIMATOR_BOUNDS, 0.0)
+    left_out = 0
+    for cw, n, mle, mle_var, lep, lep_var in tables:
+        if min(_model(exact, mle, HEADLINE[1])[0]) <= 0:
+            left_out += 1
+            continue
+        counts = [mpf(c) for c in cw]
+        g_mle, v_mle = oracle_mle(exact, counts, n, HEADLINE[1], mle)
+        g_lep, v_lep = oracle_lep(exact, counts, n, HEADLINE[1], lep)
+        for name, err in (("mle", mpf(mle) - g_mle), ("lep", mpf(lep) - g_lep),
+                          ("mle_var", mpf(mle_var) / v_mle - 1),
+                          ("lep_var", mpf(lep_var) / v_lep - 1)):
+            worst[name] = max(worst[name], float(mp.fabs(err)))
+    return worst, left_out
+
+
 @pytest.mark.parametrize("name", SETS)
 def test_errors_stay_within_their_bounds(name):
     worst = point_errors(SETS[name]())
     assert not [f for f, bound in BOUNDS[name].items() if worst[f] > bound], worst
+
+
+def test_estimator_errors_stay_within_their_bounds():
+    worst, left_out = estimator_errors(_tables())
+    # no table of the headline run leaves the model's domain
+    assert left_out == 0
+    assert not [f for f, bound in ESTIMATOR_BOUNDS.items()
+                if worst[f] > bound], worst
 
 
 def test_threshold_error_stays_within_its_bound():
